@@ -19,13 +19,13 @@
 //! Run with: `cargo bench --bench cluster_throughput`
 //! (`LANTERN_BENCH_SCALE` scales the request count.)
 
-use lantern_bench::{bench_scale, TableReport};
+use lantern_bench::{bench_scale, serve_translator, TableReport};
 use lantern_cache::{CacheConfig, CachedTranslator};
 use lantern_cluster::{serve_cluster, ClusterConfig};
 use lantern_core::RuleTranslator;
 use lantern_gen::{FormatMix, GenConfig, PlanGenerator};
 use lantern_pool::default_mssql_store;
-use lantern_serve::{serve_node, HttpClient, ServeConfig, ServerHandle};
+use lantern_serve::{HttpClient, ServeConfig, ServerHandle};
 use lantern_text::json::JsonValue;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -43,18 +43,14 @@ fn boot_replica() -> ServerHandle {
             ..CacheConfig::default()
         },
     ));
-    serve_node(
+    serve_translator(
         Arc::clone(&cached),
         Some(cached),
-        None,
-        None,
-        "127.0.0.1:0",
         ServeConfig {
             workers: 2,
             ..ServeConfig::default()
         },
     )
-    .expect("replica boots")
 }
 
 /// Drive every document through one connection; returns requests/sec.

@@ -14,6 +14,7 @@
 //! Run with: `cargo bench --bench load`
 //! (`LANTERN_BENCH_SCALE` scales the request counts.)
 
+use lantern_bench::serve_translator;
 use lantern_bench::{bench_scale, TableReport};
 use lantern_cache::{CacheConfig, CacheControl, CachedTranslator};
 use lantern_core::RuleTranslator;
@@ -21,7 +22,7 @@ use lantern_gen::{ArtifactFormat, FormatMix, GenConfig, PlanGenerator};
 use lantern_plan::{parse_pg_json_plan, parse_sqlserver_xml_plan};
 use lantern_pool::default_mssql_store;
 use lantern_serve::soak::{run_soak, SoakConfig};
-use lantern_serve::{serve_with_cache, HttpClient, ServeConfig};
+use lantern_serve::{HttpClient, ServeConfig};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -86,13 +87,11 @@ fn main() {
         RuleTranslator::new(default_mssql_store()),
         CacheConfig::default(),
     ));
-    let handle = serve_with_cache(
+    let handle = serve_translator(
         Arc::clone(&cached),
         Some(Arc::clone(&cached) as Arc<dyn CacheControl + Send + Sync>),
-        "127.0.0.1:0",
         ServeConfig::default(),
-    )
-    .expect("bind ephemeral port");
+    );
 
     let requests = ((2_000.0 * scale) as usize).max(400);
     let mut report = TableReport::new(
@@ -160,17 +159,11 @@ fn main() {
     // loop must shed the overflow with immediate 503s instead of
     // queueing it, and the requests it does accept must keep a sane
     // tail (shedding exists so accepted work doesn't collapse).
-    // Event-path behaviour, so Unix only.
-    #[cfg(unix)]
-    {
-        shed_scenario();
-    }
+    shed_scenario();
 }
 
-#[cfg(unix)]
 fn shed_scenario() {
     use lantern_core::{LanternError, NarrationRequest, NarrationResponse, Translator};
-    use lantern_serve::serve;
 
     struct Slow(RuleTranslator);
     impl Translator for Slow {
@@ -183,16 +176,15 @@ fn shed_scenario() {
         }
     }
 
-    let handle = serve(
+    let handle = serve_translator(
         Slow(RuleTranslator::new(default_mssql_store())),
-        "127.0.0.1:0",
+        None,
         ServeConfig {
             workers: 1,
             queue_depth: 2,
             ..ServeConfig::default()
         },
-    )
-    .expect("bind ephemeral port");
+    );
 
     let docs: Vec<String> = PlanGenerator::new(
         GenConfig::default()

@@ -20,10 +20,10 @@
 //! Run with: `cargo bench --bench serve_throughput`
 //! (`LANTERN_BENCH_SCALE` scales the iteration count.)
 
-use lantern_bench::{bench_scale, tpch_workload, BenchContext, TableReport};
+use lantern_bench::{bench_scale, serve_translator, tpch_workload, BenchContext, TableReport};
 use lantern_core::{NarrationRequest, RuleTranslator, Translator};
 use lantern_plan::plan_to_pg_json;
-use lantern_serve::{serve, HttpClient, ServeConfig};
+use lantern_serve::{HttpClient, ServeConfig};
 use lantern_text::json::JsonValue;
 use std::hint::black_box;
 use std::time::Instant;
@@ -42,12 +42,11 @@ fn main() {
         JsonValue::Array(docs.iter().cloned().map(JsonValue::String).collect()).to_string_compact();
 
     let rule = RuleTranslator::new(ctx.store.clone());
-    let handle = serve(
+    let handle = serve_translator(
         RuleTranslator::new(ctx.store.clone()),
-        "127.0.0.1:0",
+        None,
         ServeConfig::default(),
-    )
-    .expect("bind ephemeral port");
+    );
     let mut client = HttpClient::connect(handle.addr()).expect("connect");
 
     let iters = ((200.0 * bench_scale()) as usize).max(20);
@@ -133,27 +132,21 @@ fn main() {
     // C keep-alive connections stay open for the whole measurement;
     // requests round-robin across them with one in flight at a time,
     // so the numbers isolate what holding C live sockets costs the
-    // serving core (readiness bookkeeping on the event path, parked
-    // threads on the legacy path). The legacy path is measured at
-    // C = 1 only: beyond the pool size it parks whole connections on
-    // workers, which is exactly the scaling wall the event loop
-    // removes.
+    // serving core's readiness bookkeeping.
     let sweep_requests = ((1_000.0 * bench_scale()) as usize).max(200);
-    let sweep = |legacy: bool, conns: usize, metrics: bool| -> (u64, u64, f64) {
-        let handle = serve(
+    let sweep = |conns: usize, metrics: bool| -> (u64, u64, f64) {
+        let handle = serve_translator(
             RuleTranslator::new(ctx.store.clone()),
-            "127.0.0.1:0",
+            None,
             ServeConfig {
                 // Long idle timeout: parked connections must survive
                 // the whole sweep point, not get idle-swept mid-run.
                 read_timeout: std::time::Duration::from_secs(120),
                 max_conns: 2048,
-                legacy_blocking: legacy,
                 metrics,
                 ..ServeConfig::default()
             },
-        )
-        .expect("bind ephemeral port");
+        );
         let mut clients: Vec<HttpClient> = (0..conns)
             .map(|_| HttpClient::connect(handle.addr()).expect("connect"))
             .collect();
@@ -184,26 +177,9 @@ fn main() {
         "Keep-alive concurrency sweep, POST /narrate round-robin (µs per request)",
         &["path", "conns", "p50 µs", "p99 µs", "req/s"],
     );
-    let (p50, p99, legacy_rps) = sweep(true, 1, true);
-    report.row(&[
-        "legacy blocking".to_string(),
-        "1".to_string(),
-        p50.to_string(),
-        p99.to_string(),
-        format!("{legacy_rps:.0}"),
-    ]);
-    // The high-C points need the event loop; non-Unix targets fall
-    // back to the blocking path where idle connections park workers.
-    #[cfg(unix)]
-    let concurrencies: &[usize] = &[1, 64, 256, 1024];
-    #[cfg(not(unix))]
-    let concurrencies: &[usize] = &[1];
-    let mut event_c1_rps = f64::NAN;
-    for &conns in concurrencies {
-        let (p50, p99, rps) = sweep(false, conns, true);
-        if conns == 1 {
-            event_c1_rps = rps;
-        }
+    // Every point must sustain all-200s (`sweep` asserts each status).
+    for conns in [1, 64, 256, 1024] {
+        let (p50, p99, rps) = sweep(conns, true);
         report.row(&[
             "event-driven".to_string(),
             conns.to_string(),
@@ -213,14 +189,6 @@ fn main() {
         ]);
     }
     report.print();
-    // Acceptance: the event path must not cost throughput at C = 1
-    // (0.5x guards against CI noise, not a real regression budget),
-    // and must have sustained every high-C point above with all-200s.
-    assert!(
-        event_c1_rps >= 0.5 * legacy_rps,
-        "event path at C=1 ({event_c1_rps:.0} req/s) fell far below \
-         the blocking path ({legacy_rps:.0} req/s)"
-    );
 
     // --- observability overhead guard --------------------------------
     //
@@ -230,12 +198,9 @@ fn main() {
     // it; the instrumented server must hold at least 90% of the bare
     // server's throughput, or the "observability is effectively free"
     // claim in docs/OBSERVABILITY.md is broken.
-    #[cfg(unix)]
     let guard_conns = 64;
-    #[cfg(not(unix))]
-    let guard_conns = 1;
-    let (on_p50, on_p99, rps_on) = sweep(false, guard_conns, true);
-    let (off_p50, off_p99, rps_off) = sweep(false, guard_conns, false);
+    let (on_p50, on_p99, rps_on) = sweep(guard_conns, true);
+    let (off_p50, off_p99, rps_off) = sweep(guard_conns, false);
     let mut report = TableReport::new(
         "Observability overhead, POST /narrate at fixed concurrency",
         &["metrics", "conns", "p50 µs", "p99 µs", "req/s"],

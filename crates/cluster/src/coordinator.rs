@@ -3,8 +3,9 @@
 //!
 //! Request lifecycle:
 //!
-//! 1. a worker parses the request with the same `lantern-serve` HTTP
-//!    layer the replicas use;
+//! 1. the request arrives through the same `lantern-serve` event core
+//!    the replicas run (pipelining, per-request `503` shedding, idle
+//!    sweep, bounded drain), which hands it to a worker;
 //! 2. the body is reduced to a **shard key** (canonical plan
 //!    fingerprint, memoized by exact text — see [`crate::shard`]);
 //! 3. the key picks an owner on the consistent-hash ring, and the
@@ -29,21 +30,28 @@
 use crate::ring::HashRing;
 use crate::shard::{document_key, group_by_node, item_key, shard_key};
 use lantern_cache::ShardedLru;
-use lantern_obs::{bucket_index, parse_exposition, Recorder, RecorderConfig, BOUNDS, BUCKETS};
+use lantern_obs::{bucket_index, parse_exposition, Recorder, BOUNDS, BUCKETS};
 use lantern_pool::parse_pool;
-use lantern_serve::http::{read_request, write_response, Request, Response, REQUEST_ID_HEADER};
-use lantern_serve::router::error_body_raw;
-use lantern_serve::{ClientConfig, ClientError, ClientErrorKind, ClientResponse, HttpClient};
+use lantern_serve::http::{Request, Response, REQUEST_ID_HEADER};
+use lantern_serve::router::{error_body_raw, json_error, route, Route};
+use lantern_serve::{
+    ClientConfig, ClientError, ClientErrorKind, ClientResponse, Handler, HttpClient, ServeConfig,
+    ServeStats,
+};
 use lantern_text::json::JsonValue;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+#[cfg(unix)]
+use {
+    lantern_serve::{serve, ServerHandle},
+    std::io,
+    std::net::{TcpListener, ToSocketAddrs},
+    std::thread::JoinHandle,
+};
 
 /// One sub-batch's original item positions paired with the replica's
 /// response (or the transport failure that exhausted its retries).
@@ -61,8 +69,8 @@ pub struct ClusterConfig {
     /// Coordinator worker threads. `0` means `available_parallelism`
     /// (min 2).
     pub workers: usize,
-    /// Accepted connections that may queue for a worker before new
-    /// arrivals are shed with `503`.
+    /// Requests that may wait for a worker; requests arriving with the
+    /// queue full are shed with `503` + `Retry-After`.
     pub queue_depth: usize,
     /// Largest accepted request body, in bytes.
     pub max_body_bytes: usize,
@@ -113,23 +121,25 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
+    /// The serving-core settings for the coordinator's own front door.
+    fn serve_config(&self) -> ServeConfig {
+        ServeConfig {
+            workers: self.workers,
+            queue_depth: self.queue_depth,
+            max_body_bytes: self.max_body_bytes,
+            read_timeout: self.idle_timeout,
+            metrics: self.metrics,
+            slow_log_ms: self.slow_log_ms,
+            ..ServeConfig::default()
         }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .max(2)
     }
 }
 
 /// Coordinator-side counters (replica counters live on the replicas and
-/// are merged by `GET /stats`).
+/// are merged by `GET /stats`; connection and shed counts are the
+/// serving core's, kept in its [`ServeStats`]).
 #[derive(Debug, Default)]
 pub struct ClusterStats {
-    /// TCP connections accepted by the coordinator.
-    pub connections: AtomicU64,
     /// Requests routed (any endpoint, any outcome).
     pub requests_total: AtomicU64,
     /// `POST /narrate` requests.
@@ -147,8 +157,6 @@ pub struct ClusterStats {
     pub failovers: AtomicU64,
     /// Requests answered `503` because every candidate replica failed.
     pub unavailable_responses: AtomicU64,
-    /// Connections shed because the worker queue was full.
-    pub shed_requests: AtomicU64,
     /// Requests for unknown paths.
     pub not_found: AtomicU64,
     /// Responses with status ≥ 400.
@@ -165,10 +173,13 @@ pub struct ClusterStats {
 }
 
 impl ClusterStats {
-    fn to_json_value(&self) -> JsonValue {
+    /// The counters as one JSON object, with the serving core's
+    /// connection and shed counts from `transport` folded in.
+    fn to_json_value(&self, transport: &ServeStats) -> JsonValue {
         let mut obj = BTreeMap::new();
         for (key, value) in [
-            ("connections", &self.connections),
+            ("connections", &transport.connections),
+            ("shed_requests", &transport.shed_requests),
             ("requests_total", &self.requests_total),
             ("narrate_requests", &self.narrate_requests),
             ("batch_requests", &self.batch_requests),
@@ -177,7 +188,6 @@ impl ClusterStats {
             ("diff_batch_requests", &self.diff_batch_requests),
             ("failovers", &self.failovers),
             ("unavailable_responses", &self.unavailable_responses),
-            ("shed_requests", &self.shed_requests),
             ("not_found", &self.not_found),
             ("error_responses", &self.error_responses),
             ("catalog_mutations", &self.catalog_mutations),
@@ -215,6 +225,8 @@ struct Coordinator {
     ring: HashRing,
     replicas: Vec<Replica>,
     stats: Arc<ClusterStats>,
+    /// The serving core's counters for the coordinator's own front door.
+    transport: ServeStats,
     /// Exact request text → shard key, so the 75%-duplicate classroom
     /// workload parses each distinct plan once at the routing tier.
     route_memo: ShardedLru<u128>,
@@ -243,13 +255,6 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn json_error(kind: &str, message: &str, status: u16) -> Response {
-    Response::json(
-        status,
-        error_body_raw(kind, message, status).to_string_compact(),
-    )
 }
 
 /// Re-encode decoded query parameters for the forwarded request line.
@@ -313,15 +318,12 @@ impl Coordinator {
             // Entries are 16-byte values; bound by entries, not bytes.
             u64::MAX,
         );
-        let obs = Arc::new(Recorder::new(RecorderConfig {
-            enabled: config.metrics,
-            slow_log_ms: config.slow_log_ms,
-            ..RecorderConfig::default()
-        }));
+        let obs = config.serve_config().recorder();
         Coordinator {
             ring,
             replicas,
             stats: Arc::new(ClusterStats::default()),
+            transport: ServeStats::new(),
             route_memo,
             catalog_log: Mutex::new(Vec::new()),
             client_config,
@@ -506,45 +508,24 @@ impl Coordinator {
     }
 
     fn dispatch(&self, req: &Request) -> Response {
-        let response = match (req.method.as_str(), req.path.as_str()) {
-            ("POST", "/narrate") => self.narrate(req),
-            ("POST", "/narrate/batch") => self.narrate_batch(req),
-            ("POST", "/narrate/diff") => self.narrate_diff(req, false),
-            ("POST", "/narrate/diff/batch") => self.narrate_diff(req, true),
-            ("GET", "/healthz") => self.healthz(),
-            ("GET", "/stats") => self.aggregate_stats(),
-            ("GET", "/metrics") if self.obs.enabled() => self.metrics(),
-            ("GET", "/debug/slow") => self.debug_slow(req),
-            ("GET", "/catalog") => self.catalog_info(),
-            ("POST", "/catalog/apply") => self.catalog_apply(req),
-            ("POST", "/cache/clear") => self.cache_clear(),
-            (_, "/metrics") if self.obs.enabled() => json_error(
-                "http",
-                &format!("method {} not allowed on {}", req.method, req.path),
-                405,
-            ),
-            (
-                _,
-                "/narrate"
-                | "/narrate/batch"
-                | "/narrate/diff"
-                | "/narrate/diff/batch"
-                | "/healthz"
-                | "/stats"
-                | "/debug/slow"
-                | "/catalog"
-                | "/catalog/apply"
-                | "/cache/clear",
-            ) => json_error(
-                "http",
-                &format!("method {} not allowed on {}", req.method, req.path),
-                405,
-            ),
-            _ => {
-                self.stats.not_found.fetch_add(1, Ordering::Relaxed);
-                json_error("http", &format!("no route for {}", req.path), 404)
-            }
-        };
+        let routes: [Route<Self>; 11] = [
+            ("POST", "/narrate", true, Self::narrate),
+            ("POST", "/narrate/batch", true, Self::narrate_batch),
+            ("POST", "/narrate/diff", true, |c, req| {
+                c.narrate_diff(req, false)
+            }),
+            ("POST", "/narrate/diff/batch", true, |c, req| {
+                c.narrate_diff(req, true)
+            }),
+            ("GET", "/healthz", true, |c, _| c.healthz()),
+            ("GET", "/stats", true, |c, _| c.aggregate_stats()),
+            ("GET", "/metrics", self.obs.enabled(), |c, _| c.metrics()),
+            ("GET", "/debug/slow", true, Self::debug_slow),
+            ("GET", "/catalog", true, |c, _| c.catalog_info()),
+            ("POST", "/catalog/apply", true, Self::catalog_apply),
+            ("POST", "/cache/clear", true, |c, _| c.cache_clear()),
+        ];
+        let response = route(self, req, &routes, &self.stats.not_found);
         if response.status >= 400 {
             self.stats.error_responses.fetch_add(1, Ordering::Relaxed);
         }
@@ -812,7 +793,7 @@ impl Coordinator {
         // Requests the coordinator refused never reached a replica;
         // fold them into the aggregate shed count so "sent - answered"
         // adds up from the client's point of view.
-        let coordinator_shed = self.stats.shed_requests.load(Ordering::Relaxed)
+        let coordinator_shed = self.transport.shed_requests.load(Ordering::Relaxed)
             + self.stats.unavailable_responses.load(Ordering::Relaxed);
         *totals.entry("shed_requests".to_string()).or_insert(0.0) += coordinator_shed as f64;
         let mut body: BTreeMap<String, JsonValue> = totals
@@ -830,7 +811,7 @@ impl Coordinator {
                 ),
             );
         }
-        let mut coordinator = self.stats.to_json_value();
+        let mut coordinator = self.stats.to_json_value(&self.transport);
         if let JsonValue::Object(obj) = &mut coordinator {
             let memo = self.route_memo.stats();
             let mut route = BTreeMap::new();
@@ -872,7 +853,7 @@ impl Coordinator {
             merge.fold(&scrape, &[("replica", addr.as_str())]);
         }
         let registry = self.obs.registry();
-        if let JsonValue::Object(obj) = self.stats.to_json_value() {
+        if let JsonValue::Object(obj) = self.stats.to_json_value(&self.transport) {
             for (key, value) in &obj {
                 let JsonValue::Number(n) = value else {
                     continue;
@@ -1373,30 +1354,48 @@ fn passthrough(resp: ClientResponse) -> Response {
     out
 }
 
-/// Handle to a running coordinator. Dropping it shuts the cluster tier
-/// down (the replicas are not owned and keep running).
+impl Handler for Coordinator {
+    fn handle(&self, req: &Request) -> Response {
+        Coordinator::handle(self, req)
+    }
+
+    fn recorder(&self) -> &Recorder {
+        &self.obs
+    }
+
+    fn stats(&self) -> &ServeStats {
+        &self.transport
+    }
+}
+
+/// Handle to a running coordinator: the serving core's handle plus the
+/// probe thread. Dropping it shuts the cluster tier down (the replicas
+/// are not owned and keep running).
+#[cfg(unix)]
 pub struct ClusterHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    server: Option<ServerHandle>,
     stats: Arc<ClusterStats>,
-    accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    stop_probe: Arc<AtomicBool>,
     probe_thread: Option<JoinHandle<()>>,
 }
 
+#[cfg(unix)]
 impl std::fmt::Debug for ClusterHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterHandle")
-            .field("addr", &self.addr)
-            .field("workers", &self.workers.len())
+            .field("server", &self.server)
             .finish_non_exhaustive()
     }
 }
 
+#[cfg(unix)]
 impl ClusterHandle {
     /// The bound coordinator address (port 0 resolved).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server
+            .as_ref()
+            .map(ServerHandle::addr)
+            .expect("running until shut down")
     }
 
     /// The coordinator's own counters (live, not a snapshot).
@@ -1410,26 +1409,9 @@ impl ClusterHandle {
     }
 
     fn shutdown_inner(&mut self) -> io::Result<()> {
-        if self.accept_thread.is_none() {
-            return Ok(());
-        }
-        self.shutdown.store(true, Ordering::SeqCst);
-        let mut poke_addr = self.addr;
-        if poke_addr.ip().is_unspecified() {
-            poke_addr.set_ip(match poke_addr {
-                SocketAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                SocketAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-            });
-        }
-        let _ = TcpStream::connect_timeout(&poke_addr, Duration::from_secs(1));
-        if let Some(t) = self.accept_thread.take() {
-            t.join()
-                .map_err(|_| io::Error::other("accept thread panicked"))?;
-        }
-        for worker in self.workers.drain(..) {
-            worker
-                .join()
-                .map_err(|_| io::Error::other("worker thread panicked"))?;
+        self.stop_probe.store(true, Ordering::SeqCst);
+        if let Some(server) = self.server.take() {
+            server.shutdown()?;
         }
         if let Some(t) = self.probe_thread.take() {
             t.join()
@@ -1439,6 +1421,7 @@ impl ClusterHandle {
     }
 }
 
+#[cfg(unix)]
 impl Drop for ClusterHandle {
     fn drop(&mut self) {
         let _ = self.shutdown_inner();
@@ -1447,10 +1430,11 @@ impl Drop for ClusterHandle {
 
 /// Boot a coordinator on `addr` fronting `config.replicas`.
 ///
-/// Returns once the listener, worker pool, and probe loop are up. The
+/// Returns once the serving core and the probe loop are up. The
 /// replicas are expected to be `lantern-serve` nodes (narrate + stats
 /// surfaces; catalog and cache surfaces optional — probing degrades
 /// gracefully without them).
+#[cfg(unix)]
 pub fn serve_cluster(config: ClusterConfig, addr: impl ToSocketAddrs) -> io::Result<ClusterHandle> {
     if config.replicas.is_empty() {
         return Err(io::Error::new(
@@ -1459,67 +1443,22 @@ pub fn serve_cluster(config: ClusterConfig, addr: impl ToSocketAddrs) -> io::Res
         ));
     }
     let listener = TcpListener::bind(addr)?;
-    let local_addr = listener.local_addr()?;
-    let workers = config.effective_workers();
-    let queue_depth = config.queue_depth.max(1);
+    let serve_config = config.serve_config();
     let probe_interval = config.probe_interval;
     let coordinator = Arc::new(Coordinator::new(config));
     let stats = Arc::clone(&coordinator.stats);
-    let shutdown = Arc::new(AtomicBool::new(false));
+    let server = serve(Arc::clone(&coordinator) as _, listener, serve_config)?;
 
-    let (sender, receiver) = sync_channel::<TcpStream>(queue_depth);
-    let receiver = Arc::new(Mutex::new(receiver));
-    let mut worker_handles = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let receiver: Arc<Mutex<Receiver<TcpStream>>> = Arc::clone(&receiver);
-        let coordinator = Arc::clone(&coordinator);
-        worker_handles.push(std::thread::spawn(move || loop {
-            let stream = match lock(&receiver).recv() {
-                Ok(stream) => stream,
-                Err(_) => break,
-            };
-            serve_connection(&coordinator, stream);
-        }));
-    }
-
-    let accept_thread = {
-        let shutdown = Arc::clone(&shutdown);
-        let stats = Arc::clone(&stats);
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                stats.connections.fetch_add(1, Ordering::Relaxed);
-                match sender.try_send(stream) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(mut stream)) => {
-                        // Shed at the door: a bounded queue plus an
-                        // immediate 503 beats parking connections the
-                        // workers may never reach.
-                        stats.shed_requests.fetch_add(1, Ordering::Relaxed);
-                        let resp = json_error("unavailable", "coordinator is saturated", 503)
-                            .with_header("Retry-After", "1");
-                        let _ = write_response(&mut stream, &resp, false);
-                    }
-                    Err(TrySendError::Disconnected(_)) => break,
-                }
-            }
-            // Dropping the sender lets the workers drain and exit.
-        })
-    };
-
+    let stop_probe = Arc::new(AtomicBool::new(false));
     let probe_thread = {
-        let shutdown = Arc::clone(&shutdown);
-        let coordinator = Arc::clone(&coordinator);
+        let stop_probe = Arc::clone(&stop_probe);
         std::thread::spawn(move || {
-            while !shutdown.load(Ordering::SeqCst) {
+            while !stop_probe.load(Ordering::SeqCst) {
                 coordinator.probe_once();
                 // Sleep in short slices so shutdown isn't gated on the
                 // probe period.
                 let mut remaining = probe_interval;
-                while !remaining.is_zero() && !shutdown.load(Ordering::SeqCst) {
+                while !remaining.is_zero() && !stop_probe.load(Ordering::SeqCst) {
                     let slice = remaining.min(Duration::from_millis(20));
                     std::thread::sleep(slice);
                     remaining = remaining.saturating_sub(slice);
@@ -1529,47 +1468,18 @@ pub fn serve_cluster(config: ClusterConfig, addr: impl ToSocketAddrs) -> io::Res
     };
 
     Ok(ClusterHandle {
-        addr: local_addr,
-        shutdown,
+        server: Some(server),
         stats,
-        accept_thread: Some(accept_thread),
-        workers: worker_handles,
+        stop_probe,
         probe_thread: Some(probe_thread),
     })
-}
-
-/// One client connection: keep-alive request loop in the same wire
-/// dialect the replicas speak.
-fn serve_connection(coordinator: &Coordinator, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(coordinator.config.idle_timeout));
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    loop {
-        match read_request(&mut reader, coordinator.config.max_body_bytes) {
-            Ok(req) => {
-                let response = coordinator.handle(&req);
-                let keep_alive = req.keep_alive;
-                if write_response(&mut stream, &response, keep_alive).is_err() || !keep_alive {
-                    break;
-                }
-            }
-            Err(err) => {
-                if let Some(status) = err.status() {
-                    let response = json_error("http", &err.message(), status);
-                    let _ = write_response(&mut stream, &response, false);
-                }
-                break;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lantern_serve::http::read_request;
+    use std::io::BufReader;
 
     #[test]
     fn query_reencoding_round_trips_through_the_wire_decoder() {
@@ -1587,6 +1497,7 @@ mod tests {
         assert_eq!(encode_query(&[]), "");
     }
 
+    #[cfg(unix)]
     #[test]
     fn empty_replica_list_refuses_to_boot() {
         let err = serve_cluster(ClusterConfig::default(), "127.0.0.1:0").unwrap_err();

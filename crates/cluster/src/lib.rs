@@ -19,8 +19,10 @@
 //! * [`shard`] — request body → ring key ([`shard_key`]): canonical
 //!   fingerprint for parseable plans, exact-text digest (under a
 //!   routing-only domain) for everything else.
-//! * [`coordinator`] — the HTTP tier itself ([`serve_cluster`]):
-//!   forwarding with pooled keep-alive connections, health probing,
+//! * [`coordinator`] — the HTTP tier itself ([`serve_cluster`]), run
+//!   on the same `lantern-serve` event core as the replicas (so
+//!   Unix-only): forwarding with pooled keep-alive connections, health
+//!   probing,
 //!   retry-with-backoff failover to ring successors, per-shard batch
 //!   splitting with in-order re-stitching, ordered catalog-mutation
 //!   broadcast with gap-triggered replay, and aggregated `/stats`.
@@ -34,6 +36,8 @@ pub mod coordinator;
 pub mod ring;
 pub mod shard;
 
-pub use coordinator::{serve_cluster, ClusterConfig, ClusterHandle, ClusterStats};
+#[cfg(unix)]
+pub use coordinator::{serve_cluster, ClusterHandle};
+pub use coordinator::{ClusterConfig, ClusterStats};
 pub use ring::HashRing;
 pub use shard::{document_key, group_by_node, item_key, shard_key};

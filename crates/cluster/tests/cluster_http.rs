@@ -8,8 +8,8 @@ use lantern_cluster::{serve_cluster, ClusterConfig, ClusterHandle};
 use lantern_core::RuleTranslator;
 use lantern_pool::{default_pg_store, PoemStore};
 use lantern_serve::{
-    reusable_listener, serve_on_listener, CatalogApplied, CatalogApplyError, CatalogControl,
-    HttpClient, ServeConfig, ServerHandle,
+    reusable_listener, serve, CatalogApplied, CatalogApplyError, CatalogControl, HttpClient,
+    Router, ServeConfig, ServeStats, ServerHandle,
 };
 use lantern_text::json::JsonValue;
 use std::net::SocketAddr;
@@ -101,11 +101,15 @@ fn boot_replica_on(listener: std::net::TcpListener) -> ServerHandle {
         .with_generation(move || generation_store.version()),
     );
     let catalog = Arc::new(TestCatalog::new(store));
-    serve_on_listener(
+    let router = Router::with_catalog(
         Arc::clone(&cached),
+        Arc::new(ServeStats::new()),
         Some(cached),
         None,
         Some(catalog),
+    );
+    serve(
+        Arc::new(router),
         listener,
         ServeConfig {
             workers: 2,
@@ -536,4 +540,184 @@ fn lagging_replica_catches_up_from_the_log_after_restart() {
     for replica in replicas {
         replica.shutdown().unwrap();
     }
+}
+
+/// Read `n` complete responses off `stream` (framed by their
+/// `Content-Length`), returning each one's status line, headers, and
+/// body as one string.
+fn read_responses(stream: &mut std::net::TcpStream, n: usize) -> Vec<String> {
+    use std::io::Read;
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut buf: Vec<u8> = Vec::new();
+    let mut out = Vec::new();
+    while out.len() < n {
+        let text = String::from_utf8_lossy(&buf).to_string();
+        if let Some(head_end) = text.find("\r\n\r\n") {
+            let length: usize = text[..head_end]
+                .lines()
+                .find_map(|line| {
+                    let (name, value) = line.split_once(':')?;
+                    name.eq_ignore_ascii_case("content-length")
+                        .then(|| value.trim().parse().ok())?
+                })
+                .expect("response carries a Content-Length");
+            if buf.len() >= head_end + 4 + length {
+                out.push(String::from_utf8_lossy(&buf[..head_end + 4 + length]).to_string());
+                buf.drain(..head_end + 4 + length);
+                continue;
+            }
+        }
+        let mut chunk = [0u8; 16 * 1024];
+        let got = stream.read(&mut chunk).expect("read response bytes");
+        assert!(got > 0, "connection closed after {} responses", out.len());
+        buf.extend_from_slice(&chunk[..got]);
+    }
+    out
+}
+
+fn status_of(response: &str) -> u16 {
+    response
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("no status line in {response:?}"))
+}
+
+fn post_raw(path: &str, body: &str) -> String {
+    format!(
+        "POST {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+}
+
+/// Idle keep-alive clients must not pin coordinator workers: with two
+/// workers and two clients parked on open connections, a third client
+/// is answered at once instead of after the idle timeout.
+#[test]
+fn third_keep_alive_client_is_answered_without_waiting_for_a_worker() {
+    let replica = boot_replica();
+    let coordinator = boot_coordinator(vec![replica.addr()]);
+    let mut parked: Vec<HttpClient> = (0..2)
+        .map(|_| HttpClient::connect(coordinator.addr()).expect("connect"))
+        .collect();
+    for client in &mut parked {
+        assert_eq!(client.get("/healthz").expect("healthz").status, 200);
+    }
+
+    let started = Instant::now();
+    let mut third = HttpClient::connect(coordinator.addr()).expect("connect");
+    assert_eq!(third.get("/healthz").expect("healthz").status, 200);
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_secs(1),
+        "third keep-alive client waited {waited:?}"
+    );
+
+    drop((parked, third));
+    coordinator.shutdown().unwrap();
+    replica.shutdown().unwrap();
+}
+
+/// Shutdown drains instead of waiting out idle keep-alive clients.
+#[test]
+fn shutdown_is_prompt_with_an_idle_keep_alive_client_connected() {
+    let replica = boot_replica();
+    let coordinator = boot_coordinator(vec![replica.addr()]);
+    let mut idle = HttpClient::connect(coordinator.addr()).expect("connect");
+    assert_eq!(idle.get("/healthz").expect("healthz").status, 200);
+
+    let started = Instant::now();
+    coordinator.shutdown().unwrap();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "shutdown took {took:?} with one idle keep-alive client"
+    );
+
+    drop(idle);
+    replica.shutdown().unwrap();
+}
+
+/// Two narrations written back to back on one socket, before any
+/// response is read, come back as two 200s in request order.
+#[test]
+fn pipelined_narrations_through_the_coordinator_answer_in_order() {
+    let replicas: Vec<ServerHandle> = (0..2).map(|_| boot_replica()).collect();
+    let coordinator = boot_coordinator(replicas.iter().map(|r| r.addr()).collect());
+
+    let mut stream = std::net::TcpStream::connect(coordinator.addr()).expect("connect");
+    let burst =
+        post_raw("/narrate", &plan_doc("pipe_0")) + &post_raw("/narrate", &plan_doc("pipe_1"));
+    std::io::Write::write_all(&mut stream, burst.as_bytes()).unwrap();
+    let responses = read_responses(&mut stream, 2);
+    assert_eq!(status_of(&responses[0]), 200, "{}", responses[0]);
+    assert_eq!(status_of(&responses[1]), 200, "{}", responses[1]);
+    assert!(responses[0].contains("pipe_0"), "{}", responses[0]);
+    assert!(responses[1].contains("pipe_1"), "{}", responses[1]);
+
+    drop(stream);
+    coordinator.shutdown().unwrap();
+    for replica in replicas {
+        replica.shutdown().unwrap();
+    }
+}
+
+/// A saturated coordinator sheds per request: with its one worker
+/// stuck forwarding to a replica that never answers and its one queue
+/// slot taken, the next request gets a structured `503` with
+/// `Retry-After` — and the connection keeps serving afterwards.
+#[test]
+fn saturated_coordinator_sheds_a_structured_503_and_keeps_the_connection() {
+    // Accepts connections (the kernel backlog does) but never answers.
+    let stalled = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let coordinator = serve_cluster(
+        ClusterConfig {
+            replicas: vec![stalled.local_addr().unwrap()],
+            workers: 1,
+            queue_depth: 1,
+            connect_timeout: Duration::from_millis(250),
+            read_timeout: Duration::from_millis(500),
+            max_attempts: 1,
+            ..ClusterConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("coordinator boots");
+
+    let mut stream = std::net::TcpStream::connect(coordinator.addr()).expect("connect");
+    // The narration occupies the only worker until its forward times
+    // out; then one health check fills the queue and the next is shed.
+    std::io::Write::write_all(
+        &mut stream,
+        post_raw("/narrate", &plan_doc("stalled")).as_bytes(),
+    )
+    .unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    let health = "GET /healthz HTTP/1.1\r\n\r\n";
+    std::io::Write::write_all(&mut stream, health.repeat(2).as_bytes()).unwrap();
+    let responses = read_responses(&mut stream, 3);
+    assert_eq!(status_of(&responses[0]), 503, "{}", responses[0]);
+    assert!(responses[0].contains("\"unavailable\""), "{}", responses[0]);
+    assert_eq!(status_of(&responses[1]), 200, "{}", responses[1]);
+    let shed = &responses[2];
+    assert_eq!(status_of(shed), 503, "{shed}");
+    assert!(shed.contains("Retry-After: 1"), "{shed}");
+    let body = &shed[shed.find("\r\n\r\n").unwrap() + 4..];
+    let error = JsonValue::parse(body).expect("JSON error body");
+    let error = error.get("error").expect("structured error body");
+    assert_eq!(
+        error.get("kind").and_then(JsonValue::as_str),
+        Some("overloaded")
+    );
+    assert_eq!(num(error, "status"), 503.0);
+
+    // Shedding answered the request; it did not close the connection.
+    std::io::Write::write_all(&mut stream, health.as_bytes()).unwrap();
+    let after = read_responses(&mut stream, 1);
+    assert_eq!(status_of(&after[0]), 200, "{}", after[0]);
+
+    drop(stream);
+    coordinator.shutdown().unwrap();
 }

@@ -169,8 +169,8 @@ impl From<CoreError> for LanternError {
 }
 
 impl From<LanternError> for CoreError {
-    /// Lossy back-conversion used by the deprecated facade wrappers,
-    /// which promised `CoreError` before the unified type existed.
+    /// Lossy back-conversion for callers that still speak the
+    /// pre-unified `CoreError`.
     fn from(e: LanternError) -> Self {
         match e {
             LanternError::UnknownOperator { source, op } => {

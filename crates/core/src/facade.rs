@@ -1,10 +1,9 @@
 //! The end-to-end LANTERN facade: plan artifact in (JSON/XML/tree),
 //! natural-language narration out.
 //!
-//! `Lantern` predates the unified [`Translator`] API and is kept as a
-//! thin compatibility layer: it now implements [`Translator`] itself,
-//! and its per-vendor methods are deprecated wrappers over
-//! [`NarrationRequest`] + [`RuleTranslator`].
+//! `Lantern` is a thin layer over [`RuleTranslator`] that implements
+//! [`Translator`] itself: build a [`NarrationRequest`] from any plan
+//! source and narrate it.
 
 use crate::api::{LanternError, NarrationRequest, NarrationResponse, RuleTranslator, Translator};
 use crate::lot::CoreError;
@@ -58,42 +57,6 @@ impl Lantern {
     pub fn narrate_tree(&self, tree: &PlanTree) -> Result<Narration, CoreError> {
         let snapshot = self.rule.store().snapshot();
         crate::narrate::narrate_with_lookup(tree, &snapshot)
-    }
-
-    /// Narrate an already-parsed plan tree.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `narrate_tree` (or the `Translator` API); this inherent method shadows \
-                `Translator::narrate(&NarrationRequest)` on `Lantern`"
-    )]
-    pub fn narrate(&self, tree: &PlanTree) -> Result<Narration, CoreError> {
-        self.narrate_tree(tree)
-    }
-
-    /// Narrate a PostgreSQL `EXPLAIN (FORMAT JSON)` document.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `NarrationRequest::pg_json` (or `::auto`) with the `Translator` API, \
-                e.g. via `lantern::LanternBuilder`"
-    )]
-    pub fn narrate_pg_json(&self, doc: &str) -> Result<Narration, CoreError> {
-        self.rule
-            .narrate(&NarrationRequest::pg_json(doc))
-            .map(|r| r.narration)
-            .map_err(CoreError::from)
-    }
-
-    /// Narrate a SQL Server XML showplan.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `NarrationRequest::sqlserver_xml` (or `::auto`) with the `Translator` API, \
-                e.g. via `lantern::LanternBuilder`"
-    )]
-    pub fn narrate_sqlserver_xml(&self, doc: &str) -> Result<Narration, CoreError> {
-        self.rule
-            .narrate(&NarrationRequest::sqlserver_xml(doc))
-            .map(|r| r.narration)
-            .map_err(CoreError::from)
     }
 }
 
@@ -157,35 +120,6 @@ mod tests {
         let both = Lantern::new(default_mssql_store());
         let n = both.narrate_request(&req).unwrap();
         assert!(n.text.contains("perform table scan on photoobj"));
-    }
-
-    #[test]
-    fn deprecated_wrappers_keep_working() {
-        // Old callers must keep compiling and behaving until the next
-        // major release; this is the compatibility contract the
-        // deprecation wrappers exist for.
-        #![allow(deprecated)]
-        let lantern = Lantern::new(default_pg_store());
-        let doc = r#"{"Plan": {"Node Type": "Seq Scan", "Relation Name": "orders"}}"#;
-        let narration = lantern.narrate_pg_json(doc).unwrap();
-        assert_eq!(
-            narration.text(),
-            "1. perform sequential scan on orders to get the final results."
-        );
-        assert!(matches!(
-            lantern.narrate_pg_json("not json"),
-            Err(CoreError::PlanError(_))
-        ));
-        assert!(matches!(
-            lantern.narrate_sqlserver_xml("<no-plan/>"),
-            Err(CoreError::PlanError(_))
-        ));
-        // The deprecated tree method and its replacement agree.
-        let tree = lantern_plan::parse_pg_json_plan(doc).unwrap();
-        assert_eq!(
-            lantern.narrate(&tree).unwrap(),
-            lantern.narrate_tree(&tree).unwrap()
-        );
     }
 
     #[test]

@@ -9,11 +9,10 @@
 //! folds the stage vector into the recorder's histograms and, when the
 //! request ran long enough, into a bounded slow-request ring buffer.
 //!
-//! Traces are thread-local, which matches both serving cores: the
-//! legacy core handles a connection end to end on one worker thread,
-//! and the event core dispatches each parsed request to exactly one
-//! worker. When no trace is active (or the recorder is disabled) a
-//! span is one TLS load and a branch — no clock read.
+//! Traces are thread-local, which matches the serving core: it
+//! dispatches each parsed request to exactly one worker thread. When no
+//! trace is active (or the recorder is disabled) a span is one TLS load
+//! and a branch — no clock read.
 
 use crate::hist::{AtomicHistogram, HistogramSnapshot};
 use crate::registry::{render_histogram, Registry};

@@ -1,7 +1,8 @@
-//! The event-driven serving core: one event thread owns accept, read,
-//! and write buffering over non-blocking sockets, driven by a raw
-//! `epoll` readiness loop on Linux (thin FFI — the workspace is
-//! std-only) with a portable `poll(2)` fallback on other Unixes.
+//! The serving core — the only connection loop in the workspace, for
+//! replicas and the cluster coordinator alike. One event thread owns
+//! accept, read, and write buffering over non-blocking sockets, driven
+//! by a raw `epoll` readiness loop on Linux (thin FFI — the workspace
+//! is std-only) with a portable `poll(2)` fallback on other Unixes.
 //!
 //! The division of labour:
 //!
@@ -11,9 +12,12 @@
 //!   dispatches complete requests to the worker pool over a bounded
 //!   channel, and writes responses back through per-connection output
 //!   queues **in request order**;
-//! * the **worker pool** (same bounded pool as the legacy path) runs
-//!   `Router::handle` and posts completions back, waking the event
-//!   thread through a self-pipe (a `UnixStream` pair).
+//! * the **worker pool** runs [`Handler::handle`] and encodes the
+//!   response. When that response is next in request order with no
+//!   output buffered, the worker writes it to the socket itself, so the
+//!   reply does not wait on an event-thread wakeup; either way it posts
+//!   a completion (carrying any bytes left unwritten) back, waking the
+//!   event thread through a self-pipe (a `UnixStream` pair).
 //!
 //! Thousands of idle keep-alive connections therefore cost one `fd` +
 //! a few hundred bytes each, not a parked thread. When the dispatch
@@ -28,13 +32,12 @@
 use crate::http::{
     encode_response, frame_request, read_request, FrameStatus, Request, Response, REQUEST_ID_HEADER,
 };
-use crate::router::{error_body_raw, Router};
-use crate::server::{ServeConfig, ServeStats};
-use lantern_core::Translator;
+use crate::router::json_error;
+use crate::server::{Handler, ServeConfig, ServeStats};
 use lantern_obs::{Recorder, Stage};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -297,33 +300,66 @@ struct Job {
     seq: u64,
     request: Request,
     keep_alive: bool,
+    /// The connection's socket when this response is next in request
+    /// order with no output buffered: nothing else can be written to
+    /// the socket until this job completes, so the worker writes the
+    /// response itself instead of waiting on an event-thread wakeup.
+    direct: Option<Arc<TcpStream>>,
 }
 
-/// A finished request travelling back. `response: None` means the
-/// handler panicked — the connection is torn down, like the legacy
-/// path (one connection per contained panic, never a worker).
+/// A finished request travelling back: the encoded response bytes the
+/// worker did not write itself. `unwritten: None` means the handler
+/// panicked — the connection is torn down (one connection per contained
+/// panic, never a worker).
 struct Completion {
     token: u64,
     seq: u64,
-    response: Option<Response>,
+    unwritten: Option<Vec<u8>>,
     keep_alive: bool,
+}
+
+/// Write as much of `bytes` as the non-blocking socket takes right now.
+fn write_now(mut stream: &TcpStream, bytes: &[u8]) -> usize {
+    let mut written = 0;
+    while written < bytes.len() {
+        match stream.write(&bytes[written..]) {
+            Ok(0) => break,
+            Ok(n) => written += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        }
+    }
+    written
+}
+
+fn encoded(response: &Response, keep_alive: bool) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    encode_response(&mut bytes, response, keep_alive);
+    bytes
 }
 
 /// Everything the event thread shares with workers and the handle.
 struct Shared {
     completions: Mutex<Vec<Completion>>,
     waker: UnixStream,
-    stats: Arc<ServeStats>,
-    /// The router's recorder: the event thread records the socket
-    /// `read`/`write` stages (requests execute on workers, so those
-    /// stages can't ride the worker-thread trace).
-    obs: Arc<Recorder>,
+    handler: Arc<dyn Handler>,
 }
 
 impl Shared {
     fn wake(&self) {
         // A full pipe already guarantees a pending wakeup.
         let _ = (&self.waker).write(&[1u8]);
+    }
+
+    fn stats(&self) -> &ServeStats {
+        self.handler.stats()
+    }
+
+    /// The handler's recorder: the event thread records the socket
+    /// `read`/`write` stages there (requests execute on workers, so
+    /// those stages can't ride the worker-thread trace).
+    fn obs(&self) -> &Recorder {
+        self.handler.recorder()
     }
 }
 
@@ -332,7 +368,9 @@ impl Shared {
 // ---------------------------------------------------------------------
 
 struct Conn {
-    stream: std::net::TcpStream,
+    /// Shared with a worker writing a response directly (see
+    /// [`Job::direct`]).
+    stream: Arc<TcpStream>,
     /// Generation stamp; the full poller token is `gen << 32 | slot`,
     /// so late completions or stale readiness events for a recycled
     /// slot are discarded instead of hitting the wrong peer.
@@ -347,8 +385,8 @@ struct Conn {
     /// Next sequence number eligible for serialization — responses are
     /// written strictly in request order (HTTP/1.1 pipelining).
     next_write: u64,
-    /// Completed responses waiting for an earlier sequence number.
-    ready: BTreeMap<u64, (Response, bool)>,
+    /// Encoded responses waiting for an earlier sequence number.
+    ready: BTreeMap<u64, (Vec<u8>, bool)>,
     /// Requests dispatched to the pool and not yet completed.
     in_flight: usize,
     /// No further requests are parsed (close requested, protocol
@@ -356,6 +394,9 @@ struct Conn {
     no_more_reads: bool,
     /// Close once the output buffer drains and nothing is pending.
     close_after_write: bool,
+    /// The (read, write) interest registered with the poller, so an
+    /// unchanged interest costs no `epoll_ctl`.
+    interest: (bool, bool),
     last_activity: Instant,
 }
 
@@ -384,59 +425,41 @@ fn slot_of(token: u64) -> usize {
 // Entry point.
 // ---------------------------------------------------------------------
 
-/// What [`serve_event`] hands back: the joinable threads (event thread
-/// first) and the waker the shutdown path invokes.
-pub(crate) type EventParts = (Vec<JoinHandle<()>>, Arc<dyn Fn() + Send + Sync>);
-
 /// Spawn the event thread + worker pool over an already-bound
-/// listener. Returns the joinable threads (event thread first) and a
-/// waker the shutdown path writes to.
-pub(crate) fn serve_event<T>(
+/// listener. Returns the joinable threads (event thread first) and the
+/// write end of the self-pipe, which the shutdown path writes to.
+pub(crate) fn spawn(
     listener: TcpListener,
-    router: Arc<Router<T>>,
-    stats: Arc<ServeStats>,
+    handler: Arc<dyn Handler>,
     config: ServeConfig,
     shutdown: Arc<AtomicBool>,
-) -> io::Result<EventParts>
-where
-    T: Translator + Send + Sync + 'static,
-{
+) -> io::Result<(Vec<JoinHandle<()>>, UnixStream)> {
     listener.set_nonblocking(true)?;
     let (wake_rx, wake_tx) = UnixStream::pair()?;
     wake_rx.set_nonblocking(true)?;
     wake_tx.set_nonblocking(true)?;
+    let external_waker = wake_tx.try_clone()?;
     let shared = Arc::new(Shared {
         completions: Mutex::new(Vec::new()),
         waker: wake_tx,
-        stats: Arc::clone(&stats),
-        obs: Arc::clone(router.obs()),
+        handler,
     });
 
+    let poller = Poller::new()?;
     let (job_tx, job_rx) = sync_channel::<Job>(config.queue_depth.max(1));
     let job_rx = Arc::new(Mutex::new(job_rx));
-    let mut threads = Vec::with_capacity(config.effective_workers() + 1);
-
-    let external_waker: Arc<dyn Fn() + Send + Sync> = {
-        let shared = Arc::clone(&shared);
-        Arc::new(move || shared.wake())
-    };
-
-    for _ in 0..config.effective_workers() {
+    let workers = config.effective_workers();
+    let mut threads = Vec::with_capacity(workers + 1);
+    for _ in 0..workers {
         let job_rx = Arc::clone(&job_rx);
-        let router = Arc::clone(&router);
         let shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || {
-            worker_loop(&job_rx, &*router, &shared)
-        }));
+        threads.push(std::thread::spawn(move || worker_loop(&job_rx, &shared)));
     }
 
     let event_thread = std::thread::spawn(move || {
         let mut state = EventLoop {
             listener,
-            poller: match Poller::new() {
-                Ok(p) => p,
-                Err(_) => return,
-            },
+            poller,
             wake_rx,
             shared,
             job_tx,
@@ -453,20 +476,31 @@ where
     Ok((threads, external_waker))
 }
 
-fn worker_loop<T: Translator>(job_rx: &Mutex<Receiver<Job>>, router: &Router<T>, shared: &Shared) {
+fn worker_loop(job_rx: &Mutex<Receiver<Job>>, shared: &Shared) {
     loop {
         let job = match job_rx.lock() {
             Ok(rx) => rx.recv(),
             Err(_) => return,
         };
         let Ok(job) = job else { return };
-        shared.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| router.handle(&job.request)));
-        let response = match outcome {
-            Ok(response) => Some(response),
+        shared.stats().queue_depth.fetch_sub(1, Ordering::Relaxed);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            shared.handler.handle(&job.request)
+        }));
+        let unwritten = match outcome {
+            Ok(response) => {
+                let started = Instant::now();
+                let mut bytes = encoded(&response, job.keep_alive);
+                if let Some(stream) = &job.direct {
+                    bytes.drain(..write_now(stream, &bytes));
+                }
+                shared
+                    .obs()
+                    .record_stage(Stage::Write, started.elapsed().as_nanos() as u64);
+                Some(bytes)
+            }
             Err(_) => {
-                shared.stats.panics.fetch_add(1, Ordering::Relaxed);
+                shared.stats().panics.fetch_add(1, Ordering::Relaxed);
                 None
             }
         };
@@ -474,7 +508,7 @@ fn worker_loop<T: Translator>(job_rx: &Mutex<Receiver<Job>>, router: &Router<T>,
             completions.push(Completion {
                 token: job.token,
                 seq: job.seq,
-                response,
+                unwritten,
                 keep_alive: job.keep_alive,
             });
         }
@@ -549,7 +583,7 @@ impl EventLoop {
                     LISTENER_TOKEN => self.accept_ready(),
                     WAKER_TOKEN => {
                         let mut sink = [0u8; 64];
-                        while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
+                        while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n == sink.len()) {}
                     }
                     token => self.conn_ready(token, readable, writable, failed),
                 }
@@ -581,7 +615,7 @@ impl EventLoop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     self.shared
-                        .stats
+                        .stats()
                         .connections
                         .fetch_add(1, Ordering::Relaxed);
                     if self.live >= self.config.max_conns.max(1) {
@@ -589,7 +623,7 @@ impl EventLoop {
                         // connection cap the socket is closed outright
                         // (clients see a reset, not a silent queue).
                         self.shared
-                            .stats
+                            .stats()
                             .shed_requests
                             .fetch_add(1, Ordering::Relaxed);
                         drop(stream);
@@ -613,7 +647,7 @@ impl EventLoop {
                         continue;
                     }
                     self.conns[slot] = Some(Conn {
-                        stream,
+                        stream: Arc::new(stream),
                         gen: self.gen,
                         inbuf: Vec::new(),
                         outbuf: Vec::new(),
@@ -624,6 +658,7 @@ impl EventLoop {
                         in_flight: 0,
                         no_more_reads: false,
                         close_after_write: false,
+                        interest: (true, false),
                         last_activity: Instant::now(),
                     });
                     self.live += 1;
@@ -668,7 +703,7 @@ impl EventLoop {
                 // level-triggered polling doesn't spin. EOF closes.
                 let mut sink = [0u8; 4096];
                 loop {
-                    match conn.stream.read(&mut sink) {
+                    match (&*conn.stream).read(&mut sink) {
                         Ok(0) => {
                             closed = true;
                             break;
@@ -687,7 +722,7 @@ impl EventLoop {
                 let mut got_bytes = false;
                 let mut chunk = [0u8; 16 * 1024];
                 loop {
-                    match conn.stream.read(&mut chunk) {
+                    match (&*conn.stream).read(&mut chunk) {
                         Ok(0) => {
                             closed = true;
                             break;
@@ -696,6 +731,12 @@ impl EventLoop {
                             conn.inbuf.extend_from_slice(&chunk[..n]);
                             conn.last_activity = Instant::now();
                             got_bytes = true;
+                            // A short read drained the socket; polling is
+                            // level-triggered, so anything arriving later
+                            // (EOF included) is reported again.
+                            if n < chunk.len() {
+                                break;
+                            }
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -707,7 +748,7 @@ impl EventLoop {
                 }
                 if got_bytes {
                     self.shared
-                        .obs
+                        .obs()
                         .record_stage(Stage::Read, started.elapsed().as_nanos() as u64);
                 }
             }
@@ -750,7 +791,7 @@ impl EventLoop {
             match read_request(&mut &frame[..], self.config.max_body_bytes) {
                 Ok(request) => {
                     let keep_alive = request.keep_alive && !shutting_down;
-                    let (token, seq, pipelined) = {
+                    let (token, seq, pipelined, direct) = {
                         let Some(conn) = self.conns[slot].as_mut() else {
                             return;
                         };
@@ -759,11 +800,13 @@ impl EventLoop {
                         if !keep_alive {
                             conn.no_more_reads = true;
                         }
-                        (token_of(slot, conn.gen), seq, seq > conn.next_write)
+                        let next = seq == conn.next_write && !conn.has_pending_output();
+                        let direct = next.then(|| Arc::clone(&conn.stream));
+                        (token_of(slot, conn.gen), seq, seq > conn.next_write, direct)
                     };
                     if pipelined {
                         self.shared
-                            .stats
+                            .stats()
                             .pipelined_requests
                             .fetch_add(1, Ordering::Relaxed);
                     }
@@ -772,10 +815,11 @@ impl EventLoop {
                         seq,
                         request,
                         keep_alive,
+                        direct,
                     }) {
                         Ok(()) => {
                             self.shared
-                                .stats
+                                .stats()
                                 .queue_depth
                                 .fetch_add(1, Ordering::Relaxed);
                             if let Some(conn) = self.conns[slot].as_mut() {
@@ -787,30 +831,29 @@ impl EventLoop {
                             // of blocking the event loop on a full
                             // queue. The connection stays usable.
                             self.shared
-                                .stats
+                                .stats()
                                 .shed_requests
                                 .fetch_add(1, Ordering::Relaxed);
                             self.shared
-                                .stats
+                                .stats()
                                 .error_responses
                                 .fetch_add(1, Ordering::Relaxed);
-                            // Shed responses never reach the router, so
-                            // the request id is resolved here — kept
+                            // Shed responses never reach the handler,
+                            // so the request id is resolved here — kept
                             // from the request when present, minted
                             // otherwise — and stays traceable.
                             let id = match job.request.header(REQUEST_ID_HEADER) {
                                 Some(id) if !id.is_empty() => id.to_string(),
-                                _ => self.shared.obs.mint_id(),
+                                _ => self.shared.obs().mint_id(),
                             };
-                            let body = error_body_raw(
+                            let response = json_error(
                                 "overloaded",
                                 "dispatch queue is full; retry shortly",
                                 503,
-                            );
-                            let response = Response::json(503, body.to_string_compact())
-                                .with_header("Retry-After", SHED_RETRY_AFTER_SECS.to_string())
-                                .with_request_id(&id);
-                            self.complete(slot, seq, Some(response), keep_alive);
+                            )
+                            .with_header("Retry-After", SHED_RETRY_AFTER_SECS.to_string())
+                            .with_request_id(&id);
+                            self.complete(slot, seq, encoded(&response, keep_alive), keep_alive);
                         }
                         Err(TrySendError::Disconnected(_)) => {
                             self.close_conn(slot);
@@ -819,9 +862,8 @@ impl EventLoop {
                     }
                 }
                 Err(err) => {
-                    // Same contract as the legacy path: protocol errors
-                    // get a structured best-effort reply, then the
-                    // connection closes.
+                    // Protocol errors get a structured best-effort
+                    // reply, then the connection closes.
                     let seq = {
                         let Some(conn) = self.conns[slot].as_mut() else {
                             return;
@@ -834,12 +876,11 @@ impl EventLoop {
                     };
                     if let Some(status) = err.status() {
                         self.shared
-                            .stats
+                            .stats()
                             .error_responses
                             .fetch_add(1, Ordering::Relaxed);
-                        let body = error_body_raw("http", &err.message(), status);
-                        let response = Response::json(status, body.to_string_compact());
-                        self.complete(slot, seq, Some(response), false);
+                        let response = json_error("http", &err.message(), status);
+                        self.complete(slot, seq, encoded(&response, false), false);
                     } else {
                         self.close_conn(slot);
                     }
@@ -875,47 +916,38 @@ impl EventLoop {
                 continue;
             }
             conn.in_flight = conn.in_flight.saturating_sub(1);
-            match completion.response {
-                Some(response) => {
-                    self.complete(slot, completion.seq, Some(response), completion.keep_alive);
+            conn.last_activity = Instant::now();
+            match completion.unwritten {
+                Some(bytes) => {
+                    self.complete(slot, completion.seq, bytes, completion.keep_alive);
                     self.flush(slot);
                 }
                 None => {
-                    // Handler panic: drop the connection, like the
-                    // legacy path — the client sees a reset, pipelined
-                    // siblings die with it, the worker survives.
+                    // Handler panic: drop the connection — the client
+                    // sees a reset, pipelined siblings die with it, the
+                    // worker survives.
                     self.close_conn(slot);
                 }
             }
         }
     }
 
-    /// Insert a finished response and serialize every response that is
-    /// now next in request order.
-    fn complete(&mut self, slot: usize, seq: u64, response: Option<Response>, keep_alive: bool) {
+    /// Insert a finished response's encoded bytes and queue every
+    /// response that is now next in request order for writing.
+    fn complete(&mut self, slot: usize, seq: u64, bytes: Vec<u8>, keep_alive: bool) {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
-        if let Some(response) = response {
-            conn.ready.insert(seq, (response, keep_alive));
-        }
-        let started = Instant::now();
-        let mut encoded = false;
-        while let Some((response, keep_alive)) = conn.ready.remove(&conn.next_write) {
-            encode_response(&mut conn.outbuf, &response, keep_alive);
+        conn.ready.insert(seq, (bytes, keep_alive));
+        while let Some((bytes, keep_alive)) = conn.ready.remove(&conn.next_write) {
+            conn.outbuf.extend_from_slice(&bytes);
             conn.next_write += 1;
-            encoded = true;
             if !keep_alive {
                 conn.no_more_reads = true;
                 conn.close_after_write = true;
                 conn.ready.clear();
                 break;
             }
-        }
-        if encoded {
-            self.shared
-                .obs
-                .record_stage(Stage::Write, started.elapsed().as_nanos() as u64);
         }
     }
 
@@ -928,7 +960,7 @@ impl EventLoop {
                 return;
             };
             while conn.outpos < conn.outbuf.len() {
-                match conn.stream.write(&conn.outbuf[conn.outpos..]) {
+                match (&*conn.stream).write(&conn.outbuf[conn.outpos..]) {
                     Ok(0) => {
                         broken = true;
                         break;
@@ -965,14 +997,20 @@ impl EventLoop {
     }
 
     fn update_interest(&mut self, slot: usize) {
-        let Some(conn) = self.conns[slot].as_ref() else {
+        let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
-        let read = !conn.no_more_reads || !conn.close_after_write;
-        let write = conn.has_pending_output();
+        let interest = (
+            !conn.no_more_reads || !conn.close_after_write,
+            conn.has_pending_output(),
+        );
+        if interest == conn.interest {
+            return;
+        }
+        conn.interest = interest;
         let token = token_of(slot, conn.gen);
         let fd = conn.stream.as_raw_fd();
-        let _ = self.poller.modify(fd, token, read, write);
+        let _ = self.poller.modify(fd, token, interest.0, interest.1);
     }
 
     /// Close idle connections past the configured read timeout —

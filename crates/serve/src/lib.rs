@@ -8,11 +8,12 @@
 //!
 //! The server is **std-only**, consistent with the workspace's
 //! offline-shim constraint: no async runtime, no HTTP crate, no serde.
-//! On Unix the default serving core is an event-driven readiness loop
-//! (raw `epoll` on Linux, `poll` elsewhere) with HTTP/1.1
-//! pipelining and load-shedding; `ServeConfig::legacy_blocking`
-//! selects the original thread-per-connection loop. Request and
-//! response bodies use the in-tree JSON value model
+//! One serving core runs every server — replicas and the cluster
+//! coordinator alike: an event-driven readiness loop (raw `epoll` on
+//! Linux, `poll` elsewhere) with HTTP/1.1 pipelining and
+//! load-shedding, running any [`Handler`]. Serving is therefore
+//! Unix-only; the router, HTTP codec, and client build everywhere.
+//! Request and response bodies use the in-tree JSON value model
 //! (`lantern_text::json`) and the stable `Narration::to_json` wire
 //! format.
 //!
@@ -30,9 +31,9 @@
 //! | `GET` | `/debug/slow` | — | recent requests (`?threshold_ms=N` filter): IDs, statuses, per-stage timings |
 //! | `POST` | `/cache/clear` | — | drop all cached narrations (only routed when caching is on) |
 //!
-//! The diff endpoints are routed only when the server was started with
-//! a diff backend ([`serve_with_parts`]); without one they 404 like any
-//! unknown path. All narrate endpoints accept a
+//! The diff endpoints are routed only when the router was built with a
+//! diff backend ([`Router::with_catalog`]); without one they 404 like
+//! any unknown path. All narrate endpoints accept a
 //! `?style=numbered|bulleted|paragraph`
 //! query parameter, plus `?nocache=1` to bypass the narration cache for
 //! one request. Failures map to HTTP statuses through
@@ -48,11 +49,16 @@
 //! ```
 //! use lantern_core::RuleTranslator;
 //! use lantern_pool::default_pg_store;
-//! use lantern_serve::{serve, HttpClient, ServeConfig};
+//! use lantern_serve::{serve, HttpClient, Router, ServeConfig, ServeStats};
+//! use std::net::TcpListener;
+//! use std::sync::Arc;
 //!
-//! // Bind an ephemeral port; `serve` returns once the listener is live.
+//! // A router over a translator, with no cache, diff, or catalog
+//! // surface; `serve` runs it on an ephemeral port.
 //! let translator = RuleTranslator::new(default_pg_store());
-//! let handle = serve(translator, "127.0.0.1:0", ServeConfig::default()).unwrap();
+//! let router = Router::with_catalog(translator, Arc::new(ServeStats::new()), None, None, None);
+//! let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+//! let handle = serve(Arc::new(router), listener, ServeConfig::default()).unwrap();
 //!
 //! let mut client = HttpClient::connect(handle.addr()).unwrap();
 //! let doc = r#"{"Plan": {"Node Type": "Seq Scan", "Relation Name": "orders"}}"#;
@@ -82,10 +88,9 @@ pub use client::{ClientConfig, ClientError, ClientErrorKind, ClientResponse, Htt
 pub use http::{Request, Response};
 pub use lantern_cache::{CacheControl, CacheStatsSnapshot};
 pub use router::{error_body, Router};
-pub use server::{
-    reusable_listener, serve, serve_node, serve_on_listener, serve_with_cache, serve_with_parts,
-    ServeConfig, ServeStats, ServerHandle, StatsSnapshot,
-};
+pub use server::{reusable_listener, Handler, ServeConfig, ServeStats, StatsSnapshot};
+#[cfg(unix)]
+pub use server::{serve, ServerHandle};
 pub use soak::{
     run_soak, run_soak_multi, CacheDelta, LatencySummary, ServerDelta, SoakConfig, SoakReport,
 };

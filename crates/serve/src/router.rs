@@ -13,7 +13,7 @@
 
 use crate::catalog::{CatalogApplyError, CatalogControl};
 use crate::http::{Request, Response, REQUEST_ID_HEADER};
-use crate::server::ServeStats;
+use crate::server::{Handler, ServeStats};
 use lantern_cache::{CacheControl, CacheStatsSnapshot};
 use lantern_core::{
     DiffRequest, DiffResponse, DiffTranslator, LanternError, NarrationRequest, NarrationResponse,
@@ -22,7 +22,7 @@ use lantern_core::{
 use lantern_obs::{span, Recorder, RecorderConfig, Stage};
 use lantern_text::json::JsonValue;
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The `{"error": {...}}` JSON body for a narration failure.
@@ -49,6 +49,46 @@ pub fn error_body_raw(kind: &str, message: &str, status: u16) -> JsonValue {
 /// failure.
 pub fn error_response(err: &LanternError) -> Response {
     Response::json(err.http_status(), error_body(err).to_string_compact())
+}
+
+/// A complete HTTP error response for a failure that never reached the
+/// translator: [`error_body_raw`] under `status`.
+pub fn json_error(kind: &str, message: &str, status: u16) -> Response {
+    Response::json(
+        status,
+        error_body_raw(kind, message, status).to_string_compact(),
+    )
+}
+
+/// One route-table entry: method, path, whether the route is live on
+/// this server, and the function answering it.
+pub type Route<H> = (
+    &'static str,
+    &'static str,
+    bool,
+    fn(&H, &Request) -> Response,
+);
+
+/// Answer `req` from a route table: the live entry matching its method
+/// and path; else `405` when a live entry serves the path under another
+/// method; else `404`, counted into `not_found`. Entries that are not
+/// live are invisible, so their paths 404 like any unknown path.
+pub fn route<H>(owner: &H, req: &Request, routes: &[Route<H>], not_found: &AtomicU64) -> Response {
+    let mut path_served = false;
+    for &(method, path, live, answer) in routes {
+        if live && path == req.path {
+            if method == req.method {
+                return answer(owner, req);
+            }
+            path_served = true;
+        }
+    }
+    if path_served {
+        let message = format!("method {} not allowed on {}", req.method, req.path);
+        return json_error("http", &message, 405);
+    }
+    not_found.fetch_add(1, Ordering::Relaxed);
+    json_error("http", &format!("no route for {}", req.path), 404)
 }
 
 fn narration_value(resp: &NarrationResponse) -> JsonValue {
@@ -89,6 +129,20 @@ pub struct Router<T> {
     obs: Arc<Recorder>,
 }
 
+impl<T: Translator + Send + Sync> Handler for Router<T> {
+    fn handle(&self, req: &Request) -> Response {
+        Router::handle(self, req)
+    }
+
+    fn recorder(&self) -> &Recorder {
+        &self.obs
+    }
+
+    fn stats(&self) -> &ServeStats {
+        &self.stats
+    }
+}
+
 /// Decrements the in-flight gauge when the handler returns (or
 /// unwinds — a leaked gauge would report phantom load forever).
 struct InFlightGuard<'a>(&'a ServeStats);
@@ -100,39 +154,17 @@ impl Drop for InFlightGuard<'_> {
 }
 
 impl<T: Translator> Router<T> {
-    /// A router over `translator`, recording into `stats`, with no
-    /// cache admin surface.
-    pub fn new(translator: T, stats: std::sync::Arc<ServeStats>) -> Self {
-        Self::with_parts(translator, stats, None, None)
-    }
-
-    /// A router whose translator fronts a narration cache: `cache` is
-    /// the same object (or a wrapper over it), exposing bypass, stats,
-    /// and clear.
-    pub fn with_cache(
-        translator: T,
-        stats: std::sync::Arc<ServeStats>,
-        cache: Arc<dyn CacheControl + Send + Sync>,
-    ) -> Self {
-        Self::with_parts(translator, stats, Some(cache), None)
-    }
-
-    /// The full constructor: optional cache admin surface, optional
-    /// plan-diff backend (routing `/narrate/diff` and
-    /// `/narrate/diff/batch` when present).
-    pub fn with_parts(
-        translator: T,
-        stats: std::sync::Arc<ServeStats>,
-        cache: Option<Arc<dyn CacheControl + Send + Sync>>,
-        diff: Option<Arc<dyn DiffTranslator + Send + Sync>>,
-    ) -> Self {
-        Self::with_catalog(translator, stats, cache, diff, None)
-    }
-
-    /// [`Router::with_parts`], plus an optional catalog admin surface
-    /// (routing `GET /catalog` and `POST /catalog/apply` when present)
-    /// so a cluster coordinator can replicate POEM mutations to this
-    /// node.
+    /// A router over `translator`, recording into `stats`, with each
+    /// optional surface routed only when present:
+    ///
+    /// * `cache` — the narration cache's admin surface, typically the
+    ///   same object as `translator` (`?nocache=1` bypass,
+    ///   `POST /cache/clear`, cache counters in `GET /stats`);
+    /// * `diff` — the plan-diff backend (`POST /narrate/diff` and
+    ///   `POST /narrate/diff/batch`);
+    /// * `catalog` — the catalog admin surface (`GET /catalog` and
+    ///   `POST /catalog/apply`), which lets a cluster coordinator
+    ///   replicate POEM mutations to this node.
     pub fn with_catalog(
         translator: T,
         stats: std::sync::Arc<ServeStats>,
@@ -150,18 +182,12 @@ impl<T: Translator> Router<T> {
         }
     }
 
-    /// Replace the default observability recorder (the server builds
-    /// one from [`ServeConfig`](crate::server::ServeConfig) so
-    /// `--metrics-off` / `--slow-log-ms` reach the router).
+    /// Replace the default observability recorder (servers pass
+    /// [`ServeConfig::recorder`](crate::server::ServeConfig::recorder)
+    /// so `--metrics-off` / `--slow-log-ms` reach the router).
     pub fn with_obs(mut self, obs: Arc<Recorder>) -> Self {
         self.obs = obs;
         self
-    }
-
-    /// The router's observability recorder (shared with the serving
-    /// core, which records the `read`/`write` stages).
-    pub fn obs(&self) -> &Arc<Recorder> {
-        &self.obs
     }
 
     /// Dispatch one parsed request to its handler.
@@ -189,81 +215,29 @@ impl<T: Translator> Router<T> {
     }
 
     fn dispatch(&self, req: &Request) -> Response {
-        let response = match (req.method.as_str(), req.path.as_str()) {
-            ("POST", "/narrate") => self.narrate(req),
-            ("POST", "/narrate/batch") => self.narrate_batch(req),
-            ("POST", "/narrate/diff") if self.diff.is_some() => self.narrate_diff(req),
-            ("POST", "/narrate/diff/batch") if self.diff.is_some() => self.narrate_diff_batch(req),
-            (_, "/narrate/diff" | "/narrate/diff/batch") if self.diff.is_some() => Response::json(
-                405,
-                error_body_raw(
-                    "http",
-                    &format!("method {} not allowed on {}", req.method, req.path),
-                    405,
-                )
-                .to_string_compact(),
+        let diff = self.diff.is_some();
+        let catalog = self.catalog.is_some();
+        let routes: [Route<Self>; 11] = [
+            ("POST", "/narrate", true, Self::narrate),
+            ("POST", "/narrate/batch", true, Self::narrate_batch),
+            ("POST", "/narrate/diff", diff, Self::narrate_diff),
+            (
+                "POST",
+                "/narrate/diff/batch",
+                diff,
+                Self::narrate_diff_batch,
             ),
-            ("GET", "/healthz") => self.healthz(),
-            ("GET", "/stats") => self.stats(),
-            ("GET", "/metrics") if self.obs.enabled() => self.metrics(),
-            ("GET", "/debug/slow") => self.debug_slow(req),
-            (_, "/metrics") if self.obs.enabled() => Response::json(
-                405,
-                error_body_raw(
-                    "http",
-                    &format!("method {} not allowed on {}", req.method, req.path),
-                    405,
-                )
-                .to_string_compact(),
-            ),
-            (_, "/debug/slow") => Response::json(
-                405,
-                error_body_raw(
-                    "http",
-                    &format!("method {} not allowed on {}", req.method, req.path),
-                    405,
-                )
-                .to_string_compact(),
-            ),
-            ("GET", "/catalog") if self.catalog.is_some() => self.catalog_info(),
-            ("POST", "/catalog/apply") if self.catalog.is_some() => self.catalog_apply(req),
-            (_, "/catalog" | "/catalog/apply") if self.catalog.is_some() => Response::json(
-                405,
-                error_body_raw(
-                    "http",
-                    &format!("method {} not allowed on {}", req.method, req.path),
-                    405,
-                )
-                .to_string_compact(),
-            ),
-            ("POST", "/cache/clear") if self.cache.is_some() => self.cache_clear(),
-            (_, "/cache/clear") if self.cache.is_some() => Response::json(
-                405,
-                error_body_raw(
-                    "http",
-                    &format!("method {} not allowed on {}", req.method, req.path),
-                    405,
-                )
-                .to_string_compact(),
-            ),
-            (_, "/narrate" | "/narrate/batch" | "/healthz" | "/stats") => Response::json(
-                405,
-                error_body_raw(
-                    "http",
-                    &format!("method {} not allowed on {}", req.method, req.path),
-                    405,
-                )
-                .to_string_compact(),
-            ),
-            _ => {
-                self.stats.not_found.fetch_add(1, Ordering::Relaxed);
-                Response::json(
-                    404,
-                    error_body_raw("http", &format!("no route for {}", req.path), 404)
-                        .to_string_compact(),
-                )
-            }
-        };
+            ("GET", "/healthz", true, |r, _| r.healthz()),
+            ("GET", "/stats", true, |r, _| r.stats()),
+            ("GET", "/metrics", self.obs.enabled(), |r, _| r.metrics()),
+            ("GET", "/debug/slow", true, Self::debug_slow),
+            ("GET", "/catalog", catalog, |r, _| r.catalog_info()),
+            ("POST", "/catalog/apply", catalog, Self::catalog_apply),
+            ("POST", "/cache/clear", self.cache.is_some(), |r, _| {
+                r.cache_clear()
+            }),
+        ];
+        let response = route(self, req, &routes, &self.stats.not_found);
         if response.status >= 400 {
             self.stats.error_responses.fetch_add(1, Ordering::Relaxed);
         }
@@ -282,10 +256,7 @@ impl<T: Translator> Router<T> {
     fn style_of(req: &Request) -> Result<Option<RenderStyle>, Response> {
         match req.query_param("style").map(parse_style).transpose() {
             Ok(style) => Ok(style),
-            Err(message) => Err(Response::json(
-                400,
-                error_body_raw("style", &message, 400).to_string_compact(),
-            )),
+            Err(message) => Err(json_error("style", &message, 400)),
         }
     }
 
@@ -351,10 +322,7 @@ impl<T: Translator> Router<T> {
             Err(response) => return response,
         };
         let Some(body) = req.body_utf8() else {
-            return Response::json(
-                400,
-                error_body_raw("parse", "request body is not valid UTF-8", 400).to_string_compact(),
-            );
+            return json_error("parse", "request body is not valid UTF-8", 400);
         };
         let parse_span = span(Stage::Parse);
         let docs = match JsonValue::parse(body) {
@@ -362,35 +330,21 @@ impl<T: Translator> Router<T> {
             // harness): answer a clear 400 instead of an empty 200
             // the caller would silently zip against its inputs.
             Ok(JsonValue::Array(items)) if items.is_empty() => {
-                return Response::json(
+                return json_error(
+                    "parse",
+                    "batch body must be a non-empty JSON array of plan document strings",
                     400,
-                    error_body_raw(
-                        "parse",
-                        "batch body must be a non-empty JSON array of plan document strings",
-                        400,
-                    )
-                    .to_string_compact(),
                 )
             }
             Ok(JsonValue::Array(items)) => items,
             Ok(_) => {
-                return Response::json(
+                return json_error(
+                    "parse",
+                    "batch body must be a JSON array of plan document strings",
                     400,
-                    error_body_raw(
-                        "parse",
-                        "batch body must be a JSON array of plan document strings",
-                        400,
-                    )
-                    .to_string_compact(),
                 )
             }
-            Err(e) => {
-                return Response::json(
-                    400,
-                    error_body_raw("parse", &format!("batch body is not JSON: {e}"), 400)
-                        .to_string_compact(),
-                )
-            }
+            Err(e) => return json_error("parse", &format!("batch body is not JSON: {e}"), 400),
         };
         let mut items: Vec<Result<NarrationRequest, LanternError>> = Vec::with_capacity(docs.len());
         for doc in &docs {
@@ -496,11 +450,7 @@ impl<T: Translator> Router<T> {
             Err(response) => return response,
         };
         let Some(alt_doc) = alt_value.as_str() else {
-            return Response::json(
-                400,
-                error_body_raw("parse", "\"alt\" must be a plan document string", 400)
-                    .to_string_compact(),
-            );
+            return json_error("parse", "\"alt\" must be a plan document string", 400);
         };
         let request = DiffRequest::auto(&base_doc, alt_doc).map(|r| match style {
             Some(style) => r.with_style(style),
@@ -529,12 +479,7 @@ impl<T: Translator> Router<T> {
     /// parsed JSON — a string for `/narrate/diff`, an array for
     /// `/narrate/diff/batch` — for the caller to validate.
     fn diff_envelope(req: &Request, alt_key: &str) -> Result<(String, JsonValue), Response> {
-        let parse_err = |message: &str| {
-            Err(Response::json(
-                400,
-                error_body_raw("parse", message, 400).to_string_compact(),
-            ))
-        };
+        let parse_err = |message: &str| Err(json_error("parse", message, 400));
         let Some(body) = req.body_utf8() else {
             return parse_err("request body is not valid UTF-8");
         };
@@ -578,26 +523,18 @@ impl<T: Translator> Router<T> {
         };
         let alts = match alts_value {
             JsonValue::Array(items) if items.is_empty() => {
-                return Response::json(
+                return json_error(
+                    "parse",
+                    "\"alts\" must be a non-empty JSON array of plan document strings",
                     400,
-                    error_body_raw(
-                        "parse",
-                        "\"alts\" must be a non-empty JSON array of plan document strings",
-                        400,
-                    )
-                    .to_string_compact(),
                 )
             }
             JsonValue::Array(items) => items,
             _ => {
-                return Response::json(
+                return json_error(
+                    "parse",
+                    "\"alts\" must be a JSON array of plan document strings",
                     400,
-                    error_body_raw(
-                        "parse",
-                        "\"alts\" must be a JSON array of plan document strings",
-                        400,
-                    )
-                    .to_string_compact(),
                 )
             }
         };
@@ -719,12 +656,7 @@ impl<T: Translator> Router<T> {
     /// with `409` so the sender replays the missing prefix first.
     fn catalog_apply(&self, req: &Request) -> Response {
         let catalog = self.catalog.as_ref().expect("routed only with a catalog");
-        let parse_err = |message: &str| {
-            Response::json(
-                400,
-                error_body_raw("parse", message, 400).to_string_compact(),
-            )
-        };
+        let parse_err = |message: &str| json_error("parse", message, 400);
         let Some(body) = req.body_utf8() else {
             return parse_err("request body is not valid UTF-8");
         };
@@ -783,10 +715,9 @@ impl<T: Translator> Router<T> {
                 );
                 Response::json(200, JsonValue::Object(obj).to_string_compact())
             }
-            Err(err @ CatalogApplyError::SequenceGap { .. }) => Response::json(
-                409,
-                error_body_raw("catalog", &err.to_string(), 409).to_string_compact(),
-            ),
+            Err(err @ CatalogApplyError::SequenceGap { .. }) => {
+                json_error("catalog", &err.to_string(), 409)
+            }
         }
     }
 
@@ -975,9 +906,12 @@ mod tests {
         </StmtSimple></Statements></Batch></BatchSequence></ShowPlanXML>"#;
 
     fn router() -> Router<RuleTranslator> {
-        Router::new(
+        Router::with_catalog(
             RuleTranslator::new(default_mssql_store()),
             Arc::new(ServeStats::new()),
+            None,
+            None,
+            None,
         )
     }
 
@@ -1082,9 +1016,12 @@ mod tests {
     #[test]
     fn unknown_operator_maps_to_422() {
         // A pg-only catalog cannot narrate the mssql plan.
-        let router = Router::new(
+        let router = Router::with_catalog(
             RuleTranslator::new(default_pg_store()),
             Arc::new(ServeStats::new()),
+            None,
+            None,
+            None,
         );
         let resp = router.handle(&post("/narrate", XML_DOC));
         assert_eq!(resp.status, 422);
@@ -1179,10 +1116,12 @@ mod tests {
             RuleTranslator::new(default_mssql_store()),
             lantern_cache::CacheConfig::default(),
         ));
-        Router::with_cache(
+        Router::with_catalog(
             Arc::clone(&cached),
             Arc::new(ServeStats::new()),
-            cached as Arc<dyn CacheControl + Send + Sync>,
+            Some(cached as Arc<dyn CacheControl + Send + Sync>),
+            None,
+            None,
         )
     }
 
@@ -1276,13 +1215,14 @@ mod tests {
     const PG_ALT_DOC: &str = r#"{"Plan": {"Node Type": "Index Scan", "Relation Name": "orders", "Index Name": "orders_pkey"}}"#;
 
     fn diff_router() -> Router<RuleTranslator> {
-        Router::with_parts(
+        Router::with_catalog(
             RuleTranslator::new(default_mssql_store()),
             Arc::new(ServeStats::new()),
             None,
             Some(Arc::new(lantern_diff::RuleDiffTranslator::new(
                 default_mssql_store(),
             ))),
+            None,
         )
     }
 
@@ -1664,7 +1604,13 @@ mod tests {
             RuleTranslator::new(default_pg_store()),
             CacheConfig::default(),
         ));
-        let router = Router::with_cache(Arc::clone(&cached), Arc::new(ServeStats::new()), cached);
+        let router = Router::with_catalog(
+            Arc::clone(&cached),
+            Arc::new(ServeStats::new()),
+            Some(cached),
+            None,
+            None,
+        );
         let resp = router.handle(&post_with(
             "/narrate",
             PG_DOC,

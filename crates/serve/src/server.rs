@@ -1,33 +1,25 @@
-//! The long-lived server loop, in two flavours behind one
-//! [`ServeConfig`]:
+//! What a server is made of, around the one serving core
+//! (`src/event.rs`): the [`Handler`] it serves, the [`ServeConfig`] it
+//! runs under, the [`ServeStats`] it counts into, and the
+//! [`ServerHandle`] that stops it.
 //!
-//! * the **event-driven core** (default on Unix, `src/event.rs`): a
-//!   single readiness-loop thread owns every socket non-blocking —
-//!   accept, incremental parse, pipelining, ordered response writes —
-//!   and dispatches complete requests to the bounded worker pool. When
-//!   the dispatch queue saturates, requests are *shed* with `503` +
-//!   `Retry-After` instead of queueing unboundedly.
-//! * the **legacy blocking path** ([`ServeConfig::legacy_blocking`],
-//!   and every non-Unix target): a [`TcpListener`] accept thread feeds
-//!   whole connections to the pool over a
-//!   [`std::sync::mpsc::sync_channel`]; each worker owns one
-//!   connection at a time. Backpressure is structural — a full queue
-//!   blocks the accept thread, pushing arrivals into the OS backlog.
-//!
-//! Both paths share the router, the counters, keep-alive handling, and
-//! graceful shutdown semantics.
+//! [`serve`] runs any handler — a replica's [`Router`](crate::Router)
+//! or a cluster coordinator — on the event core: a single readiness
+//! thread owns every socket non-blocking (accept, incremental parse,
+//! pipelining, ordered response writes) and dispatches complete
+//! requests to a bounded worker pool. When the dispatch queue
+//! saturates, requests are *shed* with `503` + `Retry-After` instead of
+//! queueing unboundedly. The core uses `epoll`/`poll`, so serving is
+//! Unix-only.
 
-use crate::http::{read_request, write_response, Response};
-use crate::router::{error_body_raw, Router};
-use lantern_core::Translator;
-use lantern_obs::{Recorder, RecorderConfig, Stage};
+use crate::http::{Request, Response};
+use lantern_obs::{Recorder, RecorderConfig};
 use lantern_text::json::JsonValue;
 use std::collections::BTreeMap;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -35,36 +27,30 @@ use std::time::{Duration, Instant};
 /// binary alike; every field has a CLI flag on `lantern-serve`.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads handling connections. `0` means
+    /// Worker threads running the handler. `0` means
     /// `available_parallelism` (min 2, so one slow request can't
     /// starve the health check on a single-core host).
     pub workers: usize,
-    /// Accepted connections that may queue waiting for a worker before
-    /// the accept thread blocks.
+    /// Requests that may wait in the dispatch queue for a worker;
+    /// requests arriving with the queue full are shed with `503`.
     pub queue_depth: usize,
     /// Largest accepted request body, in bytes.
     pub max_body_bytes: usize,
-    /// Idle read timeout on keep-alive connections; an idle connection
-    /// is closed after this long so workers can't be parked forever.
-    /// On the event path this also bounds slow-loris peers parked on a
-    /// partial request head.
+    /// Idle timeout on keep-alive connections, which also bounds
+    /// slow-loris peers parked on a partial request head.
     pub read_timeout: Duration,
     /// Open connections the event loop will hold at once; arrivals
-    /// past the cap are closed immediately. Ignored on the legacy
-    /// path, where the pool size is the cap.
+    /// past the cap are closed immediately.
     pub max_conns: usize,
-    /// Use the thread-per-connection blocking path instead of the
-    /// event-driven readiness loop. Non-Unix targets always take the
-    /// blocking path.
-    pub legacy_blocking: bool,
     /// Record per-stage latency histograms and serve `GET /metrics`.
     /// Off, the recorder is inert (one atomic load per request) and
-    /// `/metrics` answers 404.
+    /// `/metrics` answers 404. Read by [`ServeConfig::recorder`].
     pub metrics: bool,
     /// Capture threshold for the slow-request ring served at
     /// `GET /debug/slow`, in milliseconds. `0` captures every request
     /// (the ring is bounded, so this is cheap and makes request IDs
-    /// observable without artificial slowness).
+    /// observable without artificial slowness). Read by
+    /// [`ServeConfig::recorder`].
     pub slow_log_ms: u64,
 }
 
@@ -76,7 +62,6 @@ impl Default for ServeConfig {
             max_body_bytes: 4 * 1024 * 1024,
             read_timeout: Duration::from_secs(5),
             max_conns: 4096,
-            legacy_blocking: false,
             metrics: true,
             slow_log_ms: 0,
         }
@@ -84,18 +69,17 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The observability recorder this config describes — built once
-    /// per server and shared between the router and the serving core.
-    pub(crate) fn recorder(&self) -> Arc<Recorder> {
+    /// The observability recorder `metrics` and `slow_log_ms` describe,
+    /// for the handler to trace into (the core records the socket
+    /// `read`/`write` stages into the same one).
+    pub fn recorder(&self) -> Arc<Recorder> {
         Arc::new(Recorder::new(RecorderConfig {
             enabled: self.metrics,
             slow_log_ms: self.slow_log_ms,
             ..RecorderConfig::default()
         }))
     }
-}
 
-impl ServeConfig {
     pub(crate) fn effective_workers(&self) -> usize {
         if self.workers > 0 {
             return self.workers;
@@ -107,8 +91,23 @@ impl ServeConfig {
     }
 }
 
-/// Shared atomic counters, incremented by the router and the
-/// connection loop; snapshot with [`ServeStats::snapshot`].
+/// What the serving core runs: one request in, one response out, on a
+/// worker thread. The core does its own accounting through the other
+/// two methods — transport counters into [`Handler::stats`], socket
+/// `read`/`write` stage times (and request ids for shed responses) into
+/// [`Handler::recorder`].
+pub trait Handler: Send + Sync {
+    /// Answer one parsed request.
+    fn handle(&self, req: &Request) -> Response;
+    /// The recorder this handler traces into.
+    fn recorder(&self) -> &Recorder;
+    /// The counters the core adds connections, sheds, pipelined
+    /// requests, queue depth, panics, and protocol errors to.
+    fn stats(&self) -> &ServeStats;
+}
+
+/// Shared atomic counters, incremented by the router and the serving
+/// core; snapshot with [`ServeStats::snapshot`].
 #[derive(Debug)]
 pub struct ServeStats {
     /// TCP connections accepted.
@@ -144,14 +143,13 @@ pub struct ServeStats {
     pub panics: AtomicU64,
     /// Requests refused by admission control: `503`s answered when the
     /// dispatch queue was full, plus connections closed at the
-    /// `max_conns` cap (event path only).
+    /// `max_conns` cap.
     pub shed_requests: AtomicU64,
     /// Requests that arrived pipelined — read off a connection before
-    /// the response to an earlier request on it was written (event
-    /// path only).
+    /// the response to an earlier request on it was written.
     pub pipelined_requests: AtomicU64,
     /// Gauge: requests sitting in the dispatch queue, accepted but not
-    /// yet picked up by a worker (event path only).
+    /// yet picked up by a worker.
     pub queue_depth: AtomicU64,
     /// Gauge: requests currently being handled (incremented on entry to
     /// the router, decremented when the handler returns — so a `/stats`
@@ -305,27 +303,29 @@ impl StatsSnapshot {
 /// Handle to a running server: address introspection, live stats, and
 /// graceful shutdown. Dropping the handle also shuts the server down
 /// (best-effort, errors swallowed).
+#[cfg(unix)]
 pub struct ServerHandle {
     addr: SocketAddr,
+    handler: Arc<dyn Handler>,
     shutdown: Arc<AtomicBool>,
-    stats: Arc<ServeStats>,
-    accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    /// Event path only: wakes the readiness loop so it observes the
-    /// shutdown flag without waiting out a poll timeout. The legacy
-    /// path pokes its accept thread over TCP instead.
-    event_waker: Option<Arc<dyn Fn() + Send + Sync>>,
+    /// Write end of the event loop's self-pipe: one byte wakes the loop
+    /// so it sees the shutdown flag without waiting out a poll timeout.
+    waker: std::os::unix::net::UnixStream,
+    /// The event thread first, then the workers; empty once shut down.
+    threads: Vec<JoinHandle<()>>,
 }
 
+#[cfg(unix)]
 impl std::fmt::Debug for ServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerHandle")
             .field("addr", &self.addr)
-            .field("workers", &self.workers.len())
+            .field("threads", &self.threads.len())
             .finish_non_exhaustive()
     }
 }
 
+#[cfg(unix)]
 impl ServerHandle {
     /// The bound address (resolves port 0 to the actual ephemeral
     /// port).
@@ -335,308 +335,68 @@ impl ServerHandle {
 
     /// Live counter snapshot, without going through `GET /stats`.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        self.handler.stats().snapshot()
     }
 
-    /// Graceful shutdown: stop accepting, drain queued connections,
-    /// finish in-flight requests, join every thread.
+    /// Graceful shutdown: stop accepting, finish in-flight requests,
+    /// flush buffered responses (bounded by a drain deadline), join
+    /// every thread.
     pub fn shutdown(mut self) -> io::Result<()> {
         self.shutdown_inner()
     }
 
     fn shutdown_inner(&mut self) -> io::Result<()> {
-        if self.accept_thread.is_none() {
+        if self.threads.is_empty() {
             return Ok(());
         }
         self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(waker) = &self.event_waker {
-            // Event path: one byte down the self-pipe and the loop sees
-            // the flag on its next iteration.
-            waker();
-        } else {
-            // The accept thread is parked in `accept()`; poke it awake
-            // with a throwaway connection so it observes the flag. A
-            // wildcard bind (0.0.0.0 / [::]) is not connectable
-            // everywhere, so the poke targets the loopback equivalent
-            // of the bound port.
-            let mut poke_addr = self.addr;
-            if poke_addr.ip().is_unspecified() {
-                poke_addr.set_ip(match poke_addr {
-                    SocketAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                    SocketAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-                });
-            }
-            let _ = TcpStream::connect_timeout(&poke_addr, Duration::from_secs(1));
-        }
-        if let Some(t) = self.accept_thread.take() {
-            t.join()
-                .map_err(|_| io::Error::other("accept thread panicked"))?;
-        }
-        // Accept thread exit drops the queue sender; workers drain what
-        // is queued, then see the disconnect and stop.
-        for worker in self.workers.drain(..) {
-            worker
+        // A full pipe already guarantees a pending wakeup.
+        let _ = io::Write::write(&mut &self.waker, &[1u8]);
+        // The event thread exits once drained, dropping the dispatch
+        // queue's sender; the workers then stop.
+        for thread in self.threads.drain(..) {
+            thread
                 .join()
-                .map_err(|_| io::Error::other("worker thread panicked"))?;
+                .map_err(|_| io::Error::other("serving thread panicked"))?;
         }
         Ok(())
     }
 }
 
+#[cfg(unix)]
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         let _ = self.shutdown_inner();
     }
 }
 
-/// Boot a narration server over `translator` on `addr`.
+/// Serve `handler` on `listener` until the returned handle shuts down.
 ///
-/// Returns once the listener is bound and the worker pool is up; the
-/// returned [`ServerHandle`] outlives this call and owns every spawned
-/// thread. Bind `"127.0.0.1:0"` to get an ephemeral port (read it back
-/// with [`ServerHandle::addr`]).
-pub fn serve<T>(
-    translator: T,
-    addr: impl ToSocketAddrs,
-    config: ServeConfig,
-) -> io::Result<ServerHandle>
-where
-    T: Translator + Send + Sync + 'static,
-{
-    serve_with_cache(translator, None, addr, config)
-}
-
-/// [`serve`], with the translator's narration-cache admin surface
-/// attached: the router honours `?nocache=1`, routes
-/// `POST /cache/clear`, and merges cache counters into `GET /stats`.
-/// `cache` is typically the *same* object as `translator` (an
-/// `Arc<CachedTranslator<_>>`, or a service wrapping one), shared via
-/// `Arc`.
-pub fn serve_with_cache<T>(
-    translator: T,
-    cache: Option<Arc<dyn lantern_cache::CacheControl + Send + Sync>>,
-    addr: impl ToSocketAddrs,
-    config: ServeConfig,
-) -> io::Result<ServerHandle>
-where
-    T: Translator + Send + Sync + 'static,
-{
-    serve_with_parts(translator, cache, None, addr, config)
-}
-
-/// The full-surface entry point: [`serve_with_cache`], plus an
-/// optional plan-diff backend. With `diff` present the router
-/// additionally routes `POST /narrate/diff` (one base/alternative
-/// pair) and `POST /narrate/diff/batch` (one base vs N alternatives,
-/// ranked by informativeness); without it those paths stay 404, like
-/// `/cache/clear` without a cache.
-pub fn serve_with_parts<T>(
-    translator: T,
-    cache: Option<Arc<dyn lantern_cache::CacheControl + Send + Sync>>,
-    diff: Option<Arc<dyn lantern_core::DiffTranslator + Send + Sync>>,
-    addr: impl ToSocketAddrs,
-    config: ServeConfig,
-) -> io::Result<ServerHandle>
-where
-    T: Translator + Send + Sync + 'static,
-{
-    serve_node(translator, cache, diff, None, addr, config)
-}
-
-/// [`serve_with_parts`], plus an optional catalog admin surface. With
-/// `catalog` present the router additionally routes `GET /catalog` and
-/// `POST /catalog/apply`, which is what lets a cluster coordinator
-/// replicate POEM catalog mutations to this node and probe its
-/// version/lag.
-pub fn serve_node<T>(
-    translator: T,
-    cache: Option<Arc<dyn lantern_cache::CacheControl + Send + Sync>>,
-    diff: Option<Arc<dyn lantern_core::DiffTranslator + Send + Sync>>,
-    catalog: Option<Arc<dyn crate::catalog::CatalogControl + Send + Sync>>,
-    addr: impl ToSocketAddrs,
-    config: ServeConfig,
-) -> io::Result<ServerHandle>
-where
-    T: Translator + Send + Sync + 'static,
-{
-    let listener = TcpListener::bind(addr)?;
-    serve_on_listener(translator, cache, diff, catalog, listener, config)
-}
-
-/// [`serve_node`] over a listener the caller already bound. This is
-/// the restart path: rebinding a just-vacated port usually trips over
-/// connections lingering in `TIME_WAIT`, so a replica that must come
-/// back on the *same* address binds through [`reusable_listener`]
-/// (`SO_REUSEADDR`) and hands the listener in here.
-pub fn serve_on_listener<T>(
-    translator: T,
-    cache: Option<Arc<dyn lantern_cache::CacheControl + Send + Sync>>,
-    diff: Option<Arc<dyn lantern_core::DiffTranslator + Send + Sync>>,
-    catalog: Option<Arc<dyn crate::catalog::CatalogControl + Send + Sync>>,
+/// Returns once the event thread and the worker pool are up. Bind
+/// `"127.0.0.1:0"` to get an ephemeral port (read it back with
+/// [`ServerHandle::addr`]); a server that must come back on the *same*
+/// address binds through [`reusable_listener`].
+#[cfg(unix)]
+pub fn serve(
+    handler: Arc<dyn Handler>,
     listener: TcpListener,
     config: ServeConfig,
-) -> io::Result<ServerHandle>
-where
-    T: Translator + Send + Sync + 'static,
-{
-    let local_addr = listener.local_addr()?;
+) -> io::Result<ServerHandle> {
+    let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
-    let stats = Arc::new(ServeStats::new());
-    let router = Arc::new(
-        Router::with_catalog(translator, Arc::clone(&stats), cache, diff, catalog)
-            .with_obs(config.recorder()),
-    );
-
-    #[cfg(unix)]
-    if !config.legacy_blocking {
-        let (mut threads, waker) = crate::event::serve_event(
-            listener,
-            router,
-            Arc::clone(&stats),
-            config,
-            Arc::clone(&shutdown),
-        )?;
-        let event_thread = threads.remove(0);
-        return Ok(ServerHandle {
-            addr: local_addr,
-            shutdown,
-            stats,
-            accept_thread: Some(event_thread),
-            workers: threads,
-            event_waker: Some(waker),
-        });
-    }
-
-    let (conn_tx, conn_rx) = sync_channel::<TcpStream>(config.queue_depth);
-    let conn_rx = Arc::new(Mutex::new(conn_rx));
-
-    let workers = (0..config.effective_workers())
-        .map(|_| {
-            let conn_rx = Arc::clone(&conn_rx);
-            let router = Arc::clone(&router);
-            let shutdown = Arc::clone(&shutdown);
-            let config = config.clone();
-            let stats = Arc::clone(&stats);
-            std::thread::spawn(move || worker_loop(&conn_rx, &*router, &config, &shutdown, &stats))
-        })
-        .collect();
-
-    let accept_thread = {
-        let shutdown = Arc::clone(&shutdown);
-        let stats = Arc::clone(&stats);
-        std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                stats.connections.fetch_add(1, Ordering::Relaxed);
-                // Mirror the event path's `queue_depth` gauge: count the
-                // connection into the queue before the (possibly
-                // blocking) send; the worker decrements on dequeue.
-                stats.queue_depth.fetch_add(1, Ordering::Relaxed);
-                if conn_tx.send(stream).is_err() {
-                    stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                    break;
-                }
-            }
-            // `conn_tx` drops here; workers drain and stop.
-        })
-    };
-
+    let (threads, waker) = crate::event::spawn(
+        listener,
+        Arc::clone(&handler),
+        config,
+        Arc::clone(&shutdown),
+    )?;
     Ok(ServerHandle {
-        addr: local_addr,
+        addr,
+        handler,
         shutdown,
-        stats,
-        accept_thread: Some(accept_thread),
-        workers,
-        event_waker: None,
+        waker,
+        threads,
     })
-}
-
-fn worker_loop<T: Translator>(
-    conn_rx: &Mutex<Receiver<TcpStream>>,
-    router: &Router<T>,
-    config: &ServeConfig,
-    shutdown: &AtomicBool,
-    stats: &ServeStats,
-) {
-    loop {
-        // Hold the lock only for the dequeue, never while serving.
-        let conn = match conn_rx.lock() {
-            Ok(rx) => rx.recv(),
-            Err(_) => return,
-        };
-        match conn {
-            Ok(stream) => {
-                stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                // A panic while serving (a buggy Translator impl, say)
-                // must not shrink the pool for the server's lifetime:
-                // contain it to the connection and keep the worker.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let _ = handle_connection(stream, router, config, shutdown, stats);
-                }));
-                if outcome.is_err() {
-                    stats.panics.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Err(_) => return, // channel disconnected: shutdown
-        }
-    }
-}
-
-/// Serve one connection until the peer closes, a protocol error
-/// terminates it, keep-alive is declined, or shutdown begins.
-fn handle_connection<T: Translator>(
-    stream: TcpStream,
-    router: &Router<T>,
-    config: &ServeConfig,
-    shutdown: &AtomicBool,
-    stats: &ServeStats,
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(config.read_timeout))?;
-    // Responses are written as one buffer; without NODELAY the kernel
-    // would still sit on them waiting for ACKs between keep-alive
-    // requests.
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    loop {
-        // Socket reads/writes happen outside any request trace (the
-        // trace begins in the router), so the read/write stages go
-        // straight to the recorder's histograms.
-        let read_started = Instant::now();
-        match read_request(&mut reader, config.max_body_bytes) {
-            Ok(request) => {
-                router
-                    .obs()
-                    .record_stage(Stage::Read, read_started.elapsed().as_nanos() as u64);
-                let response = router.handle(&request);
-                // Stop advertising keep-alive once shutdown begins so
-                // draining connections wind down promptly.
-                let keep_alive = request.keep_alive && !shutdown.load(Ordering::SeqCst);
-                let write_started = Instant::now();
-                write_response(&mut writer, &response, keep_alive)?;
-                router
-                    .obs()
-                    .record_stage(Stage::Write, write_started.elapsed().as_nanos() as u64);
-                if !keep_alive {
-                    return Ok(());
-                }
-            }
-            Err(err) => {
-                // Protocol errors get a best-effort structured reply on
-                // the way out; clean EOF and I/O errors just close.
-                if let Some(status) = err.status() {
-                    stats.error_responses.fetch_add(1, Ordering::Relaxed);
-                    let body = error_body_raw("http", &err.message(), status);
-                    let response = Response::json(status, body.to_string_compact());
-                    let _ = write_response(&mut writer, &response, false);
-                }
-                return Ok(());
-            }
-        }
-    }
 }
 
 /// Bind a listener with `SO_REUSEADDR`, so an address whose previous
@@ -724,23 +484,38 @@ pub fn reusable_listener(addr: SocketAddr) -> io::Result<TcpListener> {
     TcpListener::bind(addr)
 }
 
-#[cfg(test)]
+#[cfg(all(test, unix))]
 mod tests {
     use super::*;
     use crate::client::HttpClient;
-    use lantern_core::RuleTranslator;
+    use crate::router::Router;
+    use lantern_core::{RuleTranslator, Translator};
     use lantern_pool::default_pg_store;
+    use std::net::TcpStream;
+
+    fn serve_router<T: Translator + Send + Sync + 'static>(
+        translator: T,
+        listener: TcpListener,
+        config: ServeConfig,
+    ) -> ServerHandle {
+        let router =
+            Router::with_catalog(translator, Arc::new(ServeStats::new()), None, None, None);
+        serve(Arc::new(router), listener, config).expect("serve")
+    }
+
+    fn ephemeral() -> TcpListener {
+        TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port")
+    }
 
     fn boot() -> ServerHandle {
-        serve(
+        serve_router(
             RuleTranslator::new(default_pg_store()),
-            "127.0.0.1:0",
+            ephemeral(),
             ServeConfig {
                 workers: 2,
                 ..ServeConfig::default()
             },
         )
-        .expect("bind ephemeral port")
     }
 
     #[test]
@@ -825,15 +600,14 @@ mod tests {
 
         // One worker: if the panic killed it, nothing could ever answer
         // again.
-        let handle = serve(
+        let handle = serve_router(
             Panicky,
-            "127.0.0.1:0",
+            ephemeral(),
             ServeConfig {
                 workers: 1,
                 ..ServeConfig::default()
             },
-        )
-        .unwrap();
+        );
         let mut doomed = HttpClient::connect(handle.addr()).unwrap();
         // The panic drops the connection mid-exchange; the client sees
         // an error, not a hang.
@@ -855,30 +629,22 @@ mod tests {
         // `reusable_listener` too so the port is reusable from birth.
         let listener = reusable_listener("127.0.0.1:0".parse().unwrap()).unwrap();
         let addr = listener.local_addr().unwrap();
-        let handle = serve_on_listener(
+        let handle = serve_router(
             RuleTranslator::new(default_pg_store()),
-            None,
-            None,
-            None,
             listener,
             ServeConfig::default(),
-        )
-        .unwrap();
+        );
         let mut client = HttpClient::connect(addr).unwrap();
         assert_eq!(client.get("/healthz").unwrap().status, 200);
         drop(client);
         handle.shutdown().unwrap();
 
         let listener = reusable_listener(addr).expect("rebind the vacated port");
-        let handle = serve_on_listener(
+        let handle = serve_router(
             RuleTranslator::new(default_pg_store()),
-            None,
-            None,
-            None,
             listener,
             ServeConfig::default(),
-        )
-        .unwrap();
+        );
         assert_eq!(handle.addr(), addr);
         let mut client = HttpClient::connect(addr).unwrap();
         assert_eq!(client.get("/healthz").unwrap().status, 200);

@@ -515,14 +515,30 @@ fn summarize(mut latencies: Vec<u64>) -> LatencySummary {
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, unix))]
 mod tests {
     use super::*;
-    use crate::server::{serve_with_cache, ServeConfig};
+    use crate::router::Router;
+    use crate::server::{serve, ServeConfig, ServeStats, ServerHandle};
     use lantern_cache::{CacheConfig, CacheControl, CachedTranslator};
-    use lantern_core::RuleTranslator;
+    use lantern_core::{RuleTranslator, Translator};
     use lantern_pool::default_mssql_store;
+    use std::net::TcpListener;
     use std::sync::Arc;
+
+    /// A router over `translator` (and its cache, when given) served on
+    /// an ephemeral port.
+    fn boot<T: Translator + Send + Sync + 'static>(
+        translator: T,
+        cache: Option<Arc<dyn CacheControl + Send + Sync>>,
+        config: ServeConfig,
+    ) -> ServerHandle {
+        let router =
+            Router::with_catalog(translator, Arc::new(ServeStats::new()), cache, None, None)
+                .with_obs(config.recorder());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        serve(Arc::new(router), listener, config).unwrap()
+    }
 
     const DOC_A: &str = r#"{"Plan": {"Node Type": "Seq Scan", "Relation Name": "orders"}}"#;
     const DOC_B: &str = r#"{"Plan": {"Node Type": "Seq Scan", "Relation Name": "part"}}"#;
@@ -545,13 +561,7 @@ mod tests {
             RuleTranslator::new(default_mssql_store()),
             CacheConfig::default(),
         ));
-        let handle = serve_with_cache(
-            Arc::clone(&cached),
-            Some(cached as Arc<dyn CacheControl + Send + Sync>),
-            "127.0.0.1:0",
-            ServeConfig::default(),
-        )
-        .unwrap();
+        let handle = boot(Arc::clone(&cached), Some(cached), ServeConfig::default());
 
         // 2 unique documents in 6 requests: 2 misses + 4 hits. One
         // client keeps the hit accounting deterministic (no in-flight
@@ -624,13 +634,7 @@ mod tests {
                 RuleTranslator::new(default_mssql_store()),
                 CacheConfig::default(),
             ));
-            serve_with_cache(
-                Arc::clone(&cached),
-                Some(cached as Arc<dyn CacheControl + Send + Sync>),
-                "127.0.0.1:0",
-                ServeConfig::default(),
-            )
-            .unwrap()
+            boot(Arc::clone(&cached), Some(cached), ServeConfig::default())
         };
         let (a, b) = (boot(), boot());
 
@@ -670,15 +674,14 @@ mod tests {
 
     #[test]
     fn soak_against_uncached_metrics_off_server_skips_both_deltas() {
-        let handle = crate::server::serve(
+        let handle = boot(
             RuleTranslator::new(default_mssql_store()),
-            "127.0.0.1:0",
+            None,
             ServeConfig {
                 metrics: false,
                 ..ServeConfig::default()
             },
-        )
-        .unwrap();
+        );
         let docs = vec![DOC_A.to_string(); 4];
         let report = run_soak(
             handle.addr(),
@@ -699,10 +702,9 @@ mod tests {
         handle.shutdown().unwrap();
     }
 
-    #[cfg(unix)]
     #[test]
     fn pipelined_soak_reports_server_side_pipelining() {
-        use lantern_core::{LanternError, NarrationRequest, NarrationResponse, Translator};
+        use lantern_core::{LanternError, NarrationRequest, NarrationResponse};
 
         // Slow enough that a burst's trailing requests are guaranteed
         // to arrive while the first is still being handled.
@@ -717,15 +719,14 @@ mod tests {
             }
         }
 
-        let handle = crate::server::serve(
+        let handle = boot(
             Slow(RuleTranslator::new(default_mssql_store())),
-            "127.0.0.1:0",
+            None,
             ServeConfig {
                 workers: 1,
                 ..ServeConfig::default()
             },
-        )
-        .unwrap();
+        );
         let docs = vec![DOC_A.to_string(); 8];
         let report = run_soak(
             handle.addr(),

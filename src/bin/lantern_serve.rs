@@ -45,9 +45,6 @@ OPTIONS:
     --queue-cap <N>       Dispatch-queue slots; requests arriving with the
                           queue full are shed with 503 + Retry-After
                           [default: 64]
-    --legacy-blocking     Serve on the original thread-per-connection
-                          blocking path instead of the event-driven
-                          readiness loop
     --no-cache            Disable the plan-fingerprint narration cache
                           (on by default: repeated plans answer from a
                           sharded LRU; see docs/SERVING.md)
@@ -110,7 +107,6 @@ struct Args {
     workers: usize,
     max_conns: usize,
     queue_cap: usize,
-    legacy_blocking: bool,
     cache_config: CacheConfig,
     no_cache: bool,
     metrics: bool,
@@ -138,7 +134,6 @@ fn parse_args() -> Result<Args, String> {
         workers: 0,
         max_conns: 4096,
         queue_cap: 64,
-        legacy_blocking: false,
         // The classroom workload is exactly what the cache exists for;
         // the binary serves cached unless told otherwise.
         cache_config: CacheConfig::default(),
@@ -185,7 +180,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--queue-cap: {e}"))?
             }
-            "--legacy-blocking" => args.legacy_blocking = true,
             "--no-cache" => args.no_cache = true,
             "--cache-entries" => {
                 args.cache_config.max_entries = value("--cache-entries")?
@@ -529,6 +523,13 @@ fn soak_main(args: &SoakArgs) -> Result<(), String> {
     Ok(())
 }
 
+#[cfg(not(unix))]
+fn main() {
+    eprintln!("error: lantern-serve needs a Unix target (its serving core polls with epoll/poll)");
+    std::process::exit(1);
+}
+
+#[cfg(unix)]
 fn main() {
     let mut argv = std::env::args().skip(1).peekable();
     if argv.peek().map(String::as_str) == Some("soak") {
@@ -572,7 +573,6 @@ fn main() {
                 workers: args.workers,
                 max_conns: args.max_conns,
                 queue_depth: args.queue_cap,
-                legacy_blocking: args.legacy_blocking,
                 metrics: args.metrics,
                 slow_log_ms: args.slow_log_ms,
                 ..ServeConfig::default()

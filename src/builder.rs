@@ -31,10 +31,14 @@ use lantern_neuron::Neuron;
 use lantern_paraphrase::ParaphrasedTranslator;
 use lantern_plan::PlanTree;
 use lantern_pool::{default_mssql_store, PoemStore};
-use lantern_serve::{CatalogApplied, CatalogApplyError, CatalogControl, ServeConfig, ServerHandle};
-use std::net::ToSocketAddrs;
+use lantern_serve::{CatalogApplied, CatalogApplyError, CatalogControl};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+#[cfg(unix)]
+use {
+    lantern_serve::{Router, ServeConfig, ServeStats, ServerHandle},
+    std::net::ToSocketAddrs,
+};
 
 /// Which translation backend a [`LanternService`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -209,6 +213,7 @@ impl LanternBuilder {
     /// Bind failures surface as [`LanternError::Config`]; use
     /// [`LanternService::serve`] to pass a custom [`ServeConfig`] or
     /// keep the `std::io::Error`.
+    #[cfg(unix)]
     pub fn serve(self, addr: impl ToSocketAddrs) -> Result<ServerHandle, LanternError> {
         let service = self.build()?;
         service
@@ -316,33 +321,27 @@ impl LanternService {
         self.narrate(&NarrationRequest::auto(doc)?)
     }
 
-    /// Boot an HTTP narration server over this service (consuming it —
-    /// the server's worker pool owns the service from here on). See
-    /// [`lantern_serve::serve`] for the endpoint set and semantics.
-    /// When the service carries a narration cache, the server's router
-    /// additionally honours `?nocache=1`, routes `POST /cache/clear`,
-    /// and merges cache counters into `GET /stats`.
+    /// Boot an HTTP narration server over this service on `addr`
+    /// (consuming it — the server's worker pool owns the service from
+    /// here on). The router serves the full surface: narration, diffs,
+    /// the catalog admin surface a cluster coordinator replicates
+    /// through, and — when the service carries a narration cache —
+    /// `?nocache=1`, `POST /cache/clear`, and cache counters in
+    /// `GET /stats`. See [`lantern_serve::serve`] for the serving core.
+    #[cfg(unix)]
     pub fn serve(
         self,
         addr: impl ToSocketAddrs,
         config: ServeConfig,
     ) -> std::io::Result<ServerHandle> {
-        let has_cache = self.has_cache();
-        let service = Arc::new(self);
-        let cache: Option<Arc<dyn CacheControl + Send + Sync>> = if has_cache {
-            Some(Arc::clone(&service) as _)
-        } else {
-            None
-        };
-        let diff: Arc<dyn DiffTranslator + Send + Sync> = Arc::clone(&service) as _;
-        let catalog: Arc<dyn CatalogControl + Send + Sync> = Arc::clone(&service) as _;
-        lantern_serve::serve_node(service, cache, Some(diff), Some(catalog), addr, config)
+        self.serve_on_listener(std::net::TcpListener::bind(addr)?, config)
     }
 
     /// [`LanternService::serve`] over a listener the caller already
     /// bound (typically through [`lantern_serve::reusable_listener`],
     /// so a restarted replica can reclaim its old port while prior
     /// connections sit in `TIME_WAIT`).
+    #[cfg(unix)]
     pub fn serve_on_listener(
         self,
         listener: std::net::TcpListener,
@@ -357,14 +356,10 @@ impl LanternService {
         };
         let diff: Arc<dyn DiffTranslator + Send + Sync> = Arc::clone(&service) as _;
         let catalog: Arc<dyn CatalogControl + Send + Sync> = Arc::clone(&service) as _;
-        lantern_serve::serve_on_listener(
-            service,
-            cache,
-            Some(diff),
-            Some(catalog),
-            listener,
-            config,
-        )
+        let stats = Arc::new(ServeStats::new());
+        let router = Router::with_catalog(service, stats, cache, Some(diff), Some(catalog))
+            .with_obs(config.recorder());
+        lantern_serve::serve(Arc::new(router), listener, config)
     }
 
     /// Apply the service's configured style to a response from a

@@ -48,15 +48,16 @@
 //!
 //! | Old call | New call |
 //! |---|---|
-//! | `Lantern::new(store).narrate_pg_json(doc)` | `LanternBuilder::new().store(store).build()?.narrate(&NarrationRequest::pg_json(doc))` |
-//! | `Lantern::new(store).narrate_sqlserver_xml(doc)` | same, with `NarrationRequest::sqlserver_xml(doc)` (or `::auto(doc)`) |
+//! | `Lantern::new(store).narrate_pg_json(doc)` (removed) | `LanternBuilder::new().store(store).build()?.narrate(&NarrationRequest::pg_json(doc))` |
+//! | `Lantern::new(store).narrate_sqlserver_xml(doc)` (removed) | same, with `NarrationRequest::sqlserver_xml(doc)` (or `::auto(doc)`) |
 //! | `RuleLantern::new(&store).narrate(&tree)` | `RuleTranslator::new(store).narrate(&NarrationRequest::from_tree(&tree))` |
 //! | `NeuralLantern::describe_text(&tree)` | `LanternBuilder::new().neural_model(model).build()?.narrate(&NarrationRequest::from_tree(&tree))` |
 //! | `neuron::Neuron::new().describe_text(&tree)` | `LanternBuilder::new().backend(Backend::Neuron).build()?.narrate(...)` |
 //! | vendor-specific error strings | structured [`LanternError`](lantern_core::LanternError) variants |
 //!
-//! The old methods still compile (as deprecated thin wrappers) but emit
-//! warnings; they will be removed in a future major release.
+//! The deprecated `Lantern` facade methods (`narrate_pg_json`,
+//! `narrate_sqlserver_xml`, and the tree-taking `narrate`, now
+//! `narrate_tree`) have been removed.
 //!
 //! This crate re-exports every subsystem so downstream users can depend
 //! on a single crate.
@@ -102,6 +103,8 @@ pub mod prelude {
     pub use lantern_paraphrase::ParaphrasedTranslator;
     pub use lantern_plan::{parse_pg_json_plan, parse_sqlserver_xml_plan, PlanTree};
     pub use lantern_pool::{PoemSnapshot, PoemStore};
-    pub use lantern_serve::{HttpClient, ServeConfig, ServerHandle};
+    #[cfg(unix)]
+    pub use lantern_serve::ServerHandle;
+    pub use lantern_serve::{HttpClient, ServeConfig};
     pub use lantern_sql::parse_sql;
 }

@@ -577,20 +577,18 @@ fn diff_envelope_rejections_over_sockets() {
 }
 
 /// Event-core behaviour over raw sockets — HTTP/1.1 pipelining,
-/// slow-loris isolation, and load-shedding. The readiness loop is
-/// Unix-only (`epoll`/`poll`), so these tests are too; non-Unix
-/// targets serve through the legacy blocking path instead.
-#[cfg(unix)]
+/// slow-loris isolation, and load-shedding.
 mod event_core {
     use super::{json_of, raw_exchange};
     use lantern::core::{
         LanternError, NarrationRequest, NarrationResponse, RuleTranslator, Translator,
     };
     use lantern::prelude::*;
-    use lantern::serve::serve;
+    use lantern::serve::{serve, Router, ServeStats};
     use lantern::text::json::JsonValue;
     use std::io::Write;
-    use std::net::TcpStream;
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::Arc;
     use std::time::Duration;
 
     fn pg_doc(relation: &str) -> String {
@@ -679,9 +677,16 @@ mod event_core {
             }
         }
 
-        let server = serve(
+        let router = Router::with_catalog(
             Slow(RuleTranslator::new(lantern::pool::default_mssql_store())),
-            "127.0.0.1:0",
+            Arc::new(ServeStats::new()),
+            None,
+            None,
+            None,
+        );
+        let server = serve(
+            Arc::new(router),
+            TcpListener::bind("127.0.0.1:0").unwrap(),
             ServeConfig {
                 workers: 1,
                 queue_depth: 1,
