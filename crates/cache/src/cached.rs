@@ -31,6 +31,7 @@ use lantern_core::{
     LanternError, Narration, NarrationRequest, NarrationResponse, PlanSource, RenderStyle,
     Translator,
 };
+use lantern_obs::Series;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -215,6 +216,30 @@ pub struct CacheStatsSnapshot {
     pub uncacheable: u64,
     /// Times the cache was cleared.
     pub clears: u64,
+}
+
+impl CacheStatsSnapshot {
+    /// The counter table — the `cache` object of `GET /stats` and the
+    /// `lantern_cache_*` families of `GET /metrics`. Sizes and budgets
+    /// are gauges; the rest only ever grow.
+    pub fn series(&self) -> [Series; 14] {
+        [
+            Series::gauge("entries", self.entries),
+            Series::gauge("bytes", self.bytes),
+            Series::gauge("max_entries", self.max_entries),
+            Series::gauge("max_bytes", self.max_bytes),
+            Series::gauge("shards", self.shards),
+            Series::counter("hits", self.hits),
+            Series::counter("misses", self.misses),
+            Series::counter("insertions", self.insertions),
+            Series::counter("evictions", self.evictions),
+            Series::counter("doc_hits", self.doc_hits),
+            Series::counter("coalesced", self.coalesced),
+            Series::counter("batch_dedup_hits", self.batch_dedup_hits),
+            Series::counter("uncacheable", self.uncacheable),
+            Series::counter("clears", self.clears),
+        ]
+    }
 }
 
 /// Admin surface of a cache-fronted translator, object-safe so serving

@@ -30,10 +30,12 @@
 use crate::ring::HashRing;
 use crate::shard::{document_key, group_by_node, item_key, shard_key};
 use lantern_cache::ShardedLru;
-use lantern_obs::{bucket_index, parse_exposition, Recorder, BOUNDS, BUCKETS};
+use lantern_obs::{MetricsPage, Recorder, Series};
 use lantern_pool::parse_pool;
 use lantern_serve::http::{Request, Response, REQUEST_ID_HEADER};
-use lantern_serve::router::{error_body_raw, json_error, route, Route};
+use lantern_serve::router::{
+    error_body_raw, handle_traced, json_error, route, series_value, Route,
+};
 use lantern_serve::{
     ClientConfig, ClientError, ClientErrorKind, ClientResponse, Handler, HttpClient, ServeConfig,
     ServeStats,
@@ -44,7 +46,7 @@ use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 #[cfg(unix)]
 use {
     lantern_serve::{serve, ServerHandle},
@@ -135,32 +137,17 @@ impl ClusterConfig {
     }
 }
 
-/// Coordinator-side counters (replica counters live on the replicas and
-/// are merged by `GET /stats`; connection and shed counts are the
-/// serving core's, kept in its [`ServeStats`]).
+/// The counters only a coordinator keeps. Its front-door counters
+/// (requests, per-endpoint counts, errors, connections, sheds) live in
+/// its [`ServeStats`] like any server's; replica counters live on the
+/// replicas and are summed by `GET /stats`.
 #[derive(Debug, Default)]
 pub struct ClusterStats {
-    /// Requests routed (any endpoint, any outcome).
-    pub requests_total: AtomicU64,
-    /// `POST /narrate` requests.
-    pub narrate_requests: AtomicU64,
-    /// `POST /narrate/batch` requests.
-    pub batch_requests: AtomicU64,
-    /// Entries inside batch envelopes.
-    pub batch_items: AtomicU64,
-    /// `POST /narrate/diff` requests.
-    pub diff_requests: AtomicU64,
-    /// `POST /narrate/diff/batch` requests.
-    pub diff_batch_requests: AtomicU64,
     /// Forwarding attempts that went to a ring successor instead of the
     /// key's owner (each retry counts once).
     pub failovers: AtomicU64,
     /// Requests answered `503` because every candidate replica failed.
     pub unavailable_responses: AtomicU64,
-    /// Requests for unknown paths.
-    pub not_found: AtomicU64,
-    /// Responses with status ≥ 400.
-    pub error_responses: AtomicU64,
     /// Catalog mutations accepted into the statement log.
     pub catalog_mutations: AtomicU64,
     /// Log-suffix replays pushed to lagging replicas (rejoin path).
@@ -173,34 +160,22 @@ pub struct ClusterStats {
 }
 
 impl ClusterStats {
-    /// The counters as one JSON object, with the serving core's
-    /// connection and shed counts from `transport` folded in.
-    fn to_json_value(&self, transport: &ServeStats) -> JsonValue {
-        let mut obj = BTreeMap::new();
-        for (key, value) in [
-            ("connections", &transport.connections),
-            ("shed_requests", &transport.shed_requests),
-            ("requests_total", &self.requests_total),
-            ("narrate_requests", &self.narrate_requests),
-            ("batch_requests", &self.batch_requests),
-            ("batch_items", &self.batch_items),
-            ("diff_requests", &self.diff_requests),
-            ("diff_batch_requests", &self.diff_batch_requests),
-            ("failovers", &self.failovers),
-            ("unavailable_responses", &self.unavailable_responses),
-            ("not_found", &self.not_found),
-            ("error_responses", &self.error_responses),
-            ("catalog_mutations", &self.catalog_mutations),
-            ("catalog_replays", &self.catalog_replays),
-            ("catalog_broadcast_errors", &self.catalog_broadcast_errors),
-            ("probe_cycles", &self.probe_cycles),
-        ] {
-            obj.insert(
-                key.to_string(),
-                JsonValue::Number(value.load(Ordering::Relaxed) as f64),
-            );
-        }
-        JsonValue::Object(obj)
+    /// The counter table, rendered after the front-door rows in the
+    /// `coordinator` object of `GET /stats` and as `lantern_cluster_*`
+    /// on `GET /metrics`.
+    pub fn series(&self) -> [Series; 6] {
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        [
+            Series::counter("failovers", read(&self.failovers)),
+            Series::counter("unavailable_responses", read(&self.unavailable_responses)),
+            Series::counter("catalog_mutations", read(&self.catalog_mutations)),
+            Series::counter("catalog_replays", read(&self.catalog_replays)),
+            Series::counter(
+                "catalog_broadcast_errors",
+                read(&self.catalog_broadcast_errors),
+            ),
+            Series::counter("probe_cycles", read(&self.probe_cycles)),
+        ]
     }
 }
 
@@ -224,9 +199,10 @@ struct Coordinator {
     config: ClusterConfig,
     ring: HashRing,
     replicas: Vec<Replica>,
-    stats: Arc<ClusterStats>,
-    /// The serving core's counters for the coordinator's own front door.
-    transport: ServeStats,
+    /// The coordinator's own front door: request entry, per-endpoint
+    /// counts, and the serving core's transport counters.
+    stats: ServeStats,
+    cluster: Arc<ClusterStats>,
     /// Exact request text → shard key, so the 75%-duplicate classroom
     /// workload parses each distinct plan once at the routing tier.
     route_memo: ShardedLru<u128>,
@@ -234,7 +210,6 @@ struct Coordinator {
     /// number `i + 1`.
     catalog_log: Mutex<Vec<String>>,
     client_config: ClientConfig,
-    started: Instant,
     /// Request latency + slow-ring recorder for the coordinator's own
     /// hop (replica-side time is scraped, not re-measured here).
     obs: Arc<Recorder>,
@@ -322,12 +297,11 @@ impl Coordinator {
         Coordinator {
             ring,
             replicas,
-            stats: Arc::new(ClusterStats::default()),
-            transport: ServeStats::new(),
+            stats: ServeStats::new(),
+            cluster: Arc::new(ClusterStats::default()),
             route_memo,
             catalog_log: Mutex::new(Vec::new()),
             client_config,
-            started: Instant::now(),
             obs,
             config,
         }
@@ -432,7 +406,7 @@ impl Coordinator {
         let mut last = None;
         for (attempt, node) in self.candidates(key).into_iter().enumerate() {
             if attempt > 0 {
-                self.stats.failovers.fetch_add(1, Ordering::Relaxed);
+                self.cluster.failovers.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(self.config.retry_backoff);
             }
             match self.exchange(node, method, path, body) {
@@ -465,7 +439,7 @@ impl Coordinator {
     }
 
     fn unavailable(&self, err: Option<ClientError>) -> Response {
-        self.stats
+        self.cluster
             .unavailable_responses
             .fetch_add(1, Ordering::Relaxed);
         let message = match err {
@@ -486,25 +460,19 @@ impl Coordinator {
         key
     }
 
-    /// Dispatch one parsed request. Mirrors the replica router's
-    /// observability contract: one `x-lantern-request-id` per request
-    /// (kept when the client sent one, minted otherwise), installed as
-    /// the thread's active id so [`Coordinator::exchange`] propagates
-    /// it to replicas, echoed on the response, and traced into the
-    /// coordinator's own latency histograms and slow ring.
+    /// Dispatch one parsed request under the same request entry as a
+    /// replica router ([`handle_traced`]): one `x-lantern-request-id`
+    /// per request, installed as the thread's active id so
+    /// [`Coordinator::exchange`] propagates it to replicas, echoed on
+    /// the response, and traced into the coordinator's own latency
+    /// histograms and slow ring.
     fn handle(&self, req: &Request) -> Response {
-        self.stats.requests_total.fetch_add(1, Ordering::Relaxed);
-        let id = match req.header(REQUEST_ID_HEADER) {
-            Some(id) if !id.is_empty() => id.to_string(),
-            _ => self.obs.mint_id(),
-        };
-        ACTIVE_REQUEST_ID.with(|cell| *cell.borrow_mut() = Some(id.clone()));
-        let trace = self.obs.begin(id, &req.path);
-        let response = self.dispatch(req);
-        ACTIVE_REQUEST_ID.with(|cell| *cell.borrow_mut() = None);
-        let response = response.with_request_id(trace.id());
-        trace.finish(response.status);
-        response
+        handle_traced(&self.stats, &self.obs, req, |id| {
+            ACTIVE_REQUEST_ID.with(|cell| *cell.borrow_mut() = Some(id.to_string()));
+            let response = self.dispatch(req);
+            ACTIVE_REQUEST_ID.with(|cell| *cell.borrow_mut() = None);
+            response
+        })
     }
 
     fn dispatch(&self, req: &Request) -> Response {
@@ -525,11 +493,7 @@ impl Coordinator {
             ("POST", "/catalog/apply", true, Self::catalog_apply),
             ("POST", "/cache/clear", true, |c, _| c.cache_clear()),
         ];
-        let response = route(self, req, &routes, &self.stats.not_found);
-        if response.status >= 400 {
-            self.stats.error_responses.fetch_add(1, Ordering::Relaxed);
-        }
-        response
+        route(self, req, &routes, &self.stats.not_found)
     }
 
     fn narrate(&self, req: &Request) -> Response {
@@ -652,7 +616,7 @@ impl Coordinator {
                     indices.iter().for_each(|&i| slots[i] = Some(err.clone()));
                 }
                 Err(err) => {
-                    self.stats
+                    self.cluster
                         .unavailable_responses
                         .fetch_add(1, Ordering::Relaxed);
                     let message = match err {
@@ -737,7 +701,7 @@ impl Coordinator {
         obj.insert("replicas".to_string(), JsonValue::Array(replicas));
         obj.insert(
             "uptime_ms".to_string(),
-            JsonValue::Number(self.started.elapsed().as_millis() as f64),
+            JsonValue::Number(self.stats.uptime().as_millis() as f64),
         );
         Response::json(200, JsonValue::Object(obj).to_string_compact())
     }
@@ -793,8 +757,8 @@ impl Coordinator {
         // Requests the coordinator refused never reached a replica;
         // fold them into the aggregate shed count so "sent - answered"
         // adds up from the client's point of view.
-        let coordinator_shed = self.transport.shed_requests.load(Ordering::Relaxed)
-            + self.stats.unavailable_responses.load(Ordering::Relaxed);
+        let coordinator_shed = self.stats.shed_requests.load(Ordering::Relaxed)
+            + self.cluster.unavailable_responses.load(Ordering::Relaxed);
         *totals.entry("shed_requests".to_string()).or_insert(0.0) += coordinator_shed as f64;
         let mut body: BTreeMap<String, JsonValue> = totals
             .into_iter()
@@ -811,7 +775,7 @@ impl Coordinator {
                 ),
             );
         }
-        let mut coordinator = self.stats.to_json_value(&self.transport);
+        let mut coordinator = series_value(self.own_series());
         if let JsonValue::Object(obj) = &mut coordinator {
             let memo = self.route_memo.stats();
             let mut route = BTreeMap::new();
@@ -824,7 +788,7 @@ impl Coordinator {
             obj.insert("route_memo".to_string(), JsonValue::Object(route));
             obj.insert(
                 "uptime_ms".to_string(),
-                JsonValue::Number(self.started.elapsed().as_millis() as f64),
+                JsonValue::Number(self.stats.uptime().as_millis() as f64),
             );
         }
         body.insert("coordinator".to_string(), coordinator);
@@ -832,46 +796,40 @@ impl Coordinator {
         Response::json(200, JsonValue::Object(body).to_string_compact())
     }
 
+    /// The coordinator's own counter table: its front-door rows, then
+    /// the cluster-only ones.
+    fn own_series(&self) -> impl Iterator<Item = Series> {
+        self.stats
+            .front_door_series()
+            .into_iter()
+            .chain(self.cluster.series())
+    }
+
     /// `GET /metrics` — the fleet's Prometheus page. Every replica's
-    /// own `/metrics` is scraped and re-emitted twice: once **merged**
+    /// own `/metrics` is scraped and folded in twice: once **merged**
     /// across replicas (every producer renders cumulative histogram
     /// buckets on the shared `le` grid, so bucket-wise addition is
     /// exact) and once under a `replica="host:port"` label. The
     /// coordinator's own request histograms and `lantern_cluster_*`
-    /// counters ride along under `node="coordinator"`, so nothing
-    /// collides with the replica merge. A replica that is down (or
-    /// running with metrics off) degrades the page, never fails it.
+    /// counters are added directly under `node="coordinator"`, so
+    /// nothing collides with the replica merge. A replica that is down
+    /// (or running with metrics off) degrades the page, never fails it.
     fn metrics(&self) -> Response {
-        let mut merge = MetricsMerge::default();
+        let mut page = MetricsPage::new();
         for (node, replica) in self.replicas.iter().enumerate() {
             let scrape = match self.exchange(node, "GET", "/metrics", None) {
                 Ok(resp) if resp.status == 200 => resp.body,
                 _ => continue,
             };
             let addr = replica.addr.to_string();
-            merge.fold(&scrape, &[]);
-            merge.fold(&scrape, &[("replica", addr.as_str())]);
+            page.fold(&scrape, &[]);
+            page.fold(&scrape, &[("replica", addr.as_str())]);
         }
-        let registry = self.obs.registry();
-        if let JsonValue::Object(obj) = self.stats.to_json_value(&self.transport) {
-            for (key, value) in &obj {
-                let JsonValue::Number(n) = value else {
-                    continue;
-                };
-                registry.set_counter(
-                    &format!("lantern_cluster_{key}"),
-                    &[("node", "coordinator")],
-                    *n as u64,
-                );
-            }
-        }
-        registry.set_gauge(
-            "lantern_cluster_uptime_seconds",
-            &[("node", "coordinator")],
-            self.started.elapsed().as_secs(),
-        );
-        merge.fold(&self.obs.render_prometheus(&[("node", "coordinator")]), &[]);
-        Response::text(200, merge.render())
+        let own = [("node", "coordinator")];
+        let uptime = Series::gauge("uptime_seconds", self.stats.uptime().as_secs());
+        page.add_series("lantern_cluster_", &own, self.own_series().chain([uptime]));
+        self.obs.export(&mut page, &own);
+        Response::text(200, page.render())
     }
 
     /// `GET /debug/slow?threshold_ms=N` — the coordinator's own
@@ -938,7 +896,9 @@ impl Coordinator {
         if let Err(e) = parse_pool(statement) {
             return json_error("pool", &format!("statement does not parse: {e}"), 400);
         }
-        self.stats.catalog_mutations.fetch_add(1, Ordering::Relaxed);
+        self.cluster
+            .catalog_mutations
+            .fetch_add(1, Ordering::Relaxed);
         let seq = {
             let mut log = lock(&self.catalog_log);
             log.push(statement.to_string());
@@ -1006,7 +966,7 @@ impl Coordinator {
                 match self.replay_suffix(node) {
                     Ok(()) => "replayed".to_string(),
                     Err(message) => {
-                        self.stats
+                        self.cluster
                             .catalog_broadcast_errors
                             .fetch_add(1, Ordering::Relaxed);
                         message
@@ -1014,13 +974,13 @@ impl Coordinator {
                 }
             }
             Ok(resp) => {
-                self.stats
+                self.cluster
                     .catalog_broadcast_errors
                     .fetch_add(1, Ordering::Relaxed);
                 format!("rejected with status {} at seq {seq}", resp.status)
             }
             Err(e) => {
-                self.stats
+                self.cluster
                     .catalog_broadcast_errors
                     .fetch_add(1, Ordering::Relaxed);
                 format!("unreachable: {e}")
@@ -1069,7 +1029,7 @@ impl Coordinator {
         let envelope = apply_envelope(applied + 1, suffix);
         match self.exchange(node, "POST", "/catalog/apply", Some(&envelope)) {
             Ok(resp) if resp.status == 200 => {
-                self.stats.catalog_replays.fetch_add(1, Ordering::Relaxed);
+                self.cluster.catalog_replays.fetch_add(1, Ordering::Relaxed);
                 self.record_catalog_ack(node, &resp);
                 Ok(())
             }
@@ -1135,7 +1095,7 @@ impl Coordinator {
                 Err(_) => {}
             }
         }
-        self.stats.probe_cycles.fetch_add(1, Ordering::Relaxed);
+        self.cluster.probe_cycles.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -1154,185 +1114,6 @@ fn apply_envelope(from_seq: u64, statements: &[String]) -> String {
         ),
     );
     JsonValue::Object(obj).to_string_compact()
-}
-
-/// One scraped histogram series being merged: cumulative bucket values
-/// summed across sources, keyed by bucket index with the source's `le`
-/// strings preserved verbatim (every producer renders from the shared
-/// [`BOUNDS`] grid, so the strings agree across the fleet).
-#[derive(Default)]
-struct HistAcc {
-    buckets: BTreeMap<usize, (String, f64)>,
-    sum: f64,
-    count: f64,
-}
-
-/// Accumulates parsed Prometheus pages into merged families and
-/// re-renders them as one page: scalar series sum value-wise, histogram
-/// series sum bucket-wise (cumulative counts on an identical `le` grid
-/// add exactly), and each `fold` can stamp extra labels so the same
-/// scrape lands both in the fleet-wide merge and under its
-/// per-replica label.
-#[derive(Default)]
-struct MetricsMerge {
-    /// family name → `counter` / `gauge` / `histogram`.
-    types: BTreeMap<String, String>,
-    /// scalar series: name → label block → summed value.
-    scalars: BTreeMap<String, BTreeMap<String, f64>>,
-    /// histogram families: name → label block (sans `le`) → accumulator.
-    histograms: BTreeMap<String, BTreeMap<String, HistAcc>>,
-}
-
-impl MetricsMerge {
-    fn fold(&mut self, text: &str, extra: &[(&str, &str)]) {
-        let parsed = parse_exposition(text);
-        for (name, kind) in &parsed.types {
-            self.types
-                .entry(name.clone())
-                .or_insert_with(|| kind.clone());
-        }
-        let is_histogram =
-            |family: &str| self.types.get(family).map(String::as_str) == Some("histogram");
-        for sample in &parsed.samples {
-            if let Some(family) = sample
-                .name
-                .strip_suffix("_bucket")
-                .filter(|f| is_histogram(f))
-            {
-                let Some(le) = sample.label("le") else {
-                    continue;
-                };
-                let Some(idx) = bucket_of_le(le) else {
-                    continue;
-                };
-                let block = merged_label_block(&sample.labels, extra, true);
-                let acc = self
-                    .histograms
-                    .entry(family.to_string())
-                    .or_default()
-                    .entry(block)
-                    .or_default();
-                acc.buckets
-                    .entry(idx)
-                    .or_insert_with(|| (le.to_string(), 0.0))
-                    .1 += sample.value;
-                continue;
-            }
-            let tail =
-                [("_sum", true), ("_count", false)]
-                    .into_iter()
-                    .find_map(|(suffix, is_sum)| {
-                        sample
-                            .name
-                            .strip_suffix(suffix)
-                            .filter(|f| is_histogram(f))
-                            .map(|f| (f.to_string(), is_sum))
-                    });
-            let block = merged_label_block(&sample.labels, extra, false);
-            if let Some((family, is_sum)) = tail {
-                let acc = self
-                    .histograms
-                    .entry(family)
-                    .or_default()
-                    .entry(block)
-                    .or_default();
-                if is_sum {
-                    acc.sum += sample.value;
-                } else {
-                    acc.count += sample.value;
-                }
-                continue;
-            }
-            *self
-                .scalars
-                .entry(sample.name.clone())
-                .or_default()
-                .entry(block)
-                .or_insert(0.0) += sample.value;
-        }
-    }
-
-    fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (name, blocks) in &self.scalars {
-            if let Some(kind) = self.types.get(name) {
-                let _ = writeln!(out, "# TYPE {name} {kind}");
-            }
-            for (block, value) in blocks {
-                let _ = writeln!(out, "{name}{block} {value}");
-            }
-        }
-        for (name, blocks) in &self.histograms {
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            for (block, acc) in blocks {
-                // BTreeMap order = bucket-index order, so cumulative
-                // counts stay monotone in the output.
-                for (le, value) in acc.buckets.values() {
-                    if block.is_empty() {
-                        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {value}");
-                    } else {
-                        let inner = &block[1..block.len() - 1];
-                        let _ = writeln!(out, "{name}_bucket{{{inner},le=\"{le}\"}} {value}");
-                    }
-                }
-                let _ = writeln!(out, "{name}_sum{block} {}", acc.sum);
-                let _ = writeln!(out, "{name}_count{block} {}", acc.count);
-            }
-        }
-        out
-    }
-}
-
-/// Bucket index of an `le` label on the shared [`BOUNDS`] grid.
-fn bucket_of_le(le: &str) -> Option<usize> {
-    if le == "+Inf" {
-        return Some(BUCKETS - 1);
-    }
-    let seconds: f64 = le.parse().ok()?;
-    let ns = (seconds * 1e9).round() as u64;
-    Some(
-        BOUNDS
-            .iter()
-            .position(|bound| *bound == ns)
-            .unwrap_or_else(|| bucket_index(ns)),
-    )
-}
-
-/// Rebuild a sorted, escaped `{a="b",…}` label block from parsed labels
-/// plus extra stamped pairs, optionally dropping `le` (bucket lines
-/// key their series by the non-`le` labels).
-fn merged_label_block(
-    labels: &[(String, String)],
-    extra: &[(&str, &str)],
-    skip_le: bool,
-) -> String {
-    let mut pairs: Vec<(&str, &str)> = labels
-        .iter()
-        .filter(|(n, _)| !(skip_le && n == "le"))
-        .map(|(n, v)| (n.as_str(), v.as_str()))
-        .collect();
-    pairs.extend_from_slice(extra);
-    pairs.sort_unstable();
-    if pairs.is_empty() {
-        return String::new();
-    }
-    let mut out = String::from("{");
-    for (i, (name, value)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let escaped = value
-            .replace('\\', "\\\\")
-            .replace('"', "\\\"")
-            .replace('\n', "\\n");
-        out.push_str(name);
-        out.push_str("=\"");
-        out.push_str(&escaped);
-        out.push('"');
-    }
-    out.push('}');
-    out
 }
 
 /// Render a replica's response back to the coordinator's client.
@@ -1364,7 +1145,7 @@ impl Handler for Coordinator {
     }
 
     fn stats(&self) -> &ServeStats {
-        &self.transport
+        &self.stats
     }
 }
 
@@ -1446,7 +1227,7 @@ pub fn serve_cluster(config: ClusterConfig, addr: impl ToSocketAddrs) -> io::Res
     let serve_config = config.serve_config();
     let probe_interval = config.probe_interval;
     let coordinator = Arc::new(Coordinator::new(config));
-    let stats = Arc::clone(&coordinator.stats);
+    let stats = Arc::clone(&coordinator.cluster);
     let server = serve(Arc::clone(&coordinator) as _, listener, serve_config)?;
 
     let stop_probe = Arc::new(AtomicBool::new(false));

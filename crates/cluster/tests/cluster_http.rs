@@ -721,3 +721,101 @@ fn saturated_coordinator_sheds_a_structured_503_and_keeps_the_connection() {
     drop(stream);
     coordinator.shutdown().unwrap();
 }
+
+/// The coordinator's serving core counts panics, pipelined requests,
+/// queue depth and protocol-error responses like a replica's, and both
+/// of its pages show them. The pages agree: every numeric key of the
+/// `/stats` → `coordinator` object is a
+/// `lantern_cluster_<key>{node="coordinator"}` series of the same value
+/// and type, apart from the documented differences (the scrape's own
+/// `requests_total` +1, and `uptime_*`).
+#[test]
+fn coordinator_pages_show_its_core_counters_and_agree() {
+    use lantern_obs::parse_exposition;
+    use std::io::{Read, Write};
+
+    let replicas: Vec<ServerHandle> = (0..2).map(|_| boot_replica()).collect();
+    // One probe sweep at boot, then none for the rest of the test, so
+    // `probe_cycles` holds still between the two scrapes.
+    let coordinator = serve_cluster(
+        ClusterConfig {
+            replicas: replicas.iter().map(|r| r.addr()).collect(),
+            workers: 2,
+            probe_interval: Duration::from_secs(3600),
+            ..ClusterConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("coordinator boots");
+    wait_for("the boot probe sweep", || {
+        coordinator.stats().probe_cycles.load(Ordering::Relaxed) >= 1
+    });
+
+    // One protocol error: the core answers 400 and closes.
+    let mut raw = std::net::TcpStream::connect(coordinator.addr()).expect("connect");
+    raw.write_all(b"NOT-HTTP\r\n\r\n").unwrap();
+    let mut answer = String::new();
+    raw.read_to_string(&mut answer).unwrap();
+    assert!(answer.starts_with("HTTP/1.1 400"), "{answer}");
+    // Two narrations pipelined on one socket.
+    let mut stream = std::net::TcpStream::connect(coordinator.addr()).expect("connect");
+    let burst =
+        post_raw("/narrate", &plan_doc("pipe_0")) + &post_raw("/narrate", &plan_doc("pipe_1"));
+    stream.write_all(burst.as_bytes()).unwrap();
+    let responses = read_responses(&mut stream, 2);
+    assert!(
+        responses.iter().all(|r| status_of(r) == 200),
+        "{responses:?}"
+    );
+
+    let mut client = HttpClient::connect(coordinator.addr()).expect("connect");
+    let stats = get_json(&mut client, "/stats");
+    let own = stats.get("coordinator").expect("coordinator object");
+    assert!(num(own, "error_responses") >= 1.0, "protocol error counted");
+    assert!(num(own, "pipelined_requests") >= 1.0, "pipelining counted");
+    assert!(own.get("panics").is_some() && own.get("queue_depth").is_some());
+
+    let page = client.get("/metrics").expect("coordinator metrics");
+    assert_eq!(page.status, 200);
+    let page = parse_exposition(&page.body);
+    let series = |key: &str| {
+        let name = format!("lantern_cluster_{key}");
+        let sample = page
+            .samples
+            .iter()
+            .find(|s| s.name == name && s.labels == [("node".into(), "coordinator".into())])
+            .unwrap_or_else(|| panic!("no {name}{{node=\"coordinator\"}} series"));
+        (sample.value, page.types.get(&name).cloned())
+    };
+    assert!(series("error_responses").0 >= 1.0);
+    assert!(series("pipelined_requests").0 >= 1.0);
+    assert_eq!(series("panics").0, 0.0);
+    assert_eq!(series("queue_depth").1.as_deref(), Some("gauge"));
+
+    let JsonValue::Object(own) = own else {
+        panic!("coordinator stats are an object");
+    };
+    let mut checked = 0;
+    for (key, value) in own {
+        let Some(value) = value.as_f64() else {
+            continue;
+        };
+        if key.starts_with("uptime_") {
+            continue;
+        }
+        let (metric, kind) = series(key);
+        let gauge = matches!(key.as_str(), "queue_depth" | "requests_in_flight");
+        let want = if gauge { "gauge" } else { "counter" };
+        assert_eq!(kind.as_deref(), Some(want), "{key}");
+        let scrape = if key == "requests_total" { 1.0 } else { 0.0 };
+        assert_eq!(metric, value + scrape, "{key}");
+        checked += 1;
+    }
+    assert_eq!(checked, 20, "front-door rows plus cluster rows");
+
+    drop((raw, stream, client));
+    coordinator.shutdown().unwrap();
+    for replica in replicas {
+        replica.shutdown().unwrap();
+    }
+}

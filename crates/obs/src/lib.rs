@@ -1,10 +1,11 @@
 //! # lantern-obs
 //!
 //! The observability substrate for the serving stack: lock-free
-//! log-bucketed latency histograms, a labeled metric [`Registry`] with
-//! Prometheus text exposition, a [`Recorder`]/stage-span API that turns
-//! every request into a per-stage timing vector, request-ID minting,
-//! and a bounded slow-request ring buffer.
+//! log-bucketed latency histograms, counter tables and a
+//! [`MetricsPage`] that writes (and merges) Prometheus text exposition,
+//! a [`Recorder`]/stage-span API that turns every request into a
+//! per-stage timing vector, request-ID minting, and a bounded
+//! slow-request ring buffer.
 //!
 //! Like the rest of the workspace the crate is **std-only** — no atomics
 //! beyond `std::sync::atomic`, no clocks beyond `std::time::Instant` —
@@ -18,10 +19,13 @@
 //!   nanoseconds; record is wait-free, snapshots are mergeable
 //!   bucket-wise, percentile queries are exact to bucket resolution
 //!   (≤ √2 relative error) with an exact max.
-//! * [`Registry`] — labeled histograms / counters / gauges rendered in
-//!   Prometheus text format, plus [`parse_exposition`] so a scraper
-//!   (the cluster coordinator, the soak harness) can read the format
-//!   back and merge fleets bucket-wise.
+//! * [`Series`] + [`MetricsPage`] — a component keeps its counters as
+//!   plain atomics and lists them once in a table of [`Series`] rows
+//!   (name, counter/gauge, value); `GET /stats` and `GET /metrics` are
+//!   both rendered from that table. The page takes those rows and
+//!   histogram snapshots, folds in whole scraped pages (the cluster
+//!   coordinator merges its replicas bucket-wise), and renders
+//!   Prometheus text; [`parse_exposition`] reads the format back.
 //! * [`Recorder`] + [`Stage`] — per-request tracing: the server calls
 //!   [`Recorder::begin`] at ingress, lower layers drop [`span`] guards
 //!   around the work they do, and [`TraceGuard::finish`] folds the
@@ -35,7 +39,7 @@ mod trace;
 
 pub use hist::{bucket_index, AtomicHistogram, HistogramSnapshot, BOUNDS, BUCKETS};
 pub use registry::{
-    parse_exposition, render_histogram, snapshot_from_samples, Exposition, Registry, Sample,
+    parse_exposition, snapshot_from_samples, Exposition, Kind, MetricsPage, Sample, Series,
 };
 pub use trace::{
     note_fingerprint, span, Recorder, RecorderConfig, SlowEntry, SpanGuard, Stage, TraceGuard,

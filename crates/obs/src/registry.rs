@@ -1,7 +1,14 @@
-//! Labeled metric registry with Prometheus text exposition — and the
-//! inverse: a parser for the same format, so a scraper (the cluster
-//! coordinator, the soak harness) can merge fleets bucket-wise without
-//! a side-channel wire format.
+//! Prometheus text exposition — the one module that writes it and the
+//! one that reads it back.
+//!
+//! A [`MetricsPage`] is a page under construction: components add
+//! their counter tables ([`Series`] rows) and histogram snapshots to
+//! it, a scraper (the cluster coordinator) folds whole parsed pages
+//! into it, and [`MetricsPage::render`] writes the text. Label blocks,
+//! escaping, `le` splicing and `# TYPE` lines are produced here and
+//! nowhere else. [`parse_exposition`] is the inverse, so the
+//! coordinator and the soak harness can merge fleets bucket-wise
+//! without a side-channel wire format.
 //!
 //! The exposition subset is the stable core of the text format:
 //! `# TYPE` lines, `name{label="value"} value` samples, histogram
@@ -11,158 +18,246 @@
 //! `le` strings and cumulative bucket counts can be merged by plain
 //! addition.
 
-use crate::hist::{bucket_index, AtomicHistogram, HistogramSnapshot, BOUNDS, BUCKETS};
+use crate::hist::{bucket_index, HistogramSnapshot, BOUNDS, BUCKETS};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
 
-type Family<T> = BTreeMap<String, (String, T)>;
-
-#[derive(Default)]
-struct Inner {
-    counters: BTreeMap<String, Family<Arc<AtomicU64>>>,
-    gauges: BTreeMap<String, Family<Arc<AtomicU64>>>,
-    histograms: BTreeMap<String, Family<Arc<AtomicHistogram>>>,
+/// The Prometheus type of a metric family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Only ever grows (until the process restarts).
+    Counter,
+    /// A point-in-time reading.
+    Gauge,
+    /// Cumulative `_bucket` / `_sum` / `_count` series.
+    Histogram,
 }
 
-/// A set of labeled metric families — counters, gauges, histograms —
-/// rendered in Prometheus text format by [`Registry::render`].
-///
-/// Lookup takes a mutex, so callers on hot paths should resolve their
-/// series once (`Arc` handles are stable) rather than per record.
-#[derive(Default)]
-pub struct Registry {
-    inner: Mutex<Inner>,
+impl Kind {
+    /// The word on the family's `# TYPE` line.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram => "histogram",
+        }
+    }
 }
 
-impl Registry {
-    /// An empty registry.
+/// One row of a component's counter table: the name it is published
+/// under (a `GET /stats` key, and the suffix of its `/metrics` family),
+/// its type, and the value read just now. A component declares each
+/// counter once as a field and once as a row; both pages render from
+/// the rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Series {
+    /// Key / metric-name suffix.
+    pub name: &'static str,
+    /// [`Kind::Counter`] or [`Kind::Gauge`].
+    pub kind: Kind,
+    /// The reading.
+    pub value: u64,
+}
+
+impl Series {
+    /// A counter row.
+    pub fn counter(name: &'static str, value: u64) -> Series {
+        Series {
+            name,
+            kind: Kind::Counter,
+            value,
+        }
+    }
+
+    /// A gauge row.
+    pub fn gauge(name: &'static str, value: u64) -> Series {
+        Series {
+            name,
+            kind: Kind::Gauge,
+            value,
+        }
+    }
+}
+
+/// A Prometheus text page under construction. Series are keyed by
+/// family name and label block; adding to a series that already exists
+/// sums into it — scalars value-wise, histograms bucket-wise (cumulative
+/// counts on the shared `le` grid add exactly) — which is what merging
+/// a fleet of scrapes means. Families render in name order.
+#[derive(Debug, Default)]
+pub struct MetricsPage {
+    families: BTreeMap<String, Family>,
+}
+
+#[derive(Debug, Default)]
+struct Family {
+    /// From the first `# TYPE` seen (or declared) for the family.
+    kind: Option<String>,
+    /// Label block → summed value.
+    scalars: BTreeMap<String, f64>,
+    /// Label block (sans `le`) → summed histogram.
+    histograms: BTreeMap<String, HistAcc>,
+}
+
+/// One histogram series: cumulative bucket values by bucket index, plus
+/// `_sum` (seconds) and `_count`.
+#[derive(Debug, Default)]
+struct HistAcc {
+    buckets: BTreeMap<usize, f64>,
+    sum: f64,
+    count: f64,
+}
+
+impl MetricsPage {
+    /// An empty page.
     pub fn new() -> Self {
-        Registry::default()
+        MetricsPage::default()
     }
 
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    fn family(&mut self, name: &str) -> &mut Family {
+        self.families.entry(name.to_string()).or_default()
     }
 
-    /// The counter series `name{labels}`, created at zero on first use.
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<AtomicU64> {
-        let key = label_block(labels);
-        Arc::clone(
-            &self
-                .lock()
-                .counters
-                .entry(name.to_string())
-                .or_default()
-                .entry(key.clone())
-                .or_insert_with(|| (key, Arc::new(AtomicU64::new(0))))
-                .1,
-        )
+    /// Give the family `name` a `# TYPE` line even while it has no
+    /// series (the first type declared or folded in wins).
+    pub(crate) fn declare(&mut self, name: &str, kind: Kind) {
+        self.family(name)
+            .kind
+            .get_or_insert_with(|| kind.as_str().to_string());
     }
 
-    /// The gauge series `name{labels}`, created at zero on first use.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<AtomicU64> {
-        let key = label_block(labels);
-        Arc::clone(
-            &self
-                .lock()
-                .gauges
-                .entry(name.to_string())
-                .or_default()
-                .entry(key.clone())
-                .or_insert_with(|| (key, Arc::new(AtomicU64::new(0))))
-                .1,
-        )
+    /// Add `value` to the scalar series `name{labels}`.
+    fn add(&mut self, name: &str, kind: Kind, labels: &[(&str, &str)], value: f64) {
+        self.declare(name, kind);
+        *self
+            .family(name)
+            .scalars
+            .entry(label_block(labels.to_vec()))
+            .or_insert(0.0) += value;
     }
 
-    /// The histogram series `name{labels}`, created empty on first use.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<AtomicHistogram> {
-        let key = label_block(labels);
-        Arc::clone(
-            &self
-                .lock()
+    /// Add a counter table: each row as `{prefix}{row.name}{labels}`.
+    pub fn add_series(
+        &mut self,
+        prefix: &str,
+        labels: &[(&str, &str)],
+        rows: impl IntoIterator<Item = Series>,
+    ) {
+        for row in rows {
+            let name = format!("{prefix}{}", row.name);
+            self.add(&name, row.kind, labels, row.value as f64);
+        }
+    }
+
+    /// Add a histogram snapshot to the series `name{labels}`.
+    pub fn add_histogram(&mut self, name: &str, labels: &[(&str, &str)], snap: &HistogramSnapshot) {
+        self.declare(name, Kind::Histogram);
+        let acc = self
+            .family(name)
+            .histograms
+            .entry(label_block(labels.to_vec()))
+            .or_default();
+        let mut cumulative = 0u64;
+        for (i, n) in snap.buckets.iter().enumerate() {
+            cumulative += n;
+            *acc.buckets.entry(i).or_insert(0.0) += cumulative as f64;
+        }
+        acc.sum += snap.sum as f64 / 1e9;
+        acc.count += snap.count as f64;
+    }
+
+    /// Fold a whole Prometheus text page in, with `extra` labels
+    /// stamped onto every series — the same scrape can land once in a
+    /// fleet-wide merge (no extra labels) and once under its
+    /// `replica="host:port"` label.
+    pub fn fold(&mut self, text: &str, extra: &[(&str, &str)]) {
+        let parsed = parse_exposition(text);
+        for (name, kind) in parsed.types {
+            self.family(&name).kind.get_or_insert(kind);
+        }
+        for sample in &parsed.samples {
+            let labels = |skip_le: bool| {
+                let mut pairs: Vec<(&str, &str)> = sample
+                    .labels
+                    .iter()
+                    .filter(|(n, _)| !(skip_le && n == "le"))
+                    .map(|(n, v)| (n.as_str(), v.as_str()))
+                    .collect();
+                pairs.extend_from_slice(extra);
+                label_block(pairs)
+            };
+            let Some((family, suffix)) = self.histogram_part(&sample.name) else {
+                *self
+                    .family(&sample.name)
+                    .scalars
+                    .entry(labels(false))
+                    .or_insert(0.0) += sample.value;
+                continue;
+            };
+            // A bucket line without a readable `le` has nowhere to go.
+            let bucket = match suffix {
+                "_bucket" => match sample.label("le").and_then(bucket_of_le) {
+                    Some(idx) => Some(idx),
+                    None => continue,
+                },
+                _ => None,
+            };
+            let acc = self
+                .family(&family)
                 .histograms
-                .entry(name.to_string())
-                .or_default()
-                .entry(key.clone())
-                .or_insert_with(|| (key, Arc::new(AtomicHistogram::new())))
-                .1,
-        )
+                .entry(labels(true))
+                .or_default();
+            match bucket {
+                Some(idx) => *acc.buckets.entry(idx).or_insert(0.0) += sample.value,
+                None if suffix == "_sum" => acc.sum += sample.value,
+                None => acc.count += sample.value,
+            }
+        }
     }
 
-    /// Store `value` into the counter series (scrape-time injection of
-    /// an externally-maintained total).
-    pub fn set_counter(&self, name: &str, labels: &[(&str, &str)], value: u64) {
-        self.counter(name, labels).store(value, Ordering::Relaxed);
+    /// The histogram family a sample line belongs to and which of its
+    /// `_bucket` / `_sum` / `_count` series it is, when the family is
+    /// typed `histogram`.
+    fn histogram_part(&self, sample: &str) -> Option<(String, &'static str)> {
+        ["_bucket", "_sum", "_count"]
+            .into_iter()
+            .find_map(|suffix| {
+                let family = sample.strip_suffix(suffix)?;
+                let kind = self.families.get(family)?.kind.as_deref();
+                (kind == Some("histogram")).then(|| (family.to_string(), suffix))
+            })
     }
 
-    /// Store `value` into the gauge series.
-    pub fn set_gauge(&self, name: &str, labels: &[(&str, &str)], value: u64) {
-        self.gauge(name, labels).store(value, Ordering::Relaxed);
-    }
-
-    /// Render every family in Prometheus text format.
+    /// Render the page in Prometheus text format.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
+        for (name, family) in &self.families {
+            if let Some(kind) = &family.kind {
+                let _ = writeln!(out, "# TYPE {name} {kind}");
+            }
+            for (block, value) in &family.scalars {
+                let _ = writeln!(out, "{name}{block} {value}");
+            }
+            for (block, acc) in &family.histograms {
+                // Splice `le` last into the series' label block:
+                // `{a="b"}` → `{a="b",le="…"}`.
+                let inner = block
+                    .strip_prefix('{')
+                    .and_then(|b| b.strip_suffix('}'))
+                    .unwrap_or("");
+                let sep = if inner.is_empty() { "" } else { "," };
+                // BTreeMap order = bucket-index order, so cumulative
+                // counts stay monotone.
+                for (idx, value) in &acc.buckets {
+                    let le = le_label(*idx);
+                    let _ = writeln!(out, "{name}_bucket{{{inner}{sep}le=\"{le}\"}} {value}");
+                }
+                let _ = writeln!(out, "{name}_sum{block} {}", acc.sum);
+                let _ = writeln!(out, "{name}_count{block} {}", acc.count);
+            }
+        }
         out
     }
-
-    /// [`Registry::render`], appending to an existing buffer.
-    pub fn render_into(&self, out: &mut String) {
-        let inner = self.lock();
-        for (name, family) in &inner.counters {
-            let _ = writeln!(out, "# TYPE {name} counter");
-            for (block, value) in family.values() {
-                let _ = writeln!(out, "{name}{block} {}", value.load(Ordering::Relaxed));
-            }
-        }
-        for (name, family) in &inner.gauges {
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            for (block, value) in family.values() {
-                let _ = writeln!(out, "{name}{block} {}", value.load(Ordering::Relaxed));
-            }
-        }
-        for (name, family) in &inner.histograms {
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            for (block, hist) in family.values() {
-                render_histogram_series(out, name, block, &hist.snapshot());
-            }
-        }
-    }
-}
-
-/// Append one histogram's exposition (`_bucket` / `_sum` / `_count`
-/// lines, cumulative, bounds in seconds) under `name{labels}`. The
-/// caller is responsible for the family's `# TYPE name histogram` line.
-pub fn render_histogram(
-    out: &mut String,
-    name: &str,
-    labels: &[(&str, &str)],
-    snap: &HistogramSnapshot,
-) {
-    render_histogram_series(out, name, &label_block(labels), snap);
-}
-
-fn render_histogram_series(out: &mut String, name: &str, block: &str, snap: &HistogramSnapshot) {
-    let mut cumulative = 0u64;
-    for (i, n) in snap.buckets.iter().enumerate() {
-        cumulative += n;
-        let le = le_label(i);
-        if block.is_empty() {
-            let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
-        } else {
-            // Splice `le` into the existing label block: `{a="b"}` →
-            // `{a="b",le="…"}`.
-            let inner = &block[1..block.len() - 1];
-            let _ = writeln!(out, "{name}_bucket{{{inner},le=\"{le}\"}} {cumulative}");
-        }
-    }
-    let _ = writeln!(out, "{name}_sum{block} {}", snap.sum as f64 / 1e9);
-    let _ = writeln!(out, "{name}_count{block} {}", snap.count);
 }
 
 /// The `le` label string for bucket `i` — the bound in seconds, or
@@ -175,29 +270,41 @@ fn le_label(i: usize) -> String {
     }
 }
 
-/// `{a="b",c="d"}` with labels sorted by name, or the empty string.
-fn label_block(labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
+/// Bucket index of an `le` label on the shared [`BOUNDS`] grid.
+fn bucket_of_le(le: &str) -> Option<usize> {
+    if le == "+Inf" {
+        return Some(BUCKETS - 1);
+    }
+    let seconds: f64 = le.parse().ok()?;
+    let ns = (seconds * 1e9).round() as u64;
+    Some(
+        BOUNDS
+            .iter()
+            .position(|bound| *bound == ns)
+            .unwrap_or_else(|| bucket_index(ns)),
+    )
+}
+
+/// `{a="b",c="d"}` with labels sorted by name and values escaped, or
+/// the empty string.
+fn label_block(mut pairs: Vec<(&str, &str)>) -> String {
+    if pairs.is_empty() {
         return String::new();
     }
-    let mut sorted: Vec<_> = labels.to_vec();
-    sorted.sort_unstable();
+    pairs.sort_unstable();
     let mut out = String::from("{");
-    for (i, (name, value)) in sorted.iter().enumerate() {
+    for (i, (name, value)) in pairs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{name}=\"{}\"", escape_label(value));
+        let escaped = value
+            .replace('\\', "\\\\")
+            .replace('"', "\\\"")
+            .replace('\n', "\\n");
+        let _ = write!(out, "{name}=\"{escaped}\"");
     }
     out.push('}');
     out
-}
-
-fn escape_label(value: &str) -> String {
-    value
-        .replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
 }
 
 /// One parsed exposition sample: `name{labels} value`.
@@ -324,6 +431,8 @@ pub fn snapshot_from_samples(
     let bucket_name = format!("{name}_bucket");
     let sum_name = format!("{name}_sum");
     let count_name = format!("{name}_count");
+    let mut want: Vec<(&str, &str)> = labels.to_vec();
+    want.sort_unstable();
     let matches = |sample: &Sample, ignore_le: bool| {
         let mut rest: Vec<(&str, &str)> = sample
             .labels
@@ -332,21 +441,15 @@ pub fn snapshot_from_samples(
             .map(|(n, v)| (n.as_str(), v.as_str()))
             .collect();
         rest.sort_unstable();
-        let mut want: Vec<(&str, &str)> = labels.to_vec();
-        want.sort_unstable();
         rest == want
     };
 
-    let mut cumulative: Vec<(f64, u64)> = Vec::new();
+    let mut cumulative: Vec<(usize, u64)> = Vec::new();
     let mut snap = HistogramSnapshot::default();
     let mut saw_count = false;
     for sample in samples {
         if sample.name == bucket_name && matches(sample, true) {
-            let le = match sample.label("le")? {
-                "+Inf" => f64::INFINITY,
-                s => s.parse().ok()?,
-            };
-            cumulative.push((le, sample.value as u64));
+            cumulative.push((bucket_of_le(sample.label("le")?)?, sample.value as u64));
         } else if sample.name == sum_name && matches(sample, false) {
             snap.sum = (sample.value * 1e9).round() as u64;
         } else if sample.name == count_name && matches(sample, false) {
@@ -357,18 +460,9 @@ pub fn snapshot_from_samples(
     if cumulative.is_empty() {
         return None;
     }
-    cumulative.sort_by(|a, b| a.0.total_cmp(&b.0));
+    cumulative.sort_by_key(|(idx, _)| *idx);
     let mut previous = 0u64;
-    for (le, total) in cumulative {
-        let idx = if le.is_infinite() {
-            BUCKETS - 1
-        } else {
-            let ns = (le * 1e9).round() as u64;
-            BOUNDS
-                .iter()
-                .position(|bound| *bound == ns)
-                .unwrap_or_else(|| bucket_index(ns))
-        };
+    for (idx, total) in cumulative {
         snap.buckets[idx] += total.saturating_sub(previous);
         previous = total.max(previous);
     }
@@ -381,16 +475,26 @@ pub fn snapshot_from_samples(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hist::AtomicHistogram;
 
     #[test]
     fn counters_gauges_and_histograms_render_with_types() {
-        let reg = Registry::new();
-        reg.counter("lantern_requests_total", &[])
-            .fetch_add(3, Ordering::Relaxed);
-        reg.set_gauge("lantern_queue_depth", &[("core", "event")], 2);
-        reg.histogram("lantern_stage_duration_seconds", &[("stage", "narrate")])
-            .record(1_000_000); // 1ms
-        let text = reg.render();
+        let mut page = MetricsPage::new();
+        page.add("lantern_requests_total", Kind::Counter, &[], 3.0);
+        page.add(
+            "lantern_queue_depth",
+            Kind::Gauge,
+            &[("core", "event")],
+            2.0,
+        );
+        let hist = AtomicHistogram::new();
+        hist.record(1_000_000); // 1ms
+        page.add_histogram(
+            "lantern_stage_duration_seconds",
+            &[("stage", "narrate")],
+            &hist.snapshot(),
+        );
+        let text = page.render();
         assert!(text.contains("# TYPE lantern_requests_total counter"));
         assert!(text.contains("lantern_requests_total 3"));
         assert!(text.contains("# TYPE lantern_queue_depth gauge"));
@@ -398,20 +502,20 @@ mod tests {
         assert!(text.contains("# TYPE lantern_stage_duration_seconds histogram"));
         assert!(text.contains("lantern_stage_duration_seconds_count{stage=\"narrate\"} 1"));
         assert!(text.contains("le=\"+Inf\"} 1"));
-        // Same handle on second lookup.
-        reg.counter("lantern_requests_total", &[])
-            .fetch_add(1, Ordering::Relaxed);
-        assert!(reg.render().contains("lantern_requests_total 4"));
+        // Adding to an existing series sums into it.
+        page.add("lantern_requests_total", Kind::Counter, &[], 1.0);
+        assert!(page.render().contains("lantern_requests_total 4"));
     }
 
     #[test]
     fn exposition_roundtrips_through_the_parser() {
-        let reg = Registry::new();
-        let hist = reg.histogram("lantern_request_duration_seconds", &[]);
+        let hist = AtomicHistogram::new();
         for us in [100u64, 900, 4_000, 90_000] {
             hist.record(us * 1_000);
         }
-        let text = reg.render();
+        let mut page = MetricsPage::new();
+        page.add_histogram("lantern_request_duration_seconds", &[], &hist.snapshot());
+        let text = page.render();
         let parsed = parse_exposition(&text);
         assert_eq!(
             parsed
@@ -448,19 +552,22 @@ mod tests {
         assert_eq!(parsed.samples[0].value, 7.0);
         assert_eq!(parsed.samples[1].name, "y");
         // Escaped render parses back to the original value.
-        let reg = Registry::new();
-        reg.set_counter("z", &[("v", "a\"b\\c\nd")], 1);
-        let back = parse_exposition(&reg.render());
+        let mut page = MetricsPage::new();
+        page.add("z", Kind::Counter, &[("v", "a\"b\\c\nd")], 1.0);
+        let back = parse_exposition(&page.render());
         assert_eq!(back.samples[0].label("v"), Some("a\"b\\c\nd"));
     }
 
     #[test]
     fn snapshot_from_samples_selects_exact_label_sets() {
-        let reg = Registry::new();
-        reg.histogram("h", &[("stage", "parse")]).record(1_000);
-        reg.histogram("h", &[("stage", "narrate")]).record(1_000);
-        reg.histogram("h", &[("stage", "narrate")]).record(2_000);
-        let parsed = parse_exposition(&reg.render());
+        let (parse, narrate) = (AtomicHistogram::new(), AtomicHistogram::new());
+        parse.record(1_000);
+        narrate.record(1_000);
+        narrate.record(2_000);
+        let mut page = MetricsPage::new();
+        page.add_histogram("h", &[("stage", "parse")], &parse.snapshot());
+        page.add_histogram("h", &[("stage", "narrate")], &narrate.snapshot());
+        let parsed = parse_exposition(&page.render());
         let narrate = snapshot_from_samples(&parsed.samples, "h", &[("stage", "narrate")]).unwrap();
         assert_eq!(narrate.count, 2);
         let parse = snapshot_from_samples(&parsed.samples, "h", &[("stage", "parse")]).unwrap();
@@ -471,12 +578,13 @@ mod tests {
 
     #[test]
     fn rendered_buckets_are_cumulative_and_monotone() {
-        let reg = Registry::new();
-        let hist = reg.histogram("m", &[]);
+        let hist = AtomicHistogram::new();
         for i in 0..100u64 {
             hist.record(i * 10_000);
         }
-        let text = reg.render();
+        let mut page = MetricsPage::new();
+        page.add_histogram("m", &[], &hist.snapshot());
+        let text = page.render();
         let mut last = -1.0f64;
         let mut bucket_lines = 0;
         for sample in parse_exposition(&text).samples {
@@ -488,5 +596,96 @@ mod tests {
         }
         assert_eq!(bucket_lines, BUCKETS);
         assert_eq!(last, 100.0);
+    }
+
+    #[test]
+    fn fold_merges_scrapes_exactly_and_labels_survive_the_round_trip() {
+        // Two replica scrapes, each a counter plus a labeled histogram
+        // whose label value needs every escape.
+        let tricky = "q\"uote b\\ack\nline";
+        let (a, b) = (AtomicHistogram::new(), AtomicHistogram::new());
+        for us in [50u64, 700, 3_000] {
+            a.record(us * 1_000);
+        }
+        for us in [700u64, 90_000] {
+            b.record(us * 1_000);
+        }
+        let scrape = |hist: &AtomicHistogram, total: f64| {
+            let mut page = MetricsPage::new();
+            page.add("lantern_x_total", Kind::Counter, &[], total);
+            page.add_histogram("h", &[("stage", tricky)], &hist.snapshot());
+            page.render()
+        };
+        let (page_a, page_b) = (scrape(&a, 3.0), scrape(&b, 4.0));
+
+        let mut fleet = MetricsPage::new();
+        fleet.fold(&page_a, &[]);
+        fleet.fold(&page_b, &[]);
+        fleet.fold(&page_a, &[("replica", "a:1")]);
+        fleet.add_histogram("h", &[("node", "coordinator")], &b.snapshot());
+        let parsed = parse_exposition(&fleet.render());
+        assert_eq!(parsed.types.get("h").map(String::as_str), Some("histogram"));
+        assert_eq!(
+            parsed.types.get("lantern_x_total").map(String::as_str),
+            Some("counter")
+        );
+
+        // Unlabeled fold: exact bucket, `_sum` and `_count` addition.
+        let mut expected = a.snapshot();
+        expected.merge(&b.snapshot());
+        let merged = snapshot_from_samples(&parsed.samples, "h", &[("stage", tricky)])
+            .expect("merged series, tricky label intact");
+        assert_eq!(merged.buckets, expected.buckets);
+        assert_eq!(merged.count, expected.count);
+        assert_eq!(merged.sum, expected.sum);
+        let total = |labels: &[(&str, &str)]| {
+            parsed
+                .samples
+                .iter()
+                .find(|s| {
+                    s.name == "lantern_x_total"
+                        && s.labels
+                            .iter()
+                            .map(|(n, v)| (n.as_str(), v.as_str()))
+                            .eq(labels.iter().copied())
+                })
+                .map(|s| s.value)
+        };
+        assert_eq!(total(&[]), Some(7.0));
+
+        // Labeled fold: its own series, equal to the one scrape.
+        assert_eq!(total(&[("replica", "a:1")]), Some(3.0));
+        let labeled = snapshot_from_samples(
+            &parsed.samples,
+            "h",
+            &[("replica", "a:1"), ("stage", tricky)],
+        )
+        .expect("per-replica series");
+        assert_eq!(labeled.buckets, a.snapshot().buckets);
+        assert_eq!(labeled.sum, a.snapshot().sum);
+        let own = snapshot_from_samples(&parsed.samples, "h", &[("node", "coordinator")])
+            .expect("directly added series");
+        assert_eq!(own.buckets, b.snapshot().buckets);
+
+        // `le` is spliced last and every series carries the full grid.
+        let buckets: Vec<&Sample> = parsed
+            .samples
+            .iter()
+            .filter(|s| s.name == "h_bucket")
+            .collect();
+        assert_eq!(buckets.len(), 3 * BUCKETS);
+        assert!(buckets
+            .iter()
+            .all(|s| s.labels.last().map(|(n, _)| n.as_str()) == Some("le")));
+    }
+
+    #[test]
+    fn declared_families_render_a_type_line_without_series() {
+        let mut page = MetricsPage::new();
+        page.declare("lantern_stage_duration_seconds", Kind::Histogram);
+        assert_eq!(
+            page.render(),
+            "# TYPE lantern_stage_duration_seconds histogram\n"
+        );
     }
 }

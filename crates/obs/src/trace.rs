@@ -15,11 +15,10 @@
 //! and a branch — no clock read.
 
 use crate::hist::{AtomicHistogram, HistogramSnapshot};
-use crate::registry::{render_histogram, Registry};
+use crate::registry::{Kind, MetricsPage};
 use std::cell::RefCell;
 use std::collections::hash_map::RandomState;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -146,7 +145,7 @@ thread_local! {
 }
 
 /// The per-server metrics hub: stage and request histograms, the slow
-/// log, request-ID minting, and a [`Registry`] for scrape-time extras.
+/// log, and request-ID minting.
 pub struct Recorder {
     enabled: AtomicBool,
     stages: [AtomicHistogram; Stage::COUNT],
@@ -156,7 +155,6 @@ pub struct Recorder {
     slow: Mutex<VecDeque<SlowEntry>>,
     id_prefix: u32,
     id_seq: AtomicU64,
-    registry: Registry,
 }
 
 impl Recorder {
@@ -175,7 +173,6 @@ impl Recorder {
             slow: Mutex::new(VecDeque::new()),
             id_prefix,
             id_seq: AtomicU64::new(0),
-            registry: Registry::new(),
         }
     }
 
@@ -236,12 +233,6 @@ impl Recorder {
         self.requests.snapshot()
     }
 
-    /// The registry for extra labeled metrics (servers inject their
-    /// counter/gauge snapshots here at scrape time).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// The configured capture threshold, nanoseconds.
     pub fn slow_threshold_ns(&self) -> u64 {
         self.slow_threshold_ns.load(Ordering::Relaxed)
@@ -261,37 +252,22 @@ impl Recorder {
             .collect()
     }
 
-    /// Render the stage and request histograms (plus the registry's
-    /// extra families) as Prometheus text. `extra_labels` are added to
-    /// every histogram series — the coordinator uses this to mark its
-    /// own series apart from merged replica series.
-    pub fn render_prometheus(&self, extra_labels: &[(&str, &str)]) -> String {
-        let mut out = String::new();
-        self.render_histograms(&mut out, extra_labels);
-        self.registry.render_into(&mut out);
-        out
-    }
-
-    /// The histogram half of [`Recorder::render_prometheus`], appended
-    /// to `out`.
-    pub fn render_histograms(&self, out: &mut String, extra_labels: &[(&str, &str)]) {
-        let _ = writeln!(out, "# TYPE {METRIC_STAGE_SECONDS} histogram");
+    /// Add the stage and request histograms to `page`, with `labels`
+    /// on every series — the coordinator uses this to mark its own
+    /// series apart from merged replica series. Stages that recorded
+    /// nothing are left out; the stage family keeps its `# TYPE` line.
+    pub fn export(&self, page: &mut MetricsPage, labels: &[(&str, &str)]) {
+        page.declare(METRIC_STAGE_SECONDS, Kind::Histogram);
         for stage in Stage::ALL {
             let snap = self.stage_snapshot(stage);
             if snap.count == 0 {
                 continue;
             }
-            let mut labels = vec![("stage", stage.name())];
-            labels.extend_from_slice(extra_labels);
-            render_histogram(out, METRIC_STAGE_SECONDS, &labels, &snap);
+            let mut stage_labels = vec![("stage", stage.name())];
+            stage_labels.extend_from_slice(labels);
+            page.add_histogram(METRIC_STAGE_SECONDS, &stage_labels, &snap);
         }
-        let _ = writeln!(out, "# TYPE {METRIC_REQUEST_SECONDS} histogram");
-        render_histogram(
-            out,
-            METRIC_REQUEST_SECONDS,
-            extra_labels,
-            &self.request_snapshot(),
-        );
+        page.add_histogram(METRIC_REQUEST_SECONDS, labels, &self.request_snapshot());
     }
 
     fn finish_trace(&self, guard: &mut TraceGuard, status: u16) {
@@ -423,6 +399,7 @@ pub fn note_fingerprint<F: FnOnce() -> String>(fingerprint: F) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Series;
     use std::time::Duration;
 
     #[test]
@@ -524,10 +501,10 @@ mod tests {
         recorder.record_stage(Stage::Read, 5_000);
         let trace = recorder.begin(recorder.mint_id(), "/narrate");
         trace.finish(200);
-        recorder
-            .registry()
-            .set_counter("lantern_extra_total", &[], 7);
-        let text = recorder.render_prometheus(&[("node", "coordinator")]);
+        let mut page = MetricsPage::new();
+        recorder.export(&mut page, &[("node", "coordinator")]);
+        page.add_series("lantern_", &[], [Series::counter("extra_total", 7)]);
+        let text = page.render();
         assert!(text.contains("# TYPE lantern_stage_duration_seconds histogram"));
         assert!(text.contains("stage=\"read\""));
         assert!(text.contains("node=\"coordinator\""));

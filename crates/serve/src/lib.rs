@@ -88,7 +88,7 @@ pub use client::{ClientConfig, ClientError, ClientErrorKind, ClientResponse, Htt
 pub use http::{Request, Response};
 pub use lantern_cache::{CacheControl, CacheStatsSnapshot};
 pub use router::{error_body, Router};
-pub use server::{reusable_listener, Handler, ServeConfig, ServeStats, StatsSnapshot};
+pub use server::{reusable_listener, Handler, ServeConfig, ServeStats};
 #[cfg(unix)]
 pub use server::{serve, ServerHandle};
 pub use soak::{

@@ -14,12 +14,12 @@
 use crate::catalog::{CatalogApplyError, CatalogControl};
 use crate::http::{Request, Response, REQUEST_ID_HEADER};
 use crate::server::{Handler, ServeStats};
-use lantern_cache::{CacheControl, CacheStatsSnapshot};
+use lantern_cache::CacheControl;
 use lantern_core::{
     DiffRequest, DiffResponse, DiffTranslator, LanternError, NarrationRequest, NarrationResponse,
     PlanSource, RenderStyle, Translator,
 };
-use lantern_obs::{span, Recorder, RecorderConfig, Stage};
+use lantern_obs::{span, MetricsPage, Recorder, RecorderConfig, Series, Stage};
 use lantern_text::json::JsonValue;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -91,6 +91,55 @@ pub fn route<H>(owner: &H, req: &Request, routes: &[Route<H>], not_found: &Atomi
     json_error("http", &format!("no route for {}", req.path), 404)
 }
 
+/// Request entry, shared by every handler (the replica router and the
+/// cluster coordinator): counts `requests_total`, holds the
+/// `requests_in_flight` gauge while the handler runs, keeps the
+/// incoming `x-lantern-request-id` or mints one, traces `dispatch`
+/// under it (so per-stage time lands in `GET /metrics` and slow requests
+/// in `GET /debug/slow`), counts `error_responses` for a status ≥ 400,
+/// and echoes the id on the response. `dispatch` is handed the id.
+pub fn handle_traced(
+    stats: &ServeStats,
+    obs: &Arc<Recorder>,
+    req: &Request,
+    dispatch: impl FnOnce(&str) -> Response,
+) -> Response {
+    stats.requests_total.fetch_add(1, Ordering::Relaxed);
+    stats.requests_in_flight.fetch_add(1, Ordering::Relaxed);
+    let _in_flight = InFlightGuard(stats);
+    let id = match req.header(REQUEST_ID_HEADER) {
+        Some(id) if !id.is_empty() => id.to_string(),
+        _ => obs.mint_id(),
+    };
+    let trace = obs.begin(id, &req.path);
+    let response = dispatch(trace.id());
+    if response.status >= 400 {
+        stats.error_responses.fetch_add(1, Ordering::Relaxed);
+    }
+    let response = response.with_request_id(trace.id());
+    trace.finish(response.status);
+    response
+}
+
+/// Decrements the in-flight gauge when the handler returns (or
+/// unwinds — a leaked gauge would report phantom load forever).
+struct InFlightGuard<'a>(&'a ServeStats);
+
+impl Drop for InFlightGuard<'_> {
+    fn drop(&mut self) {
+        self.0.requests_in_flight.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// A counter table as a `GET /stats` JSON object: one number per row.
+pub fn series_value(rows: impl IntoIterator<Item = Series>) -> JsonValue {
+    JsonValue::Object(
+        rows.into_iter()
+            .map(|row| (row.name.to_string(), JsonValue::Number(row.value as f64)))
+            .collect(),
+    )
+}
+
 fn narration_value(resp: &NarrationResponse) -> JsonValue {
     let mut obj = BTreeMap::new();
     obj.insert(
@@ -143,16 +192,6 @@ impl<T: Translator + Send + Sync> Handler for Router<T> {
     }
 }
 
-/// Decrements the in-flight gauge when the handler returns (or
-/// unwinds — a leaked gauge would report phantom load forever).
-struct InFlightGuard<'a>(&'a ServeStats);
-
-impl Drop for InFlightGuard<'_> {
-    fn drop(&mut self) {
-        self.0.requests_in_flight.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 impl<T: Translator> Router<T> {
     /// A router over `translator`, recording into `stats`, with each
     /// optional surface routed only when present:
@@ -190,28 +229,12 @@ impl<T: Translator> Router<T> {
         self
     }
 
-    /// Dispatch one parsed request to its handler.
-    ///
-    /// Every response carries an `x-lantern-request-id` header: the
-    /// value of the incoming header when the client (or a coordinator
-    /// hop) supplied one, else freshly minted here. The whole handler
-    /// runs under a stage trace, so per-stage time lands in
-    /// `GET /metrics` and slow requests in `GET /debug/slow`.
+    /// Dispatch one parsed request to its handler, under the shared
+    /// request entry ([`handle_traced`]): every response carries an
+    /// `x-lantern-request-id` header, and the whole handler runs under
+    /// a stage trace.
     pub fn handle(&self, req: &Request) -> Response {
-        self.stats.requests_total.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .requests_in_flight
-            .fetch_add(1, Ordering::Relaxed);
-        let _in_flight = InFlightGuard(&self.stats);
-        let id = match req.header(REQUEST_ID_HEADER) {
-            Some(id) if !id.is_empty() => id.to_string(),
-            _ => self.obs.mint_id(),
-        };
-        let trace = self.obs.begin(id, &req.path);
-        let response = self.dispatch(req);
-        let response = response.with_request_id(trace.id());
-        trace.finish(response.status);
-        response
+        handle_traced(&self.stats, &self.obs, req, |_| self.dispatch(req))
     }
 
     fn dispatch(&self, req: &Request) -> Response {
@@ -237,11 +260,7 @@ impl<T: Translator> Router<T> {
                 r.cache_clear()
             }),
         ];
-        let response = route(self, req, &routes, &self.stats.not_found);
-        if response.status >= 400 {
-            self.stats.error_responses.fetch_add(1, Ordering::Relaxed);
-        }
-        response
+        route(self, req, &routes, &self.stats.not_found)
     }
 
     /// Whether `?nocache=1` (any value but `0`) asks this request to
@@ -426,9 +445,12 @@ impl<T: Translator> Router<T> {
     /// `GET /stats` — the counter snapshot, with the narration cache's
     /// counters merged in under `"cache"` when one is configured.
     fn stats(&self) -> Response {
-        let mut body = self.stats.snapshot().to_json_value();
+        let mut body = series_value(self.stats.series());
         if let (Some(cache), JsonValue::Object(obj)) = (&self.cache, &mut body) {
-            obj.insert("cache".to_string(), cache_stats_value(&cache.cache_stats()));
+            obj.insert(
+                "cache".to_string(),
+                series_value(cache.cache_stats().series()),
+            );
         }
         Response::json(200, body.to_string_compact())
     }
@@ -723,49 +745,17 @@ impl<T: Translator> Router<T> {
 
     /// `GET /metrics` — Prometheus text exposition: per-stage and
     /// whole-request latency histograms from the recorder, the server
-    /// counter set as `lantern_server_*`, and (when a cache is
-    /// configured) its counters as `lantern_cache_*`. Not routed while
+    /// counter table as `lantern_server_*`, and (when a cache is
+    /// configured) its table as `lantern_cache_*`. Not routed while
     /// metrics are disabled, so `--metrics-off` turns this into a 404.
     fn metrics(&self) -> Response {
-        let registry = self.obs.registry();
-        // Point-in-time readings are gauges; every other snapshot key
-        // only ever increments, which makes it a Prometheus counter.
-        const SERVER_GAUGES: [&str; 4] = [
-            "queue_depth",
-            "requests_in_flight",
-            "uptime_ms",
-            "uptime_seconds",
-        ];
-        if let JsonValue::Object(obj) = self.stats.snapshot().to_json_value() {
-            for (key, value) in &obj {
-                let JsonValue::Number(n) = value else {
-                    continue;
-                };
-                let name = format!("lantern_server_{key}");
-                if SERVER_GAUGES.contains(&key.as_str()) {
-                    registry.set_gauge(&name, &[], *n as u64);
-                } else {
-                    registry.set_counter(&name, &[], *n as u64);
-                }
-            }
-        }
-        const CACHE_GAUGES: [&str; 5] = ["entries", "bytes", "max_entries", "max_bytes", "shards"];
+        let mut page = MetricsPage::new();
+        self.obs.export(&mut page, &[]);
+        page.add_series("lantern_server_", &[], self.stats.series());
         if let Some(cache) = &self.cache {
-            if let JsonValue::Object(obj) = cache_stats_value(&cache.cache_stats()) {
-                for (key, value) in &obj {
-                    let JsonValue::Number(n) = value else {
-                        continue;
-                    };
-                    let name = format!("lantern_cache_{key}");
-                    if CACHE_GAUGES.contains(&key.as_str()) {
-                        registry.set_gauge(&name, &[], *n as u64);
-                    } else {
-                        registry.set_counter(&name, &[], *n as u64);
-                    }
-                }
-            }
+            page.add_series("lantern_cache_", &[], cache.cache_stats().series());
         }
-        Response::text(200, self.obs.render_prometheus(&[]))
+        Response::text(200, page.render())
     }
 
     /// `GET /debug/slow?threshold_ms=N` — the captured slow-request
@@ -866,30 +856,6 @@ fn diff_value(resp: &DiffResponse) -> JsonValue {
     obj.insert("text".to_string(), JsonValue::String(resp.text.clone()));
     obj.insert("changes".to_string(), JsonValue::Array(changes));
     obj.insert("narration".to_string(), resp.narration.to_json_value());
-    JsonValue::Object(obj)
-}
-
-/// The `"cache"` object of the `GET /stats` body.
-fn cache_stats_value(stats: &CacheStatsSnapshot) -> JsonValue {
-    let mut obj = BTreeMap::new();
-    for (key, value) in [
-        ("entries", stats.entries),
-        ("bytes", stats.bytes),
-        ("max_entries", stats.max_entries),
-        ("max_bytes", stats.max_bytes),
-        ("shards", stats.shards),
-        ("hits", stats.hits),
-        ("misses", stats.misses),
-        ("insertions", stats.insertions),
-        ("evictions", stats.evictions),
-        ("doc_hits", stats.doc_hits),
-        ("coalesced", stats.coalesced),
-        ("batch_dedup_hits", stats.batch_dedup_hits),
-        ("uncacheable", stats.uncacheable),
-        ("clears", stats.clears),
-    ] {
-        obj.insert(key.to_string(), JsonValue::Number(value as f64));
-    }
     JsonValue::Object(obj)
 }
 
@@ -1552,6 +1518,80 @@ mod tests {
         // Write endpoints reject non-GET without losing the route.
         assert_eq!(router.handle(&post("/metrics", "")).status, 405);
         assert_eq!(router.handle(&post("/debug/slow", "")).status, 405);
+    }
+
+    /// `/stats` and `/metrics` render from the same counter tables: every
+    /// numeric `/stats` key is a `lantern_server_<key>` series of the
+    /// same value and type, every `cache.<key>` a `lantern_cache_<key>`
+    /// series. The only differences allowed are the documented ones:
+    /// the scrape itself adds one to `requests_total`, and `uptime_*`
+    /// moves between the two reads.
+    #[test]
+    fn stats_and_metrics_are_two_views_of_the_same_counters() {
+        use lantern_obs::parse_exposition;
+        let router = cached_router();
+        for path in ["/narrate", "/narrate", "/narrate?nocache=1", "/nope"] {
+            let _ = router.handle(&post(path, PG_DOC));
+        }
+        let _ = router.handle(&post("/narrate/batch", "[1]"));
+        let stats = json_body(&router.handle(&get("/stats")));
+        let resp = router.handle(&get("/metrics"));
+        let page = parse_exposition(std::str::from_utf8(&resp.body).unwrap());
+
+        let check = |prefix: &str, object: &JsonValue, gauges: &[&str]| {
+            let JsonValue::Object(object) = object else {
+                panic!("{prefix} stats are an object");
+            };
+            let mut checked = 0;
+            for (key, value) in object {
+                let Some(value) = value.as_f64() else {
+                    continue;
+                };
+                let name = format!("{prefix}{key}");
+                let sample = page
+                    .samples
+                    .iter()
+                    .find(|s| s.name == name)
+                    .unwrap_or_else(|| panic!("no {name} series"));
+                let kind = if gauges.contains(&key.as_str()) {
+                    "gauge"
+                } else {
+                    "counter"
+                };
+                assert_eq!(
+                    page.types.get(&name).map(String::as_str),
+                    Some(kind),
+                    "{name}"
+                );
+                match key.as_str() {
+                    "requests_total" => assert_eq!(sample.value, value + 1.0, "{name}"),
+                    k if k.starts_with("uptime_") => {}
+                    _ => assert_eq!(sample.value, value, "{name}"),
+                }
+                checked += 1;
+            }
+            checked
+        };
+        let server_gauges = [
+            "queue_depth",
+            "requests_in_flight",
+            "uptime_ms",
+            "uptime_seconds",
+        ];
+        assert_eq!(check("lantern_server_", &stats, &server_gauges), 21);
+        let cache_gauges = ["entries", "bytes", "max_entries", "max_bytes", "shards"];
+        let cache = stats.get("cache").expect("cache object");
+        assert_eq!(check("lantern_cache_", cache, &cache_gauges), 14);
+        // Nonzero values on both sides, so the equalities above bite.
+        assert_eq!(
+            stats.get("narrate_ok").and_then(JsonValue::as_f64),
+            Some(3.0)
+        );
+        assert_eq!(
+            stats.get("error_responses").and_then(JsonValue::as_f64),
+            Some(1.0)
+        );
+        assert_eq!(cache.get("hits").and_then(JsonValue::as_f64), Some(1.0));
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //! Unix-only.
 
 use crate::http::{Request, Response};
-use lantern_obs::{Recorder, RecorderConfig};
-use lantern_text::json::JsonValue;
-use std::collections::BTreeMap;
+use lantern_obs::{Recorder, RecorderConfig, Series};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -106,9 +104,11 @@ pub trait Handler: Send + Sync {
     fn stats(&self) -> &ServeStats;
 }
 
-/// Shared atomic counters, incremented by the router and the serving
-/// core; snapshot with [`ServeStats::snapshot`].
-#[derive(Debug)]
+/// Shared atomic counters, incremented by the router, the coordinator
+/// and the serving core. Each counter is a field plus one row of
+/// [`ServeStats::front_door_series`] or [`ServeStats::router_series`];
+/// `GET /stats` and `GET /metrics` both render from those rows.
+#[derive(Debug, Default)]
 pub struct ServeStats {
     /// TCP connections accepted.
     pub connections: AtomicU64,
@@ -155,148 +155,76 @@ pub struct ServeStats {
     /// the router, decremented when the handler returns — so a `/stats`
     /// response always counts at least itself).
     pub requests_in_flight: AtomicU64,
-    started: Instant,
+    started: Started,
+}
+
+fn read(counter: &AtomicU64) -> u64 {
+    counter.load(Ordering::Relaxed)
+}
+
+/// When the stats (i.e. the server) came up.
+#[derive(Debug)]
+struct Started(Instant);
+
+impl Default for Started {
+    fn default() -> Self {
+        Started(Instant::now())
+    }
 }
 
 impl ServeStats {
     /// Fresh zeroed counters.
-    #[allow(clippy::new_without_default)]
     pub fn new() -> Self {
-        ServeStats {
-            connections: AtomicU64::new(0),
-            requests_total: AtomicU64::new(0),
-            narrate_requests: AtomicU64::new(0),
-            batch_requests: AtomicU64::new(0),
-            batch_items: AtomicU64::new(0),
-            narrate_ok: AtomicU64::new(0),
-            narrate_errors: AtomicU64::new(0),
-            diff_requests: AtomicU64::new(0),
-            diff_batch_requests: AtomicU64::new(0),
-            diff_batch_items: AtomicU64::new(0),
-            diff_ok: AtomicU64::new(0),
-            diff_errors: AtomicU64::new(0),
-            not_found: AtomicU64::new(0),
-            error_responses: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
-            shed_requests: AtomicU64::new(0),
-            pipelined_requests: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            requests_in_flight: AtomicU64::new(0),
-            started: Instant::now(),
-        }
+        ServeStats::default()
     }
 
     /// Time since the stats (i.e. the server) came up.
     pub fn uptime(&self) -> Duration {
-        self.started.elapsed()
+        self.started.0.elapsed()
     }
 
-    /// A consistent-enough copy of the counters (each counter is read
-    /// once, atomically; the set is not cross-counter atomic).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            connections: self.connections.load(Ordering::Relaxed),
-            requests_total: self.requests_total.load(Ordering::Relaxed),
-            narrate_requests: self.narrate_requests.load(Ordering::Relaxed),
-            batch_requests: self.batch_requests.load(Ordering::Relaxed),
-            batch_items: self.batch_items.load(Ordering::Relaxed),
-            narrate_ok: self.narrate_ok.load(Ordering::Relaxed),
-            narrate_errors: self.narrate_errors.load(Ordering::Relaxed),
-            diff_requests: self.diff_requests.load(Ordering::Relaxed),
-            diff_batch_requests: self.diff_batch_requests.load(Ordering::Relaxed),
-            diff_batch_items: self.diff_batch_items.load(Ordering::Relaxed),
-            diff_ok: self.diff_ok.load(Ordering::Relaxed),
-            diff_errors: self.diff_errors.load(Ordering::Relaxed),
-            not_found: self.not_found.load(Ordering::Relaxed),
-            error_responses: self.error_responses.load(Ordering::Relaxed),
-            panics: self.panics.load(Ordering::Relaxed),
-            shed_requests: self.shed_requests.load(Ordering::Relaxed),
-            pipelined_requests: self.pipelined_requests.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            requests_in_flight: self.requests_in_flight.load(Ordering::Relaxed),
-            uptime_ms: self.uptime().as_millis() as u64,
-            uptime_seconds: self.uptime().as_secs(),
-        }
+    /// The rows every front door keeps — a replica's router and a
+    /// cluster coordinator alike: the serving core's transport
+    /// counters, request entry, and the per-endpoint request counts.
+    pub fn front_door_series(&self) -> [Series; 14] {
+        [
+            Series::counter("connections", read(&self.connections)),
+            Series::counter("requests_total", read(&self.requests_total)),
+            Series::counter("narrate_requests", read(&self.narrate_requests)),
+            Series::counter("batch_requests", read(&self.batch_requests)),
+            Series::counter("batch_items", read(&self.batch_items)),
+            Series::counter("diff_requests", read(&self.diff_requests)),
+            Series::counter("diff_batch_requests", read(&self.diff_batch_requests)),
+            Series::counter("not_found", read(&self.not_found)),
+            Series::counter("error_responses", read(&self.error_responses)),
+            Series::counter("panics", read(&self.panics)),
+            Series::counter("shed_requests", read(&self.shed_requests)),
+            Series::counter("pipelined_requests", read(&self.pipelined_requests)),
+            Series::gauge("queue_depth", read(&self.queue_depth)),
+            Series::gauge("requests_in_flight", read(&self.requests_in_flight)),
+        ]
     }
-}
 
-/// Plain-data counter snapshot, also the `GET /stats` response body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// See [`ServeStats::connections`].
-    pub connections: u64,
-    /// See [`ServeStats::requests_total`].
-    pub requests_total: u64,
-    /// See [`ServeStats::narrate_requests`].
-    pub narrate_requests: u64,
-    /// See [`ServeStats::batch_requests`].
-    pub batch_requests: u64,
-    /// See [`ServeStats::batch_items`].
-    pub batch_items: u64,
-    /// See [`ServeStats::narrate_ok`].
-    pub narrate_ok: u64,
-    /// See [`ServeStats::narrate_errors`].
-    pub narrate_errors: u64,
-    /// See [`ServeStats::diff_requests`].
-    pub diff_requests: u64,
-    /// See [`ServeStats::diff_batch_requests`].
-    pub diff_batch_requests: u64,
-    /// See [`ServeStats::diff_batch_items`].
-    pub diff_batch_items: u64,
-    /// See [`ServeStats::diff_ok`].
-    pub diff_ok: u64,
-    /// See [`ServeStats::diff_errors`].
-    pub diff_errors: u64,
-    /// See [`ServeStats::not_found`].
-    pub not_found: u64,
-    /// See [`ServeStats::error_responses`].
-    pub error_responses: u64,
-    /// See [`ServeStats::panics`].
-    pub panics: u64,
-    /// See [`ServeStats::shed_requests`].
-    pub shed_requests: u64,
-    /// See [`ServeStats::pipelined_requests`].
-    pub pipelined_requests: u64,
-    /// See [`ServeStats::queue_depth`].
-    pub queue_depth: u64,
-    /// See [`ServeStats::requests_in_flight`].
-    pub requests_in_flight: u64,
-    /// Milliseconds since the server came up.
-    pub uptime_ms: u64,
-    /// Whole seconds since the server came up.
-    pub uptime_seconds: u64,
-}
+    /// The rows only a narrating router keeps (outcomes the coordinator
+    /// never sees, since replicas produce them), plus uptime.
+    pub fn router_series(&self) -> [Series; 7] {
+        [
+            Series::counter("narrate_ok", read(&self.narrate_ok)),
+            Series::counter("narrate_errors", read(&self.narrate_errors)),
+            Series::counter("diff_batch_items", read(&self.diff_batch_items)),
+            Series::counter("diff_ok", read(&self.diff_ok)),
+            Series::counter("diff_errors", read(&self.diff_errors)),
+            Series::gauge("uptime_ms", self.uptime().as_millis() as u64),
+            Series::gauge("uptime_seconds", self.uptime().as_secs()),
+        ]
+    }
 
-impl StatsSnapshot {
-    /// The snapshot as the `GET /stats` JSON object.
-    pub fn to_json_value(&self) -> JsonValue {
-        let mut obj = BTreeMap::new();
-        for (key, value) in [
-            ("connections", self.connections),
-            ("requests_total", self.requests_total),
-            ("narrate_requests", self.narrate_requests),
-            ("batch_requests", self.batch_requests),
-            ("batch_items", self.batch_items),
-            ("narrate_ok", self.narrate_ok),
-            ("narrate_errors", self.narrate_errors),
-            ("diff_requests", self.diff_requests),
-            ("diff_batch_requests", self.diff_batch_requests),
-            ("diff_batch_items", self.diff_batch_items),
-            ("diff_ok", self.diff_ok),
-            ("diff_errors", self.diff_errors),
-            ("not_found", self.not_found),
-            ("error_responses", self.error_responses),
-            ("panics", self.panics),
-            ("shed_requests", self.shed_requests),
-            ("pipelined_requests", self.pipelined_requests),
-            ("queue_depth", self.queue_depth),
-            ("requests_in_flight", self.requests_in_flight),
-            ("uptime_ms", self.uptime_ms),
-            ("uptime_seconds", self.uptime_seconds),
-        ] {
-            obj.insert(key.to_string(), JsonValue::Number(value as f64));
-        }
-        JsonValue::Object(obj)
+    /// Every row: [`front_door_series`](Self::front_door_series) then
+    /// [`router_series`](Self::router_series).
+    pub fn series(&self) -> impl Iterator<Item = Series> {
+        self.front_door_series()
+            .into_iter()
+            .chain(self.router_series())
     }
 }
 
@@ -333,9 +261,9 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Live counter snapshot, without going through `GET /stats`.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.handler.stats().snapshot()
+    /// The live counters, without going through `GET /stats`.
+    pub fn stats(&self) -> &ServeStats {
+        self.handler.stats()
     }
 
     /// Graceful shutdown: stop accepting, finish in-flight requests,
@@ -533,8 +461,12 @@ mod tests {
             assert!(resp.body.contains("sequential scan on orders"));
         }
         let stats = handle.stats();
-        assert_eq!(stats.narrate_ok, 3);
-        assert_eq!(stats.connections, 1, "keep-alive reuses one connection");
+        assert_eq!(stats.narrate_ok.load(Ordering::Relaxed), 3);
+        assert_eq!(
+            stats.connections.load(Ordering::Relaxed),
+            1,
+            "keep-alive reuses one connection"
+        );
         drop(client);
         handle.shutdown().unwrap();
     }
@@ -551,7 +483,7 @@ mod tests {
         assert!(buf.contains("\"kind\":\"http\""), "{buf}");
         drop(raw);
         // Protocol-level failures count toward error_responses too.
-        assert_eq!(handle.stats().error_responses, 1);
+        assert_eq!(handle.stats().error_responses.load(Ordering::Relaxed), 1);
         handle.shutdown().unwrap();
     }
 
@@ -616,7 +548,7 @@ mod tests {
 
         let mut client = HttpClient::connect(handle.addr()).unwrap();
         assert_eq!(client.get("/healthz").unwrap().status, 200);
-        assert_eq!(handle.stats().panics, 1);
+        assert_eq!(handle.stats().panics.load(Ordering::Relaxed), 1);
         drop(client);
         handle.shutdown().unwrap();
     }

@@ -286,7 +286,13 @@ fn healthz_stats_and_graceful_shutdown() {
 
     // In-process stats agree with the served snapshot (modulo the
     // /stats request itself, already counted above).
-    assert_eq!(server.stats().narrate_ok, 1);
+    assert_eq!(
+        server
+            .stats()
+            .narrate_ok
+            .load(std::sync::atomic::Ordering::Relaxed),
+        1
+    );
 
     drop(client);
     server.shutdown().unwrap();
