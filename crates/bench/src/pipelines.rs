@@ -6,7 +6,7 @@
 
 use crate::workloads::{sdss_workload, tpch_workload};
 use lantern_catalog::{dblp_catalog, imdb_catalog, sdss_catalog, tpch_catalog};
-use lantern_core::{decompose_acts, Act, NarrationRequest, RuleLantern};
+use lantern_core::{decompose_acts, Act, RuleLantern};
 use lantern_engine::{Database, Planner, QueryGenConfig, RandomQueryGen};
 use lantern_neural::{DatasetBuilder, Qep2Seq, Qep2SeqConfig, TrainingSet};
 use lantern_nn::TrainOptions;
@@ -59,22 +59,6 @@ impl BenchContext {
                 let q = parse_sql(sql).ok()?;
                 let plan = planner.plan(&q).ok()?;
                 rule.narrate(&plan.tree()).ok().map(|n| n.text())
-            })
-            .collect()
-    }
-
-    /// Unified-API narration requests for a SQL workload against `db`.
-    /// Plans are pre-resolved into trees so downstream measurements
-    /// isolate narration (no parse cost in either the single-request or
-    /// the batched path).
-    pub fn narration_requests(&self, db: &Database, workload: &[String]) -> Vec<NarrationRequest> {
-        let planner = Planner::new(db);
-        workload
-            .iter()
-            .filter_map(|sql| {
-                let q = parse_sql(sql).ok()?;
-                let plan = planner.plan(&q).ok()?;
-                Some(NarrationRequest::from_tree(plan.tree()))
             })
             .collect()
     }

@@ -92,10 +92,6 @@ pub struct ClusterConfig {
     /// Entries in the shard-key memo (exact request text → ring key);
     /// sized like a replica cache so duplicate traffic skips re-parsing.
     pub route_memo_entries: usize,
-    /// Record request latency and serve `GET /metrics` (the
-    /// coordinator's own histograms plus a bucket-wise merge of every
-    /// replica's scrape). Off, `/metrics` answers 404.
-    pub metrics: bool,
     /// Capture threshold for the coordinator's slow-request ring
     /// (`GET /debug/slow`), milliseconds. `0` captures every request.
     pub slow_log_ms: u64,
@@ -116,7 +112,6 @@ impl Default for ClusterConfig {
             max_attempts: 3,
             probe_interval: Duration::from_millis(500),
             route_memo_entries: 4096,
-            metrics: true,
             slow_log_ms: 0,
         }
     }
@@ -130,7 +125,6 @@ impl ClusterConfig {
             queue_depth: self.queue_depth,
             max_body_bytes: self.max_body_bytes,
             read_timeout: self.idle_timeout,
-            metrics: self.metrics,
             slow_log_ms: self.slow_log_ms,
             ..ServeConfig::default()
         }
@@ -487,7 +481,7 @@ impl Coordinator {
             }),
             ("GET", "/healthz", true, |c, _| c.healthz()),
             ("GET", "/stats", true, |c, _| c.aggregate_stats()),
-            ("GET", "/metrics", self.obs.enabled(), |c, _| c.metrics()),
+            ("GET", "/metrics", true, |c, _| c.metrics()),
             ("GET", "/debug/slow", true, Self::debug_slow),
             ("GET", "/catalog", true, |c, _| c.catalog_info()),
             ("POST", "/catalog/apply", true, Self::catalog_apply),
@@ -813,7 +807,7 @@ impl Coordinator {
     /// coordinator's own request histograms and `lantern_cluster_*`
     /// counters are added directly under `node="coordinator"`, so
     /// nothing collides with the replica merge. A replica that is down
-    /// (or running with metrics off) degrades the page, never fails it.
+    /// (or serves no `/metrics` page) degrades the page, never fails it.
     fn metrics(&self) -> Response {
         let mut page = MetricsPage::new();
         for (node, replica) in self.replicas.iter().enumerate() {

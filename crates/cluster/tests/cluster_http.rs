@@ -6,6 +6,7 @@
 use lantern_cache::{CacheConfig, CachedTranslator};
 use lantern_cluster::{serve_cluster, ClusterConfig, ClusterHandle};
 use lantern_core::RuleTranslator;
+use lantern_gen::{FormatMix, GenConfig, PlanGenerator};
 use lantern_pool::{default_pg_store, PoemStore};
 use lantern_serve::{
     reusable_listener, serve, CatalogApplied, CatalogApplyError, CatalogControl, HttpClient,
@@ -88,13 +89,18 @@ impl CatalogControl for TestCatalog {
 /// generation keyed on the store version so catalog mutations roll every
 /// cache key at once.
 fn boot_replica_on(listener: std::net::TcpListener) -> ServerHandle {
+    boot_replica_sized(listener, 512)
+}
+
+/// [`boot_replica_on`] with a narration cache of `max_entries`.
+fn boot_replica_sized(listener: std::net::TcpListener, max_entries: usize) -> ServerHandle {
     let store = default_pg_store();
     let generation_store = store.clone();
     let cached = Arc::new(
         CachedTranslator::new(
             RuleTranslator::new(store.clone()),
             CacheConfig {
-                max_entries: 512,
+                max_entries,
                 ..CacheConfig::default()
             },
         )
@@ -237,6 +243,65 @@ fn stats_aggregate_sums_replicas_and_reports_a_dead_one_without_erroring() {
     for replica in replicas {
         replica.shutdown().unwrap();
     }
+}
+
+#[test]
+fn sharded_fleet_hits_at_least_as_often_as_one_node_of_equal_cache() {
+    // Replays draw from a history ring far wider than one node's cache:
+    // a single node thrashes, while fingerprint routing gives each of
+    // three replicas its own slice of the working set. PG JSON only:
+    // the replicas' store carries the PostgreSQL vocabulary.
+    const NODE_CACHE_ENTRIES: usize = 16;
+    const REQUESTS: usize = 400;
+    let config = GenConfig {
+        history: 128,
+        ..GenConfig::default()
+            .with_seed(0x5EED_CAFE)
+            .with_duplicate_rate(0.75)
+            .with_format(FormatMix::PgJson)
+    };
+    let docs: Vec<String> = PlanGenerator::new(config)
+        .generate(REQUESTS)
+        .into_iter()
+        .map(|item| item.doc)
+        .collect();
+    let boot = || {
+        boot_replica_sized(
+            std::net::TcpListener::bind("127.0.0.1:0").expect("bind"),
+            NODE_CACHE_ENTRIES,
+        )
+    };
+    // One sequential client per topology, so each cache sees the
+    // stream in order: no count depends on thread scheduling (the
+    // fleet's shift slightly with where the ring puts each replica's
+    // ephemeral port, well clear of the single node's).
+    let hit_ratio = |addr: SocketAddr| {
+        let mut client = HttpClient::connect(addr).expect("connect");
+        for doc in &docs {
+            let resp = client.post("/narrate", doc).expect("narrate");
+            assert_eq!(resp.status, 200, "{}", resp.body);
+        }
+        let (hits, misses) = cache_counters(&get_json(&mut client, "/stats"));
+        assert_eq!(hits + misses, REQUESTS as f64);
+        hits / (hits + misses)
+    };
+
+    let single = boot();
+    let single_ratio = hit_ratio(single.addr());
+    single.shutdown().unwrap();
+
+    let replicas: Vec<ServerHandle> = (0..3).map(|_| boot()).collect();
+    let coordinator = boot_coordinator(replicas.iter().map(|r| r.addr()).collect());
+    let sharded_ratio = hit_ratio(coordinator.addr());
+    coordinator.shutdown().unwrap();
+    for replica in replicas {
+        replica.shutdown().unwrap();
+    }
+
+    assert!(
+        sharded_ratio >= single_ratio,
+        "sharded hit ratio {sharded_ratio:.3} fell below single-node {single_ratio:.3}"
+    );
 }
 
 #[test]

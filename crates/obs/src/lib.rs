@@ -29,9 +29,9 @@
 //! * [`Recorder`] + [`Stage`] — per-request tracing: the server calls
 //!   [`Recorder::begin`] at ingress, lower layers drop [`span`] guards
 //!   around the work they do, and [`TraceGuard::finish`] folds the
-//!   stage vector into the histograms and the slow log. When the
-//!   recorder is disabled (or no trace is active on the thread) a span
-//!   is one thread-local load and a branch — no clock read.
+//!   stage vector into the histograms and the slow log. When no trace
+//!   is active on the thread a span is one thread-local load and a
+//!   branch — no clock read.
 
 mod hist;
 mod registry;

@@ -11,8 +11,7 @@
 //!
 //! Traces are thread-local, which matches the serving core: it
 //! dispatches each parsed request to exactly one worker thread. When no
-//! trace is active (or the recorder is disabled) a span is one TLS load
-//! and a branch — no clock read.
+//! trace is active a span is one TLS load and a branch — no clock read.
 
 use crate::hist::{AtomicHistogram, HistogramSnapshot};
 use crate::registry::{Kind, MetricsPage};
@@ -20,7 +19,7 @@ use std::cell::RefCell;
 use std::collections::hash_map::RandomState;
 use std::collections::VecDeque;
 use std::hash::BuildHasher;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -94,10 +93,6 @@ pub const METRIC_REQUEST_SECONDS: &str = "lantern_request_duration_seconds";
 /// [`Recorder`] construction parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecorderConfig {
-    /// Master switch. Disabled, [`Recorder::begin`] installs no trace,
-    /// spans are inert, and nothing is recorded — only request IDs
-    /// keep working.
-    pub enabled: bool,
     /// Requests at least this slow are captured in the slow log.
     /// `0` captures every finished request (the ring still bounds
     /// memory), which is what lets tests and smoke lanes observe
@@ -110,7 +105,6 @@ pub struct RecorderConfig {
 impl Default for RecorderConfig {
     fn default() -> Self {
         RecorderConfig {
-            enabled: true,
             slow_log_ms: 0,
             slow_log_capacity: 256,
         }
@@ -147,7 +141,6 @@ thread_local! {
 /// The per-server metrics hub: stage and request histograms, the slow
 /// log, and request-ID minting.
 pub struct Recorder {
-    enabled: AtomicBool,
     stages: [AtomicHistogram; Stage::COUNT],
     requests: AtomicHistogram,
     slow_threshold_ns: AtomicU64,
@@ -165,7 +158,6 @@ impl Recorder {
         // is the only entropy std hands out.
         let id_prefix = RandomState::new().hash_one(std::process::id()) as u32;
         Recorder {
-            enabled: AtomicBool::new(config.enabled),
             stages: std::array::from_fn(|_| AtomicHistogram::new()),
             requests: AtomicHistogram::new(),
             slow_threshold_ns: AtomicU64::new(config.slow_log_ms.saturating_mul(1_000_000)),
@@ -176,13 +168,7 @@ impl Recorder {
         }
     }
 
-    /// Whether recording is on.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Mint a fresh request ID (`pppppppp-ssssssss`, hex). Works even
-    /// when recording is disabled — responses always carry an ID.
+    /// Mint a fresh request ID (`pppppppp-ssssssss`, hex).
     pub fn mint_id(&self) -> String {
         let seq = self.id_seq.fetch_add(1, Ordering::Relaxed) + 1;
         format!("{:08x}-{:08x}", self.id_prefix, seq as u32)
@@ -192,14 +178,6 @@ impl Recorder {
     /// be [`finish`](TraceGuard::finish)ed with the response status;
     /// a guard dropped during a panic records status 0.
     pub fn begin(self: &Arc<Self>, id: String, path: &str) -> TraceGuard {
-        if !self.enabled() {
-            return TraceGuard {
-                recorder: None,
-                id,
-                path: String::new(),
-                started: None,
-            };
-        }
         ACTIVE.with(|active| {
             *active.borrow_mut() = Some(ActiveTrace {
                 stage_ns: [0; Stage::COUNT],
@@ -210,7 +188,7 @@ impl Recorder {
             recorder: Some(Arc::clone(self)),
             id,
             path: path.to_string(),
-            started: Some(Instant::now()),
+            started: Instant::now(),
         }
     }
 
@@ -218,9 +196,7 @@ impl Recorder {
     /// the serving cores use this for `Read`/`Write`, which happen
     /// before a trace exists / after it finished.
     pub fn record_stage(&self, stage: Stage, ns: u64) {
-        if self.enabled() {
-            self.stages[stage.index()].record(ns);
-        }
+        self.stages[stage.index()].record(ns);
     }
 
     /// Snapshot of one stage's histogram.
@@ -271,10 +247,7 @@ impl Recorder {
     }
 
     fn finish_trace(&self, guard: &mut TraceGuard, status: u16) {
-        let Some(started) = guard.started.take() else {
-            return;
-        };
-        let total_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let total_ns = u64::try_from(guard.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.requests.record(total_ns);
         let Some(trace) = ACTIVE.with(|active| active.borrow_mut().take()) else {
             return;
@@ -308,7 +281,6 @@ impl Recorder {
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Recorder")
-            .field("enabled", &self.enabled())
             .field("requests", &self.requests.count())
             .finish_non_exhaustive()
     }
@@ -320,7 +292,7 @@ pub struct TraceGuard {
     recorder: Option<Arc<Recorder>>,
     id: String,
     path: String,
-    started: Option<Instant>,
+    started: Instant,
 }
 
 impl TraceGuard {
@@ -358,8 +330,8 @@ pub struct SpanGuard {
 }
 
 /// Time a stage of the request active on this thread. With no active
-/// trace (recorder disabled, or code running outside a request) the
-/// guard is inert and no clock is read.
+/// trace (code running outside a request) the guard is inert and no
+/// clock is read.
 pub fn span(stage: Stage) -> SpanGuard {
     let active = ACTIVE.with(|active| active.borrow().is_some());
     SpanGuard {
@@ -433,24 +405,6 @@ mod tests {
         assert!(slow[0].total_ns >= 3_000_000);
         // Threshold filtering.
         assert!(recorder.slow_entries(u64::MAX).is_empty());
-    }
-
-    #[test]
-    fn disabled_recorder_mints_ids_but_records_nothing() {
-        let recorder = Arc::new(Recorder::new(RecorderConfig {
-            enabled: false,
-            ..RecorderConfig::default()
-        }));
-        let id = recorder.mint_id();
-        assert_eq!(id.len(), 17);
-        let trace = recorder.begin(id.clone(), "/narrate");
-        assert_eq!(trace.id(), id);
-        {
-            let _s = span(Stage::Narrate);
-        }
-        trace.finish(200);
-        assert_eq!(recorder.request_snapshot().count, 0);
-        assert!(recorder.slow_entries(0).is_empty());
     }
 
     #[test]

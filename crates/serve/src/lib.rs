@@ -41,8 +41,8 @@
 //! and carry a structured `{"error": {...}}` body. Every response
 //! carries an `x-lantern-request-id` header — echoed if the caller
 //! supplied one, minted otherwise (`docs/OBSERVABILITY.md` covers the
-//! tracing surface; `--metrics-off` removes it). `docs/SERVING.md` in
-//! the repository root is the full endpoint reference.
+//! tracing surface, which is always on). `docs/SERVING.md` in the
+//! repository root is the full endpoint reference.
 //!
 //! ## Quick start
 //!

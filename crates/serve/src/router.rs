@@ -223,7 +223,7 @@ impl<T: Translator> Router<T> {
 
     /// Replace the default observability recorder (servers pass
     /// [`ServeConfig::recorder`](crate::server::ServeConfig::recorder)
-    /// so `--metrics-off` / `--slow-log-ms` reach the router).
+    /// so `--slow-log-ms` reaches the router).
     pub fn with_obs(mut self, obs: Arc<Recorder>) -> Self {
         self.obs = obs;
         self
@@ -252,7 +252,7 @@ impl<T: Translator> Router<T> {
             ),
             ("GET", "/healthz", true, |r, _| r.healthz()),
             ("GET", "/stats", true, |r, _| r.stats()),
-            ("GET", "/metrics", self.obs.enabled(), |r, _| r.metrics()),
+            ("GET", "/metrics", true, |r, _| r.metrics()),
             ("GET", "/debug/slow", true, Self::debug_slow),
             ("GET", "/catalog", catalog, |r, _| r.catalog_info()),
             ("POST", "/catalog/apply", catalog, Self::catalog_apply),
@@ -746,8 +746,7 @@ impl<T: Translator> Router<T> {
     /// `GET /metrics` — Prometheus text exposition: per-stage and
     /// whole-request latency histograms from the recorder, the server
     /// counter table as `lantern_server_*`, and (when a cache is
-    /// configured) its table as `lantern_cache_*`. Not routed while
-    /// metrics are disabled, so `--metrics-off` turns this into a 404.
+    /// configured) its table as `lantern_cache_*`.
     fn metrics(&self) -> Response {
         let mut page = MetricsPage::new();
         self.obs.export(&mut page, &[]);
@@ -1592,26 +1591,6 @@ mod tests {
             Some(1.0)
         );
         assert_eq!(cache.get("hits").and_then(JsonValue::as_f64), Some(1.0));
-    }
-
-    #[test]
-    fn metrics_disabled_router_hides_the_endpoint_but_keeps_ids() {
-        let router = router().with_obs(Arc::new(lantern_obs::Recorder::new(
-            lantern_obs::RecorderConfig {
-                enabled: false,
-                ..Default::default()
-            },
-        )));
-        assert_eq!(router.handle(&get("/metrics")).status, 404);
-        // Request IDs are part of the wire contract, not the metrics
-        // surface: still echoed with tracing off.
-        let resp = router.handle(&post_with(
-            "/narrate",
-            PG_DOC,
-            &[(REQUEST_ID_HEADER, "dark-1")],
-        ));
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.header(REQUEST_ID_HEADER), Some("dark-1"));
     }
 
     #[test]

@@ -40,10 +40,6 @@ pub struct ServeConfig {
     /// Open connections the event loop will hold at once; arrivals
     /// past the cap are closed immediately.
     pub max_conns: usize,
-    /// Record per-stage latency histograms and serve `GET /metrics`.
-    /// Off, the recorder is inert (one atomic load per request) and
-    /// `/metrics` answers 404. Read by [`ServeConfig::recorder`].
-    pub metrics: bool,
     /// Capture threshold for the slow-request ring served at
     /// `GET /debug/slow`, in milliseconds. `0` captures every request
     /// (the ring is bounded, so this is cheap and makes request IDs
@@ -60,19 +56,17 @@ impl Default for ServeConfig {
             max_body_bytes: 4 * 1024 * 1024,
             read_timeout: Duration::from_secs(5),
             max_conns: 4096,
-            metrics: true,
             slow_log_ms: 0,
         }
     }
 }
 
 impl ServeConfig {
-    /// The observability recorder `metrics` and `slow_log_ms` describe,
-    /// for the handler to trace into (the core records the socket
+    /// The observability recorder `slow_log_ms` describes, for the
+    /// handler to trace into (the core records the socket
     /// `read`/`write` stages into the same one).
     pub fn recorder(&self) -> Arc<Recorder> {
         Arc::new(Recorder::new(RecorderConfig {
-            enabled: self.metrics,
             slow_log_ms: self.slow_log_ms,
             ..RecorderConfig::default()
         }))

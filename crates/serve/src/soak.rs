@@ -68,8 +68,8 @@ pub struct CacheDelta {
 
 /// Server-side latency over the run, rebuilt from the target's own
 /// `GET /metrics` request histogram (scraped before and after, delta'd
-/// and merged across targets). Absent when any target has metrics
-/// disabled.
+/// and merged across targets). Absent when any target serves no
+/// `/metrics` page.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerLatency {
     /// Server-measured median dispatch latency, microseconds.
@@ -518,8 +518,9 @@ fn summarize(mut latencies: Vec<u64>) -> LatencySummary {
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
+    use crate::http::{Request, Response};
     use crate::router::Router;
-    use crate::server::{serve, ServeConfig, ServeStats, ServerHandle};
+    use crate::server::{serve, Handler, ServeConfig, ServeStats, ServerHandle};
     use lantern_cache::{CacheConfig, CacheControl, CachedTranslator};
     use lantern_core::{RuleTranslator, Translator};
     use lantern_pool::default_mssql_store;
@@ -592,9 +593,7 @@ mod tests {
         // The server's own histogram saw the run (plus the driver's
         // stats/metrics probes) and its percentiles agree with the
         // client-observed ones.
-        let server_latency = report
-            .server_latency
-            .expect("metrics-on server cross-check");
+        let server_latency = report.server_latency.expect("server histogram cross-check");
         assert!(server_latency.count >= 6, "{server_latency:?}");
         assert!(server_latency.p50_us <= server_latency.p99_us);
         assert!(
@@ -672,16 +671,43 @@ mod tests {
         b.shutdown().unwrap();
     }
 
+    /// A replica from another build that serves no `/metrics` page:
+    /// a plain router whose `/metrics` answers 404.
+    struct NoMetricsPage(Router<RuleTranslator>);
+
+    impl Handler for NoMetricsPage {
+        fn handle(&self, req: &Request) -> Response {
+            if req.path == "/metrics" {
+                return Response::text(404, "not found");
+            }
+            self.0.handle(req)
+        }
+
+        fn recorder(&self) -> &lantern_obs::Recorder {
+            Handler::recorder(&self.0)
+        }
+
+        fn stats(&self) -> &ServeStats {
+            Handler::stats(&self.0)
+        }
+    }
+
     #[test]
-    fn soak_against_uncached_metrics_off_server_skips_both_deltas() {
-        let handle = boot(
+    fn soak_against_uncached_server_without_metrics_page_skips_both_deltas() {
+        let router = Router::with_catalog(
             RuleTranslator::new(default_mssql_store()),
+            Arc::new(ServeStats::new()),
             None,
-            ServeConfig {
-                metrics: false,
-                ..ServeConfig::default()
-            },
+            None,
+            None,
         );
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let handle = serve(
+            Arc::new(NoMetricsPage(router)),
+            listener,
+            ServeConfig::default(),
+        )
+        .unwrap();
         let docs = vec![DOC_A.to_string(); 4];
         let report = run_soak(
             handle.addr(),

@@ -51,8 +51,6 @@ OPTIONS:
     --cache-entries <N>   Narration cache capacity, entries [default: 4096]
     --cache-mb <N>        Narration cache capacity, MiB [default: 32]
     --cache-strict        Fingerprint cardinality/cost estimates too
-    --metrics-off         Disable /metrics and per-stage tracing
-                          (on by default; see docs/OBSERVABILITY.md)
     --slow-log-ms <N>     Capture requests at least this slow in the
                           /debug/slow ring (0 = capture every request)
                           [default: 0]
@@ -93,8 +91,6 @@ CLUSTER OPTIONS (coordinator fronting N running replicas):
     --max-attempts <N>    Forwarding attempts per request (owner +
                           ring successors) [default: 3]
     --probe-ms <N>        Health/catalog probe period [default: 500]
-    --metrics-off         Disable /metrics and request tracing on the
-                          coordinator (replica scrapes stop too)
     --slow-log-ms <N>     Coordinator /debug/slow capture threshold
                           (0 = capture every request) [default: 0]
 ";
@@ -109,7 +105,6 @@ struct Args {
     queue_cap: usize,
     cache_config: CacheConfig,
     no_cache: bool,
-    metrics: bool,
     slow_log_ms: u64,
 }
 
@@ -138,7 +133,6 @@ fn parse_args() -> Result<Args, String> {
         // the binary serves cached unless told otherwise.
         cache_config: CacheConfig::default(),
         no_cache: false,
-        metrics: true,
         slow_log_ms: 0,
     };
     let mut argv = std::env::args().skip(1);
@@ -193,7 +187,6 @@ fn parse_args() -> Result<Args, String> {
                 args.cache_config.max_bytes = mib * 1024 * 1024;
             }
             "--cache-strict" => args.cache_config.strict = true,
-            "--metrics-off" => args.metrics = false,
             "--slow-log-ms" => {
                 args.slow_log_ms = value("--slow-log-ms")?
                     .parse()
@@ -299,7 +292,6 @@ struct ClusterArgs {
     retry_backoff_ms: u64,
     max_attempts: usize,
     probe_ms: u64,
-    metrics: bool,
     slow_log_ms: u64,
 }
 
@@ -314,7 +306,6 @@ fn parse_cluster_args(argv: impl Iterator<Item = String>) -> Result<ClusterArgs,
         retry_backoff_ms: 25,
         max_attempts: 3,
         probe_ms: 500,
-        metrics: true,
         slow_log_ms: 0,
     };
     let mut argv = argv.peekable();
@@ -361,7 +352,6 @@ fn parse_cluster_args(argv: impl Iterator<Item = String>) -> Result<ClusterArgs,
                     .parse()
                     .map_err(|e| format!("--probe-ms: {e}"))?
             }
-            "--metrics-off" => args.metrics = false,
             "--slow-log-ms" => {
                 args.slow_log_ms = value("--slow-log-ms")?
                     .parse()
@@ -400,7 +390,6 @@ fn cluster_main(args: &ClusterArgs) -> Result<(), String> {
         retry_backoff: Duration::from_millis(args.retry_backoff_ms),
         max_attempts: args.max_attempts,
         probe_interval: Duration::from_millis(args.probe_ms),
-        metrics: args.metrics,
         slow_log_ms: args.slow_log_ms,
         ..ClusterConfig::default()
     };
@@ -573,7 +562,6 @@ fn main() {
                 workers: args.workers,
                 max_conns: args.max_conns,
                 queue_depth: args.queue_cap,
-                metrics: args.metrics,
                 slow_log_ms: args.slow_log_ms,
                 ..ServeConfig::default()
             },

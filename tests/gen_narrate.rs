@@ -127,3 +127,33 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 }
+
+/// A seeded stream replayed through the default narration cache hits
+/// at the stream's duplicate rate: fresh artifacts are pairwise
+/// distinct (serial-stamped) and every replay comes from a history
+/// ring the default cache holds whole, so the hit ratio departs from
+/// the configured rate only by sampling noise.
+#[test]
+fn cache_hit_ratio_tracks_the_stream_duplicate_rate() {
+    const REQUESTS: usize = 1_000;
+    for (i, dup_rate) in [0.0, 0.5, 0.9].into_iter().enumerate() {
+        let cached = CachedTranslator::new(
+            RuleTranslator::new(lantern::pool::default_mssql_store()),
+            CacheConfig::default(),
+        );
+        let config = GenConfig::default()
+            .with_seed(0xD0 + i as u64)
+            .with_duplicate_rate(dup_rate);
+        for item in PlanGenerator::new(config).generate(REQUESTS) {
+            let req = NarrationRequest::auto(item.doc.as_str()).expect("generated doc detects");
+            cached.narrate(&req).expect("generated doc narrates");
+        }
+        let stats = cached.cache().stats();
+        assert_eq!(stats.hits + stats.misses, REQUESTS as u64);
+        let hit_ratio = stats.hits as f64 / REQUESTS as f64;
+        assert!(
+            (hit_ratio - dup_rate).abs() <= 0.05,
+            "hit ratio {hit_ratio:.3} drifted from duplicate rate {dup_rate}"
+        );
+    }
+}

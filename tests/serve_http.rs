@@ -743,6 +743,33 @@ mod event_core {
         // first request's narration precedes everything else.
         let first_body = text.find("shed0").expect("first request narrated");
         assert!(first_body < body_start, "{text}");
+        // The server's shed counter agrees with the 503s the client saw.
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        let stats = json_of(&client.get("/stats").unwrap().body);
+        assert_eq!(
+            stats.get("shed_requests").and_then(JsonValue::as_f64),
+            Some(shed as f64),
+            "{}",
+            stats.to_string_compact()
+        );
+        server.shutdown().unwrap();
+    }
+
+    /// Many open keep-alive connections, driven from one thread: every
+    /// request answers 200 on whichever parked connection carries it.
+    #[test]
+    fn many_parked_keep_alive_connections_all_answer_200() {
+        const CONNS: usize = 256;
+        let server = LanternBuilder::new().serve("127.0.0.1:0").unwrap();
+        let mut clients: Vec<HttpClient> = (0..CONNS)
+            .map(|_| HttpClient::connect(server.addr()).unwrap())
+            .collect();
+        for i in 0..2 * CONNS {
+            let doc = pg_doc(&format!("conn{}", i % 8));
+            let resp = clients[i % CONNS].post("/narrate", &doc).unwrap();
+            assert_eq!(resp.status, 200, "request {i}: {}", resp.body);
+        }
+        drop(clients);
         server.shutdown().unwrap();
     }
 }

@@ -217,14 +217,16 @@ fn explain_source_bridges_every_format() {
 }
 
 /// Throughput acceptance probe (hardware-dependent, hence ignored in
-/// tier-1; the `batch_throughput` bench reports the measured ratio).
+/// tier-1). The serving benchmark measures the batch path end to end:
+/// `servebench --workload fleet-mixed --trace 1` reports the per-item
+/// batch cost as `core.batch_item` beside `core.narrate`.
 ///
 /// Singles and batches share the store's version-cached snapshot, so
 /// the batch advantage is the thread fan-out: ≥2x is expected on hosts
 /// with ≥4 cores. On smaller hosts the probe only asserts that
 /// batching never *loses* to sequential narration.
 #[test]
-#[ignore = "timing-sensitive: run explicitly, or see `cargo bench --bench batch_throughput`"]
+#[ignore = "timing-sensitive: run explicitly, or see servebench's `core.batch_item` layer"]
 fn batch_throughput_scales_with_cores() {
     use std::time::Instant;
     let db = Database::generate(&tpch_catalog(), 0.0002, 3);
