@@ -14,6 +14,6 @@ pub mod pipelines;
 pub mod report;
 pub mod workloads;
 
-pub use pipelines::{bench_scale, quick_config, studies, train_quick, BenchContext};
+pub use pipelines::{bench_scale, quick_config, studies, BenchContext};
 pub use report::TableReport;
 pub use workloads::{sdss_workload, tpch_workload};

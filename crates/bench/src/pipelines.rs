@@ -8,7 +8,7 @@ use crate::workloads::{sdss_workload, tpch_workload};
 use lantern_catalog::{dblp_catalog, imdb_catalog, sdss_catalog, tpch_catalog};
 use lantern_core::{decompose_acts, Act, RuleLantern};
 use lantern_engine::{Database, Planner, QueryGenConfig, RandomQueryGen};
-use lantern_neural::{DatasetBuilder, Qep2Seq, Qep2SeqConfig, TrainingSet};
+use lantern_neural::{DatasetBuilder, Qep2SeqConfig, TrainingSet};
 use lantern_nn::TrainOptions;
 use lantern_pool::{default_mssql_store, PoemStore};
 use lantern_sql::parse_sql;
@@ -61,20 +61,6 @@ impl BenchContext {
                 rule.narrate(&plan.tree()).ok().map(|n| n.text())
             })
             .collect()
-    }
-
-    /// Acts for a SQL workload against `db`.
-    pub fn workload_acts(&self, db: &Database, workload: &[String]) -> Vec<Act> {
-        let planner = Planner::new(db);
-        let mut acts = Vec::new();
-        for sql in workload {
-            let Ok(q) = parse_sql(sql) else { continue };
-            let Ok(plan) = planner.plan(&q) else { continue };
-            if let Ok(a) = decompose_acts(&plan.tree(), &self.store) {
-                acts.extend(a);
-            }
-        }
-        acts
     }
 
     /// The paper's training configuration: TPC-H + SDSS workloads plus
@@ -235,13 +221,6 @@ pub fn quick_config(epochs: usize, seed: u64) -> Qep2SeqConfig {
             parallel: false,
         },
     }
-}
-
-/// Train a fresh random-embedding model on `ts` (convenience).
-pub fn train_quick(ts: &TrainingSet, epochs: usize, seed: u64) -> Qep2Seq {
-    let mut m = Qep2Seq::new(ts, quick_config(epochs, seed));
-    m.train(ts);
-    m
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@
 use crate::ring::HashRing;
 use crate::shard::{document_key, group_by_node, item_key, shard_key};
 use lantern_cache::ShardedLru;
-use lantern_obs::{MetricsPage, Recorder, Series};
+use lantern_obs::{parse_exposition, MetricsPage, Recorder, Sample, Series};
 use lantern_pool::parse_pool;
 use lantern_serve::http::{Request, Response, REQUEST_ID_HEADER};
 use lantern_serve::router::{
@@ -706,69 +706,41 @@ impl Coordinator {
     /// `"coordinator"`. The top-level shape matches a single replica's
     /// `/stats`, so soak tooling pointed at the coordinator keeps
     /// working; a replica that is down appears as `"healthy": false` in
-    /// the breakdown rather than failing the request.
+    /// the breakdown rather than failing the request. Both the sums and
+    /// the breakdown are read off the same fleet scrape `/metrics`
+    /// serves (a replica renders both its pages from one counter
+    /// table), so uptimes are per replica only.
     fn aggregate_stats(&self) -> Response {
-        let mut totals: BTreeMap<String, f64> = BTreeMap::new();
-        let mut cache_totals: BTreeMap<String, f64> = BTreeMap::new();
-        let mut any_cache = false;
-        let mut replicas = Vec::with_capacity(self.replicas.len());
-        for node in 0..self.replicas.len() {
-            let addr = self.replicas[node].addr.to_string();
-            let snapshot = match self.exchange(node, "GET", "/stats", None) {
-                Ok(resp) if resp.status == 200 => resp.json().ok(),
-                _ => None,
-            };
-            let Some(JsonValue::Object(obj)) = snapshot else {
-                let mut down = BTreeMap::new();
-                down.insert("addr".to_string(), JsonValue::String(addr));
-                down.insert("healthy".to_string(), JsonValue::Bool(false));
-                replicas.push(JsonValue::Object(down));
-                continue;
-            };
-            for (key, value) in &obj {
-                match (key.as_str(), value) {
-                    ("cache", JsonValue::Object(cache)) => {
-                        any_cache = true;
-                        for (ck, cv) in cache {
-                            if let JsonValue::Number(n) = cv {
-                                *cache_totals.entry(ck.clone()).or_insert(0.0) += n;
-                            }
-                        }
-                    }
-                    // Uptimes don't sum to anything meaningful.
-                    (k, JsonValue::Number(n)) if !k.starts_with("uptime_") => {
-                        *totals.entry(key.clone()).or_insert(0.0) += n;
-                    }
-                    _ => {}
-                }
-            }
-            let mut up = BTreeMap::new();
-            up.insert("addr".to_string(), JsonValue::String(addr));
-            up.insert("healthy".to_string(), JsonValue::Bool(true));
-            up.insert("stats".to_string(), JsonValue::Object(obj));
-            replicas.push(JsonValue::Object(up));
-        }
+        let mut page = MetricsPage::new();
+        let answered = self.scrape_replicas(&mut page);
+        let samples = parse_exposition(&page.render()).samples;
+        let mut body = stats_object(&samples, &[]);
         // Requests the coordinator refused never reached a replica;
         // fold them into the aggregate shed count so "sent - answered"
         // adds up from the client's point of view.
         let coordinator_shed = self.stats.shed_requests.load(Ordering::Relaxed)
             + self.cluster.unavailable_responses.load(Ordering::Relaxed);
-        *totals.entry("shed_requests".to_string()).or_insert(0.0) += coordinator_shed as f64;
-        let mut body: BTreeMap<String, JsonValue> = totals
-            .into_iter()
-            .map(|(k, v)| (k, JsonValue::Number(v)))
+        let replica_shed = body.get("shed_requests").and_then(JsonValue::as_f64);
+        body.insert(
+            "shed_requests".to_string(),
+            JsonValue::Number(replica_shed.unwrap_or(0.0) + coordinator_shed as f64),
+        );
+        let replicas = self
+            .replicas
+            .iter()
+            .zip(answered)
+            .map(|(replica, up)| {
+                let addr = replica.addr.to_string();
+                let mut obj = BTreeMap::new();
+                obj.insert("healthy".to_string(), JsonValue::Bool(up));
+                if up {
+                    let stats = stats_object(&samples, &[("replica", &addr)]);
+                    obj.insert("stats".to_string(), JsonValue::Object(stats));
+                }
+                obj.insert("addr".to_string(), JsonValue::String(addr));
+                JsonValue::Object(obj)
+            })
             .collect();
-        if any_cache {
-            body.insert(
-                "cache".to_string(),
-                JsonValue::Object(
-                    cache_totals
-                        .into_iter()
-                        .map(|(k, v)| (k, JsonValue::Number(v)))
-                        .collect(),
-                ),
-            );
-        }
         let mut coordinator = series_value(self.own_series());
         if let JsonValue::Object(obj) = &mut coordinator {
             let memo = self.route_memo.stats();
@@ -790,6 +762,34 @@ impl Coordinator {
         Response::json(200, JsonValue::Object(body).to_string_compact())
     }
 
+    /// Scrape every replica's `/metrics` page and fold it into `page`
+    /// twice: **merged** across replicas (every producer renders
+    /// cumulative histogram buckets on the shared `le` grid, so
+    /// bucket-wise addition is exact) and once under a
+    /// `replica="host:port"` label. Uptime gauges stay out of the merge:
+    /// three replicas up 100 s are not a fleet up 300 s. Returns which
+    /// replicas answered; one that is down (or serves no `/metrics`
+    /// page) is left out, never an error.
+    fn scrape_replicas(&self, page: &mut MetricsPage) -> Vec<bool> {
+        (0..self.replicas.len())
+            .map(|node| {
+                let scrape = match self.exchange(node, "GET", "/metrics", None) {
+                    Ok(resp) if resp.status == 200 => resp.body,
+                    _ => return false,
+                };
+                let summable: String = scrape
+                    .lines()
+                    .filter(|line| !line.starts_with("lantern_server_uptime_"))
+                    .flat_map(|line| [line, "\n"])
+                    .collect();
+                page.fold(&summable, &[]);
+                let addr = self.replicas[node].addr.to_string();
+                page.fold(&scrape, &[("replica", addr.as_str())]);
+                true
+            })
+            .collect()
+    }
+
     /// The coordinator's own counter table: its front-door rows, then
     /// the cluster-only ones.
     fn own_series(&self) -> impl Iterator<Item = Series> {
@@ -799,26 +799,14 @@ impl Coordinator {
             .chain(self.cluster.series())
     }
 
-    /// `GET /metrics` — the fleet's Prometheus page. Every replica's
-    /// own `/metrics` is scraped and folded in twice: once **merged**
-    /// across replicas (every producer renders cumulative histogram
-    /// buckets on the shared `le` grid, so bucket-wise addition is
-    /// exact) and once under a `replica="host:port"` label. The
+    /// `GET /metrics` — the fleet's Prometheus page: every replica's
+    /// scrape, merged and per replica ([`Self::scrape_replicas`]). The
     /// coordinator's own request histograms and `lantern_cluster_*`
     /// counters are added directly under `node="coordinator"`, so
-    /// nothing collides with the replica merge. A replica that is down
-    /// (or serves no `/metrics` page) degrades the page, never fails it.
+    /// nothing collides with the replica merge.
     fn metrics(&self) -> Response {
         let mut page = MetricsPage::new();
-        for (node, replica) in self.replicas.iter().enumerate() {
-            let scrape = match self.exchange(node, "GET", "/metrics", None) {
-                Ok(resp) if resp.status == 200 => resp.body,
-                _ => continue,
-            };
-            let addr = replica.addr.to_string();
-            page.fold(&scrape, &[]);
-            page.fold(&scrape, &[("replica", addr.as_str())]);
-        }
+        self.scrape_replicas(&mut page);
         let own = [("node", "coordinator")];
         let uptime = Series::gauge("uptime_seconds", self.stats.uptime().as_secs());
         page.add_series("lantern_cluster_", &own, self.own_series().chain([uptime]));
@@ -1093,6 +1081,32 @@ impl Coordinator {
     }
 }
 
+/// A replica's `/stats` object read back off a metrics page: the
+/// `lantern_server_*` rows carrying exactly `labels` are the top-level
+/// keys, and the `lantern_cache_*` rows the `"cache"` object (absent
+/// when no cache rows exist).
+fn stats_object(samples: &[Sample], labels: &[(&str, &str)]) -> BTreeMap<String, JsonValue> {
+    let mut stats = BTreeMap::new();
+    let mut cache = BTreeMap::new();
+    for sample in samples {
+        let same_labels = sample.labels.len() == labels.len()
+            && labels.iter().all(|(n, v)| sample.label(n) == Some(*v));
+        if !same_labels {
+            continue;
+        }
+        let value = JsonValue::Number(sample.value);
+        if let Some(key) = sample.name.strip_prefix("lantern_server_") {
+            stats.insert(key.to_string(), value);
+        } else if let Some(key) = sample.name.strip_prefix("lantern_cache_") {
+            cache.insert(key.to_string(), value);
+        }
+    }
+    if !cache.is_empty() {
+        stats.insert("cache".to_string(), JsonValue::Object(cache));
+    }
+    stats
+}
+
 /// The replicated `/catalog/apply` envelope for `statements` starting
 /// at sequence number `from_seq`.
 fn apply_envelope(from_seq: u64, statements: &[String]) -> String {
@@ -1253,8 +1267,7 @@ pub fn serve_cluster(config: ClusterConfig, addr: impl ToSocketAddrs) -> io::Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lantern_serve::http::read_request;
-    use std::io::BufReader;
+    use lantern_serve::http::{parse_request, Parsed};
 
     #[test]
     fn query_reencoding_round_trips_through_the_wire_decoder() {
@@ -1267,7 +1280,9 @@ mod tests {
         assert!(encoded.starts_with('?'));
         // Feed the re-encoded form back through the server-side parser.
         let raw = format!("GET /narrate{encoded} HTTP/1.1\r\n\r\n");
-        let req = read_request(&mut BufReader::new(raw.as_bytes()), 1024).unwrap();
+        let Parsed::Done(req, _) = parse_request(raw.as_bytes(), 1024) else {
+            panic!("{raw:?} did not parse");
+        };
         assert_eq!(req.query, query);
         assert_eq!(encode_query(&[]), "");
     }

@@ -245,6 +245,61 @@ fn stats_aggregate_sums_replicas_and_reports_a_dead_one_without_erroring() {
     }
 }
 
+/// Uptimes do not add up across a fleet: two replicas up 100 s are not
+/// a fleet up 200 s. The coordinator's `/metrics` keeps each
+/// replica's uptime under its `replica` label and merges none into the
+/// unlabeled fleet rows; `/stats` reports uptime per replica only.
+#[test]
+fn fleet_pages_report_uptime_per_replica_and_never_summed() {
+    use lantern_obs::parse_exposition;
+
+    let booted = Instant::now();
+    let replicas: Vec<ServerHandle> = (0..2).map(|_| boot_replica()).collect();
+    let addrs: Vec<SocketAddr> = replicas.iter().map(|r| r.addr()).collect();
+    let coordinator = boot_coordinator(addrs.clone());
+    let mut client = HttpClient::connect(coordinator.addr()).expect("connect");
+
+    let page = client.get("/metrics").expect("coordinator metrics");
+    assert_eq!(page.status, 200);
+    let page = parse_exposition(&page.body);
+    for key in ["uptime_ms", "uptime_seconds"] {
+        let name = format!("lantern_server_{key}");
+        let rows: Vec<_> = page.samples.iter().filter(|s| s.name == name).collect();
+        assert!(
+            rows.iter().all(|s| s.label("replica").is_some()),
+            "{name} merged across replicas: {rows:?}"
+        );
+        assert_eq!(rows.len(), 2, "one {name} row per replica");
+    }
+    let stats = get_json(&mut client, "/stats");
+    let elapsed_ms = booted.elapsed().as_millis() as f64;
+    for addr in addrs.iter().map(SocketAddr::to_string) {
+        let ms = |value: &JsonValue| {
+            let rows = value.get("replicas").and_then(|r| r.as_array()).unwrap();
+            let row = rows
+                .iter()
+                .find(|r| r.get("addr").and_then(JsonValue::as_str) == Some(addr.as_str()))
+                .expect("replica row");
+            num(row.get("stats").expect("replica stats"), "uptime_ms")
+        };
+        assert!(ms(&stats) <= elapsed_ms, "{addr}: one replica's uptime");
+        let labeled = page
+            .samples
+            .iter()
+            .find(|s| {
+                s.name == "lantern_server_uptime_ms" && s.label("replica") == Some(addr.as_str())
+            })
+            .expect("labeled uptime row");
+        assert!(labeled.value <= elapsed_ms, "{addr}: {}", labeled.value);
+    }
+    assert!(stats.get("uptime_ms").is_none());
+
+    coordinator.shutdown().unwrap();
+    for replica in replicas {
+        replica.shutdown().unwrap();
+    }
+}
+
 #[test]
 fn sharded_fleet_hits_at_least_as_often_as_one_node_of_equal_cache() {
     // Replays draw from a history ring far wider than one node's cache:

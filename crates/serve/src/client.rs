@@ -279,8 +279,8 @@ impl HttpClient {
         body: Option<&str>,
     ) -> Result<(), ClientError> {
         let body = body.unwrap_or("");
-        // One write for head + body (see `http::write_response` for the
-        // Nagle rationale).
+        // One write for head + body (see `http::encode_response` for
+        // the Nagle rationale).
         let mut head = format!("{method} {path} HTTP/1.1\r\nHost: lantern\r\n");
         for (name, value) in headers {
             head.push_str(name);

@@ -7,8 +7,8 @@
 //! The division of labour:
 //!
 //! * the **event thread** accepts connections, accumulates inbound
-//!   bytes, frames pipelined requests incrementally
-//!   ([`crate::http::frame_request`] + [`crate::http::read_request`]),
+//!   bytes, parses each pipelined request once, straight out of the
+//!   connection's input buffer ([`crate::http::parse_request`]),
 //!   dispatches complete requests to the worker pool over a bounded
 //!   channel, and writes responses back through per-connection output
 //!   queues **in request order**;
@@ -29,9 +29,7 @@
 
 #![cfg(unix)]
 
-use crate::http::{
-    encode_response, frame_request, read_request, FrameStatus, Request, Response, REQUEST_ID_HEADER,
-};
+use crate::http::{encode_response, parse_request, Parsed, Request, Response, REQUEST_ID_HEADER};
 use crate::router::json_error;
 use crate::server::{Handler, ServeConfig, ServeStats};
 use lantern_obs::{Recorder, Stage};
@@ -40,7 +38,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -294,7 +292,7 @@ use sys::Poller;
 // Event-thread <-> worker-pool plumbing.
 // ---------------------------------------------------------------------
 
-/// A framed request travelling to the worker pool.
+/// A parsed request travelling to the worker pool.
 struct Job {
     token: u64,
     seq: u64,
@@ -304,7 +302,7 @@ struct Job {
     /// order with no output buffered: nothing else can be written to
     /// the socket until this job completes, so the worker writes the
     /// response itself instead of waiting on an event-thread wakeup.
-    direct: Option<Arc<TcpStream>>,
+    direct: Option<Arc<Wire>>,
 }
 
 /// A finished request travelling back: the encoded response bytes the
@@ -367,10 +365,25 @@ impl Shared {
 // Per-connection state.
 // ---------------------------------------------------------------------
 
+/// A connection's socket, shared with the worker writing a response
+/// directly.
+struct Wire {
+    stream: TcpStream,
+    /// One past the last request whose response a worker has begun
+    /// writing directly. The event thread learns of that response only
+    /// when its completion is drained, which can be after the client
+    /// has read it and sent its next request; this claim keeps such a
+    /// request from counting as pipelined. It publishes no other data:
+    /// the worker's `Release` store precedes its write to the socket,
+    /// and the event thread's `Acquire` load follows its read of the
+    /// bytes it then parses.
+    answered: AtomicU64,
+}
+
 struct Conn {
     /// Shared with a worker writing a response directly (see
     /// [`Job::direct`]).
-    stream: Arc<TcpStream>,
+    wire: Arc<Wire>,
     /// Generation stamp; the full poller token is `gen << 32 | slot`,
     /// so late completions or stale readiness events for a recycled
     /// slot are discarded instead of hitting the wrong peer.
@@ -491,8 +504,11 @@ fn worker_loop(job_rx: &Mutex<Receiver<Job>>, shared: &Shared) {
             Ok(response) => {
                 let started = Instant::now();
                 let mut bytes = encoded(&response, job.keep_alive);
-                if let Some(stream) = &job.direct {
-                    bytes.drain(..write_now(stream, &bytes));
+                if let Some(wire) = &job.direct {
+                    // Claimed before the write, so the client cannot
+                    // answer this response before the claim is visible.
+                    wire.answered.store(job.seq + 1, Ordering::Release);
+                    bytes.drain(..write_now(&wire.stream, &bytes));
                 }
                 shared
                     .obs()
@@ -647,7 +663,10 @@ impl EventLoop {
                         continue;
                     }
                     self.conns[slot] = Some(Conn {
-                        stream: Arc::new(stream),
+                        wire: Arc::new(Wire {
+                            stream,
+                            answered: AtomicU64::new(0),
+                        }),
                         gen: self.gen,
                         inbuf: Vec::new(),
                         outbuf: Vec::new(),
@@ -691,7 +710,7 @@ impl EventLoop {
         }
     }
 
-    /// Pull everything the socket has, then frame + dispatch requests.
+    /// Pull everything the socket has, then parse + dispatch requests.
     fn read_ready(&mut self, slot: usize) {
         let mut closed = false;
         {
@@ -703,7 +722,7 @@ impl EventLoop {
                 // level-triggered polling doesn't spin. EOF closes.
                 let mut sink = [0u8; 4096];
                 loop {
-                    match (&*conn.stream).read(&mut sink) {
+                    match (&conn.wire.stream).read(&mut sink) {
                         Ok(0) => {
                             closed = true;
                             break;
@@ -722,7 +741,7 @@ impl EventLoop {
                 let mut got_bytes = false;
                 let mut chunk = [0u8; 16 * 1024];
                 loop {
-                    match (&*conn.stream).read(&mut chunk) {
+                    match (&conn.wire.stream).read(&mut chunk) {
                         Ok(0) => {
                             closed = true;
                             break;
@@ -768,131 +787,109 @@ impl EventLoop {
         self.flush(slot);
     }
 
-    /// Frame as many pipelined requests as the buffer holds and hand
+    /// Parse as many pipelined requests as the buffer holds and hand
     /// them to the pool (or shed).
     fn parse_and_dispatch(&mut self, slot: usize) {
+        // Read once, before any of these bytes is dispatched: a request
+        // in this batch must not look answered because an earlier one
+        // in the same batch already was.
+        let Some(answered) = self.conns[slot]
+            .as_ref()
+            .map(|conn| conn.wire.answered.load(Ordering::Acquire))
+        else {
+            return;
+        };
         loop {
             let shutting_down = self.shutdown.load(Ordering::SeqCst);
-            let frame = {
-                let Some(conn) = self.conns[slot].as_mut() else {
-                    return;
-                };
-                if conn.no_more_reads || conn.inbuf.is_empty() {
-                    return;
-                }
-                match frame_request(&conn.inbuf, self.config.max_body_bytes) {
-                    FrameStatus::Incomplete => return,
-                    FrameStatus::Complete { len } => {
-                        let frame: Vec<u8> = conn.inbuf.drain(..len).collect();
-                        frame
-                    }
-                }
+            let Some(conn) = self.conns[slot].as_mut() else {
+                return;
             };
-            match read_request(&mut &frame[..], self.config.max_body_bytes) {
-                Ok(request) => {
-                    let keep_alive = request.keep_alive && !shutting_down;
-                    let (token, seq, pipelined, direct) = {
-                        let Some(conn) = self.conns[slot].as_mut() else {
-                            return;
-                        };
-                        let seq = conn.next_seq;
-                        conn.next_seq += 1;
-                        if !keep_alive {
-                            conn.no_more_reads = true;
-                        }
-                        let next = seq == conn.next_write && !conn.has_pending_output();
-                        let direct = next.then(|| Arc::clone(&conn.stream));
-                        (token_of(slot, conn.gen), seq, seq > conn.next_write, direct)
-                    };
-                    if pipelined {
-                        self.shared
-                            .stats()
-                            .pipelined_requests
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    match self.job_tx.try_send(Job {
-                        token,
-                        seq,
-                        request,
-                        keep_alive,
-                        direct,
-                    }) {
-                        Ok(()) => {
-                            self.shared
-                                .stats()
-                                .queue_depth
-                                .fetch_add(1, Ordering::Relaxed);
-                            if let Some(conn) = self.conns[slot].as_mut() {
-                                conn.in_flight += 1;
-                            }
-                        }
-                        Err(TrySendError::Full(job)) => {
-                            // Admission control: answer 503 now instead
-                            // of blocking the event loop on a full
-                            // queue. The connection stays usable.
-                            self.shared
-                                .stats()
-                                .shed_requests
-                                .fetch_add(1, Ordering::Relaxed);
-                            self.shared
-                                .stats()
-                                .error_responses
-                                .fetch_add(1, Ordering::Relaxed);
-                            // Shed responses never reach the handler,
-                            // so the request id is resolved here — kept
-                            // from the request when present, minted
-                            // otherwise — and stays traceable.
-                            let id = match job.request.header(REQUEST_ID_HEADER) {
-                                Some(id) if !id.is_empty() => id.to_string(),
-                                _ => self.shared.obs().mint_id(),
-                            };
-                            let response = json_error(
-                                "overloaded",
-                                "dispatch queue is full; retry shortly",
-                                503,
-                            )
-                            .with_header("Retry-After", SHED_RETRY_AFTER_SECS.to_string())
-                            .with_request_id(&id);
-                            self.complete(slot, seq, encoded(&response, keep_alive), keep_alive);
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            self.close_conn(slot);
-                            return;
-                        }
-                    }
+            if conn.no_more_reads {
+                return;
+            }
+            let request = match parse_request(&conn.inbuf, self.config.max_body_bytes) {
+                Parsed::Incomplete => return,
+                Parsed::Done(request, consumed) => {
+                    conn.inbuf.drain(..consumed);
+                    request
                 }
-                Err(err) => {
+                Parsed::Failed(err) => {
                     // Protocol errors get a structured best-effort
                     // reply, then the connection closes.
-                    let seq = {
-                        let Some(conn) = self.conns[slot].as_mut() else {
-                            return;
-                        };
-                        let seq = conn.next_seq;
-                        conn.next_seq += 1;
-                        conn.no_more_reads = true;
-                        conn.inbuf.clear();
-                        seq
-                    };
-                    if let Some(status) = err.status() {
-                        self.shared
-                            .stats()
-                            .error_responses
-                            .fetch_add(1, Ordering::Relaxed);
-                        let response = json_error("http", &err.message(), status);
-                        self.complete(slot, seq, encoded(&response, false), false);
-                    } else {
-                        self.close_conn(slot);
-                    }
+                    let seq = conn.next_seq;
+                    conn.next_seq += 1;
+                    conn.no_more_reads = true;
+                    conn.inbuf.clear();
+                    self.shared
+                        .stats()
+                        .error_responses
+                        .fetch_add(1, Ordering::Relaxed);
+                    let response = json_error("http", &err.message(), err.status());
+                    self.complete(slot, seq, encoded(&response, false), false);
                     return;
                 }
+            };
+            let keep_alive = request.keep_alive && !shutting_down;
+            let seq = conn.next_seq;
+            conn.next_seq += 1;
+            if !keep_alive {
+                conn.no_more_reads = true;
             }
-            let no_more = self.conns[slot]
-                .as_ref()
-                .map(|c| c.no_more_reads)
-                .unwrap_or(true);
-            if no_more {
-                return;
+            let next = seq == conn.next_write && !conn.has_pending_output();
+            let direct = next.then(|| Arc::clone(&conn.wire));
+            let token = token_of(slot, conn.gen);
+            if seq > conn.next_write.max(answered) {
+                self.shared
+                    .stats()
+                    .pipelined_requests
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            match self.job_tx.try_send(Job {
+                token,
+                seq,
+                request,
+                keep_alive,
+                direct,
+            }) {
+                Ok(()) => {
+                    self.shared
+                        .stats()
+                        .queue_depth
+                        .fetch_add(1, Ordering::Relaxed);
+                    if let Some(conn) = self.conns[slot].as_mut() {
+                        conn.in_flight += 1;
+                    }
+                }
+                Err(TrySendError::Full(job)) => {
+                    // Admission control: answer 503 now instead of
+                    // blocking the event loop on a full queue. The
+                    // connection stays usable.
+                    self.shared
+                        .stats()
+                        .shed_requests
+                        .fetch_add(1, Ordering::Relaxed);
+                    self.shared
+                        .stats()
+                        .error_responses
+                        .fetch_add(1, Ordering::Relaxed);
+                    // Shed responses never reach the handler, so the
+                    // request id is resolved here — kept from the
+                    // request when present, minted otherwise — and
+                    // stays traceable.
+                    let id = match job.request.header(REQUEST_ID_HEADER) {
+                        Some(id) if !id.is_empty() => id.to_string(),
+                        _ => self.shared.obs().mint_id(),
+                    };
+                    let response =
+                        json_error("overloaded", "dispatch queue is full; retry shortly", 503)
+                            .with_header("Retry-After", SHED_RETRY_AFTER_SECS.to_string())
+                            .with_request_id(&id);
+                    self.complete(slot, seq, encoded(&response, keep_alive), keep_alive);
+                }
+                Err(TrySendError::Disconnected(_)) => {
+                    self.close_conn(slot);
+                    return;
+                }
             }
         }
     }
@@ -960,7 +957,7 @@ impl EventLoop {
                 return;
             };
             while conn.outpos < conn.outbuf.len() {
-                match (&*conn.stream).write(&conn.outbuf[conn.outpos..]) {
+                match (&conn.wire.stream).write(&conn.outbuf[conn.outpos..]) {
                     Ok(0) => {
                         broken = true;
                         break;
@@ -1009,7 +1006,7 @@ impl EventLoop {
         }
         conn.interest = interest;
         let token = token_of(slot, conn.gen);
-        let fd = conn.stream.as_raw_fd();
+        let fd = conn.wire.stream.as_raw_fd();
         let _ = self.poller.modify(fd, token, interest.0, interest.1);
     }
 
@@ -1038,7 +1035,7 @@ impl EventLoop {
 
     fn close_conn(&mut self, slot: usize) {
         if let Some(conn) = self.conns[slot].take() {
-            self.poller.remove(conn.stream.as_raw_fd());
+            self.poller.remove(conn.wire.stream.as_raw_fd());
             self.free.push(slot);
             self.live -= 1;
         }

@@ -1,13 +1,12 @@
 //! Minimal HTTP/1.1 message support: exactly the subset the narration
 //! service needs (request line + headers + `Content-Length` bodies,
-//! keep-alive, plain-status responses), implemented over
-//! [`std::io::BufRead`] so it works on any stream.
+//! keep-alive, plain-status responses). [`parse_request`] reads
+//! pipelined requests straight out of a connection's byte buffer, one
+//! at a time, and [`encode_response`] appends responses to one.
 //!
 //! This is deliberately not a general HTTP implementation. Chunked
 //! transfer encoding, continuation lines, trailers, and HTTP/2 are all
 //! rejected with explicit statuses rather than half-supported.
-
-use std::io::{self, BufRead, Write};
 
 /// Cap on the request line + header block, defending the worker pool
 /// against unbounded header streams.
@@ -58,15 +57,10 @@ impl Request {
     }
 }
 
-/// Why a request could not be read off the wire. Each variant maps to
-/// the HTTP status the server answers with before closing.
-#[derive(Debug)]
+/// Why a request head was rejected. Each variant maps to the HTTP
+/// status the server answers with before closing.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RequestError {
-    /// The peer closed the connection cleanly between requests.
-    ConnectionClosed,
-    /// An I/O failure (including read timeouts on idle keep-alive
-    /// connections).
-    Io(io::Error),
     /// Malformed request line or header block → `400`.
     Malformed(String),
     /// Head grew beyond [`MAX_HEAD_BYTES`] → `431`.
@@ -80,24 +74,20 @@ pub enum RequestError {
 }
 
 impl RequestError {
-    /// The status code the server should answer with (`None` when the
-    /// connection just ended and no answer is possible or needed).
-    pub fn status(&self) -> Option<u16> {
+    /// The status code the server answers with.
+    pub fn status(&self) -> u16 {
         match self {
-            RequestError::ConnectionClosed | RequestError::Io(_) => None,
-            RequestError::Malformed(_) => Some(400),
-            RequestError::HeadTooLarge => Some(431),
-            RequestError::BodyTooLarge { .. } => Some(413),
-            RequestError::LengthRequired => Some(411),
-            RequestError::UnsupportedTransferEncoding => Some(501),
+            RequestError::Malformed(_) => 400,
+            RequestError::HeadTooLarge => 431,
+            RequestError::BodyTooLarge { .. } => 413,
+            RequestError::LengthRequired => 411,
+            RequestError::UnsupportedTransferEncoding => 501,
         }
     }
 
     /// Human-readable diagnostic for the error body.
     pub fn message(&self) -> String {
         match self {
-            RequestError::ConnectionClosed => "connection closed".into(),
-            RequestError::Io(e) => format!("i/o error: {e}"),
             RequestError::Malformed(m) => m.clone(),
             RequestError::HeadTooLarge => {
                 format!("request head exceeds {MAX_HEAD_BYTES} bytes")
@@ -113,39 +103,59 @@ impl RequestError {
     }
 }
 
-/// Read one request off a buffered stream.
+/// What [`parse_request`] makes of the bytes a connection has
+/// accumulated so far.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Parsed {
+    /// Not enough bytes for a verdict on the first request yet.
+    Incomplete,
+    /// The first request, which occupied the first `usize` bytes of the
+    /// buffer (head and body); pipelined bytes after it are untouched.
+    Done(Request, usize),
+    /// The first request's head is rejected: answer
+    /// [`RequestError::status`] and close the connection.
+    Failed(RequestError),
+}
+
+/// Parse the first request out of `buf`, the bytes read off one
+/// connection so far.
 ///
-/// `max_body_bytes` bounds the accepted `Content-Length`. Returns
-/// [`RequestError::ConnectionClosed`] on clean EOF before any byte of a
-/// new request (the normal end of a keep-alive connection).
-pub fn read_request<R: BufRead>(
-    reader: &mut R,
-    max_body_bytes: usize,
-) -> Result<Request, RequestError> {
-    let mut head = Vec::with_capacity(512);
-    // Accumulate up to the blank line separating head from body.
-    loop {
-        let n = read_line_into(reader, &mut head)?;
-        if n == 0 {
-            return if head.is_empty() {
-                Err(RequestError::ConnectionClosed)
-            } else {
-                Err(RequestError::Malformed("truncated request head".into()))
-            };
-        }
-        if head.len() > MAX_HEAD_BYTES {
-            return Err(RequestError::HeadTooLarge);
-        }
-        if head.ends_with(b"\r\n\r\n") || head.ends_with(b"\n\n") {
-            break;
+/// `max_body_bytes` bounds the accepted `Content-Length`. Every check
+/// runs as soon as the head is complete: a head the parser rejects
+/// (oversized advertised body and `Transfer-Encoding` included) fails
+/// without waiting for body bytes that will never be honoured, and more
+/// than [`MAX_HEAD_BYTES`] without a head terminator fails with `431`.
+pub fn parse_request(buf: &[u8], max_body_bytes: usize) -> Parsed {
+    // The head ends at the first blank line (`\r\n\r\n`, or `\n\n` from
+    // bare-LF peers); one that ends past the cap is as bad as none.
+    let scan = &buf[..buf.len().min(MAX_HEAD_BYTES)];
+    let head_end = (0..scan.len()).find(|&i| {
+        scan[i] == b'\n' && (scan[..i].ends_with(b"\n") || scan[..i].ends_with(b"\r\n\r"))
+    });
+    let Some(head_end) = head_end.map(|i| i + 1) else {
+        return if buf.len() > MAX_HEAD_BYTES {
+            Parsed::Failed(RequestError::HeadTooLarge)
+        } else {
+            Parsed::Incomplete
+        };
+    };
+    match parse_head(&buf[..head_end], max_body_bytes) {
+        Err(err) => Parsed::Failed(err),
+        Ok((_, body_len)) if buf.len() < head_end + body_len => Parsed::Incomplete,
+        Ok((mut request, body_len)) => {
+            request.body = buf[head_end..head_end + body_len].to_vec();
+            Parsed::Done(request, head_end + body_len)
         }
     }
-    let head = std::str::from_utf8(&head)
+}
+
+/// Validate a complete head (terminator included) into a body-less
+/// [`Request`] plus the body length it announces.
+fn parse_head(head: &[u8], max_body_bytes: usize) -> Result<(Request, usize), RequestError> {
+    let head = std::str::from_utf8(head)
         .map_err(|_| RequestError::Malformed("request head is not UTF-8".into()))?;
     let mut lines = head.lines();
-    let request_line = lines
-        .next()
-        .ok_or_else(|| RequestError::Malformed("empty request".into()))?;
+    let request_line = lines.next().unwrap_or_default();
     let mut parts = request_line.split_whitespace();
     let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v)) => (m, t, v),
@@ -218,10 +228,6 @@ pub fn read_request<R: BufRead>(
         ("POST" | "PUT" | "PATCH", None) => return Err(RequestError::LengthRequired),
         (_, None) => 0,
     };
-    let mut body = vec![0u8; body_len];
-    if body_len > 0 {
-        io::Read::read_exact(reader, &mut body).map_err(RequestError::Io)?;
-    }
 
     let (path, query_str) = match target.split_once('?') {
         Some((p, q)) => (p, q),
@@ -236,14 +242,15 @@ pub fn read_request<R: BufRead>(
         })
         .collect();
 
-    Ok(Request {
+    let request = Request {
         method: method.to_string(),
         path: path.to_string(),
         query,
         headers,
-        body,
+        body: Vec::new(),
         keep_alive,
-    })
+    };
+    Ok((request, body_len))
 }
 
 /// Percent-decode one `application/x-www-form-urlencoded` query
@@ -280,19 +287,6 @@ fn decode_query_component(raw: &str) -> String {
         }
     }
     String::from_utf8(out).unwrap_or_else(|_| raw.to_string())
-}
-
-/// Read one `\n`-terminated line, appending (terminator included) to
-/// `buf`; returns the number of bytes read (0 on EOF).
-fn read_line_into<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> Result<usize, RequestError> {
-    let before = buf.len();
-    // `take` bounds each line so a single unterminated line can't grow
-    // past the head cap either.
-    let mut limited = io::Read::take(&mut *reader, (MAX_HEAD_BYTES + 2) as u64);
-    limited
-        .read_until(b'\n', buf)
-        .map_err(RequestError::Io)
-        .map(|_| buf.len() - before)
 }
 
 /// An HTTP response about to be written to the wire.
@@ -380,25 +374,11 @@ pub fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Serialize `response` onto the wire, flagging whether the connection
-/// stays open. Head and body go out in a single `write_all` so the
-/// response is one TCP segment when it fits — two small writes would
-/// hand Nagle's algorithm a reason to stall the body behind a delayed
-/// ACK.
-pub fn write_response<W: Write>(
-    writer: &mut W,
-    response: &Response,
-    keep_alive: bool,
-) -> io::Result<()> {
-    let mut wire = Vec::with_capacity(128 + response.body.len());
-    encode_response(&mut wire, response, keep_alive);
-    writer.write_all(&wire)?;
-    writer.flush()
-}
-
-/// Serialize `response` into `out` (same wire form as
-/// [`write_response`], without touching a stream) — the event loop
-/// appends responses to per-connection output buffers this way.
+/// Serialize `response` into `out`, flagging whether the connection
+/// stays open. Head and body land in one buffer so the response goes
+/// out in a single write — one TCP segment when it fits; two small
+/// writes would hand Nagle's algorithm a reason to stall the body
+/// behind a delayed ACK.
 pub fn encode_response(out: &mut Vec<u8>, response: &Response, keep_alive: bool) {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
@@ -420,88 +400,20 @@ pub fn encode_response(out: &mut Vec<u8>, response: &Response, keep_alive: bool)
     out.extend_from_slice(&response.body);
 }
 
-/// Where one request ends inside a buffer of accumulated connection
-/// bytes — the event loop's incremental framing step. The scanner only
-/// finds the *boundary* (head terminator + `Content-Length` body); the
-/// framed slice is then handed to [`read_request`] so every semantic
-/// check (smuggling guards, size caps, method rules) has exactly one
-/// implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameStatus {
-    /// Not enough bytes for a complete request yet.
-    Incomplete,
-    /// One complete request (or one that [`read_request`] will reject
-    /// from its head alone) occupies the first `len` bytes.
-    Complete {
-        /// Bytes of the frame, head terminator and body included.
-        len: usize,
-    },
-}
-
-/// Scan `buf` for the end of the first pipelined request.
-///
-/// A head larger than [`MAX_HEAD_BYTES`] and a body advertised past
-/// `max_body_bytes` both report `Complete` at the point where
-/// [`read_request`] can already produce the right error (431/413) —
-/// the caller must not wait for bytes that will never be honoured.
-pub fn frame_request(buf: &[u8], max_body_bytes: usize) -> FrameStatus {
-    // Head terminator: the same two suffixes `read_request` accepts at
-    // a line boundary.
-    let mut head_end = None;
-    for (i, &b) in buf.iter().enumerate() {
-        if b != b'\n' {
-            continue;
-        }
-        if (i >= 1 && buf[i - 1] == b'\n') || (i >= 3 && &buf[i - 3..=i] == b"\r\n\r\n") {
-            head_end = Some(i + 1);
-            break;
-        }
-    }
-    let Some(head_end) = head_end else {
-        // No terminator yet: once past the head cap, stop waiting and
-        // let `read_request` answer 431 with what accumulated.
-        return if buf.len() > MAX_HEAD_BYTES {
-            FrameStatus::Complete { len: buf.len() }
-        } else {
-            FrameStatus::Incomplete
-        };
-    };
-    // Body length: first parseable Content-Length. Anything the parser
-    // will reject from the head alone (non-UTF-8, conflicting lengths,
-    // oversized body, Transfer-Encoding) frames at the head.
-    let Ok(head) = std::str::from_utf8(&buf[..head_end]) else {
-        return FrameStatus::Complete { len: head_end };
-    };
-    let mut body_len = 0usize;
-    for line in head.lines().skip(1) {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        if name.trim().eq_ignore_ascii_case("content-length") {
-            if let Ok(n) = value.trim().parse::<usize>() {
-                body_len = n;
-                break;
-            }
-        }
-    }
-    if body_len > max_body_bytes {
-        return FrameStatus::Complete { len: head_end };
-    }
-    if buf.len() < head_end + body_len {
-        return FrameStatus::Incomplete;
-    }
-    FrameStatus::Complete {
-        len: head_end + body_len,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
+    use proptest::prelude::*;
+    use proptest::rand::rngs::StdRng;
+    use proptest::rand::Rng;
 
+    /// The verdict on the first request in `raw`, which must hold one.
     fn parse(raw: &str) -> Result<Request, RequestError> {
-        read_request(&mut BufReader::new(raw.as_bytes()), 1024)
+        match parse_request(raw.as_bytes(), 1024) {
+            Parsed::Done(req, _) => Ok(req),
+            Parsed::Failed(err) => Err(err),
+            Parsed::Incomplete => panic!("no verdict on {raw:?}"),
+        }
     }
 
     #[test]
@@ -530,7 +442,7 @@ mod tests {
         let err =
             parse("POST /narrate HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 40\r\n\r\nbody")
                 .unwrap_err();
-        assert_eq!(err.status(), Some(400));
+        assert_eq!(err.status(), 400);
         assert!(
             err.message().contains("conflicting Content-Length"),
             "{}",
@@ -552,7 +464,7 @@ mod tests {
         let err =
             parse("POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: nope\r\n\r\nbody")
                 .unwrap_err();
-        assert_eq!(err.status(), Some(400));
+        assert_eq!(err.status(), 400);
     }
 
     #[test]
@@ -589,8 +501,14 @@ mod tests {
     }
 
     #[test]
-    fn clean_eof_is_connection_closed() {
-        assert!(matches!(parse(""), Err(RequestError::ConnectionClosed)));
+    fn empty_or_headless_buffers_are_incomplete() {
+        for raw in ["", "\n", "GET /x HTTP/1.1\r\n", "GET /x HTTP/1.1\r\n\r"] {
+            assert_eq!(
+                parse_request(raw.as_bytes(), 1024),
+                Parsed::Incomplete,
+                "{raw:?}"
+            );
+        }
     }
 
     #[test]
@@ -600,10 +518,16 @@ mod tests {
             "GET /x HTTP/2\r\n\r\n",
             "GET /x HTTP/1.1\r\nno-colon-here\r\n\r\n",
             "POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+            "\r\n\r\n",
         ] {
             let err = parse(raw).unwrap_err();
-            assert_eq!(err.status(), Some(400), "{raw:?} → {err:?}");
+            assert_eq!(err.status(), 400, "{raw:?} → {err:?}");
         }
+        let non_utf8 = b"GET /\xff HTTP/1.1\r\n\r\n";
+        let Parsed::Failed(err) = parse_request(non_utf8, 1024) else {
+            panic!("non-UTF-8 head must fail");
+        };
+        assert_eq!(err.message(), "request head is not UTF-8");
     }
 
     #[test]
@@ -612,20 +536,31 @@ mod tests {
             parse("POST /narrate HTTP/1.1\r\n\r\n")
                 .unwrap_err()
                 .status(),
-            Some(411)
+            411
         );
         assert_eq!(
             parse("POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n")
                 .unwrap_err()
                 .status(),
-            Some(501)
+            501
+        );
+    }
+
+    #[test]
+    fn transfer_encoding_with_a_length_fails_before_the_body_arrives() {
+        // The head alone decides: a 501 does not wait for the 100 body
+        // bytes the Content-Length announces.
+        let head = b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\nContent-Length: 100\r\n\r\n";
+        assert_eq!(
+            parse_request(head, 1024),
+            Parsed::Failed(RequestError::UnsupportedTransferEncoding)
         );
     }
 
     #[test]
     fn oversized_body_is_413() {
         let err = parse("POST /x HTTP/1.1\r\nContent-Length: 2048\r\n\r\n").unwrap_err();
-        assert_eq!(err.status(), Some(413));
+        assert_eq!(err.status(), 413);
         assert!(err.message().contains("2048"), "{}", err.message());
     }
 
@@ -635,13 +570,13 @@ mod tests {
             "GET /x HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
             "a".repeat(MAX_HEAD_BYTES)
         );
-        assert_eq!(parse(&huge).unwrap_err().status(), Some(431));
+        assert_eq!(parse(&huge).unwrap_err().status(), 431);
     }
 
     #[test]
     fn response_wire_form_is_exact() {
         let mut out = Vec::new();
-        write_response(&mut out, &Response::json(200, r#"{"ok":true}"#), true).unwrap();
+        encode_response(&mut out, &Response::json(200, r#"{"ok":true}"#), true);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("Content-Type: application/json\r\n"));
@@ -654,7 +589,7 @@ mod tests {
     fn extra_headers_are_emitted() {
         let mut out = Vec::new();
         let resp = Response::json(503, r#"{"err":1}"#).with_header("Retry-After", "1");
-        write_response(&mut out, &resp, false).unwrap();
+        encode_response(&mut out, &resp, false);
         let text = String::from_utf8(out).unwrap();
         assert!(
             text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
@@ -667,64 +602,187 @@ mod tests {
     #[test]
     fn frame_scanner_finds_request_boundaries() {
         let full = b"POST /narrate HTTP/1.1\r\nContent-Length: 4\r\n\r\nbody";
-        // Every strict prefix is incomplete; the exact frame completes.
+        // Every strict prefix is incomplete; the exact request completes.
         for cut in 0..full.len() {
             assert_eq!(
-                frame_request(&full[..cut], 1024),
-                FrameStatus::Incomplete,
+                parse_request(&full[..cut], 1024),
+                Parsed::Incomplete,
                 "cut at {cut}"
             );
         }
-        assert_eq!(
-            frame_request(full, 1024),
-            FrameStatus::Complete { len: full.len() }
-        );
-        // Pipelined second request does not move the first boundary.
+        let Parsed::Done(first, consumed) = parse_request(full, 1024) else {
+            panic!("complete request");
+        };
+        assert_eq!((first.body_utf8(), consumed), (Some("body"), full.len()));
+        // A pipelined second request does not move the first boundary.
         let mut two = full.to_vec();
         two.extend_from_slice(b"GET /healthz HTTP/1.1\r\n\r\n");
-        assert_eq!(
-            frame_request(&two, 1024),
-            FrameStatus::Complete { len: full.len() }
-        );
-        // Bare-LF terminators frame like read_request accepts them.
+        assert_eq!(parse_request(&two, 1024), Parsed::Done(first, full.len()));
+        // Bare-LF terminators end a head too.
         let lf = b"GET /healthz HTTP/1.1\nHost: a\n\n";
-        assert_eq!(
-            frame_request(lf, 1024),
-            FrameStatus::Complete { len: lf.len() }
-        );
+        assert!(matches!(parse_request(lf, 1024), Parsed::Done(_, n) if n == lf.len()));
     }
 
     #[test]
     fn frame_scanner_does_not_wait_for_unhonoured_bytes() {
-        // Oversized advertised body: frame at the head so the parser
-        // can answer 413 without the body ever arriving.
+        // Oversized advertised body: 413 from the head, before any body
+        // byte arrives.
         let big = b"POST /x HTTP/1.1\r\nContent-Length: 9999\r\n\r\n";
-        match frame_request(big, 1024) {
-            FrameStatus::Complete { len } => assert_eq!(len, big.len()),
-            other => panic!("expected head-only frame, got {other:?}"),
-        }
-        let mut reader = BufReader::new(&big[..]);
         assert_eq!(
-            read_request(&mut reader, 1024).unwrap_err().status(),
-            Some(413)
+            parse_request(big, 1024),
+            Parsed::Failed(RequestError::BodyTooLarge {
+                advertised: 9999,
+                limit: 1024
+            })
         );
-        // Head overflow without a terminator frames once past the cap.
-        let huge = vec![b'a'; MAX_HEAD_BYTES + 10];
-        assert!(matches!(
-            frame_request(&huge, 1024),
-            FrameStatus::Complete { .. }
-        ));
+        // Head overflow without a terminator fails once past the cap,
+        // and not a byte before.
+        let huge = vec![b'a'; MAX_HEAD_BYTES + 1];
+        assert_eq!(
+            parse_request(&huge[..MAX_HEAD_BYTES], 1024),
+            Parsed::Incomplete
+        );
+        assert_eq!(
+            parse_request(&huge, 1024),
+            Parsed::Failed(RequestError::HeadTooLarge)
+        );
+        // A terminator past the cap is no better, body pending or not.
+        let late = format!(
+            "POST /x HTTP/1.1\r\nContent-Length: 10\r\nX-Pad: {}\r\n\r\n",
+            "a".repeat(MAX_HEAD_BYTES)
+        );
+        assert_eq!(
+            parse_request(late.as_bytes(), 1024),
+            Parsed::Failed(RequestError::HeadTooLarge)
+        );
     }
 
     #[test]
     fn two_requests_on_one_connection() {
-        let raw = "GET /healthz HTTP/1.1\r\n\r\nGET /stats HTTP/1.1\r\n\r\n";
-        let mut reader = BufReader::new(raw.as_bytes());
-        assert_eq!(read_request(&mut reader, 1024).unwrap().path, "/healthz");
-        assert_eq!(read_request(&mut reader, 1024).unwrap().path, "/stats");
-        assert!(matches!(
-            read_request(&mut reader, 1024),
-            Err(RequestError::ConnectionClosed)
-        ));
+        let mut buf = b"GET /healthz HTTP/1.1\r\n\r\nGET /stats HTTP/1.1\r\n\r\n".to_vec();
+        for path in ["/healthz", "/stats"] {
+            let Parsed::Done(req, consumed) = parse_request(&buf, 1024) else {
+                panic!("request for {path}");
+            };
+            assert_eq!(req.path, path);
+            buf.drain(..consumed);
+        }
+        assert!(buf.is_empty());
+        assert_eq!(parse_request(&buf, 1024), Parsed::Incomplete);
+    }
+
+    /// Feed `chunks` into one connection buffer the way the event core
+    /// does — parse after every chunk until no verdict is left — and
+    /// collect each request or error. A failure ends the connection.
+    fn feed(chunks: &[&[u8]]) -> Vec<Result<Request, RequestError>> {
+        let mut buf = Vec::new();
+        let mut verdicts = Vec::new();
+        for chunk in chunks {
+            buf.extend_from_slice(chunk);
+            loop {
+                match parse_request(&buf, 1024) {
+                    Parsed::Incomplete => break,
+                    Parsed::Done(req, consumed) => {
+                        buf.drain(..consumed);
+                        verdicts.push(Ok(req));
+                    }
+                    Parsed::Failed(err) => {
+                        verdicts.push(Err(err));
+                        return verdicts;
+                    }
+                }
+            }
+        }
+        verdicts
+    }
+
+    fn pick(rng: &mut StdRng, alphabet: &[u8]) -> u8 {
+        alphabet[rng.gen_range(0..alphabet.len())]
+    }
+
+    /// A seeded pipelined stream: mostly well-formed requests (bodies
+    /// that contain blank lines, bare-LF heads, escapes, HTTP/1.0), with
+    /// an occasional head each check rejects.
+    fn pipelined_stream(rng: &mut StdRng) -> Vec<u8> {
+        let mut stream = Vec::new();
+        for _ in 0..rng.gen_range(1..6usize) {
+            let body: Vec<u8> = (0..rng.gen_range(0..48usize))
+                .map(|_| pick(rng, b"ab{}\":\r\n \xff"))
+                .collect();
+            let eol = if rng.gen_bool(0.2) { "\n" } else { "\r\n" };
+            let head = match rng.gen_range(0..12u32) {
+                0 => format!("GET /healthz?a=%41&b=c+d HTTP/1.1{eol}Host: x{eol}"),
+                1 => format!("GET /stats HTTP/1.0{eol}Connection: keep-alive{eol}"),
+                2 => format!(
+                    "POST /narrate HTTP/1.1{eol}Content-Length: {0}{eol}Content-Length: {0}{eol}",
+                    body.len()
+                ),
+                3 => format!("POST /x HTTP/1.1{eol}Transfer-Encoding: chunked{eol}"),
+                4 => format!("POST /x HTTP/1.1{eol}Content-Length: 4{eol}Content-Length: 5{eol}"),
+                5 => format!("POST /x HTTP/1.1{eol}Content-Length: 4096{eol}"),
+                6 => format!("POST /x HTTP/1.1{eol}"),
+                7 => format!("NOT-HTTP{eol}"),
+                8 if rng.gen_bool(0.25) => format!(
+                    "GET /x HTTP/1.1{eol}X-Pad: {}{eol}",
+                    "p".repeat(MAX_HEAD_BYTES)
+                ),
+                _ => format!(
+                    "POST /narrate/batch?style=bulleted HTTP/1.1{eol}Content-Length: {}{eol}",
+                    body.len()
+                ),
+            };
+            stream.extend_from_slice(head.as_bytes());
+            stream.extend_from_slice(eol.as_bytes());
+            stream.extend_from_slice(&body);
+        }
+        stream
+    }
+
+    /// `stream` cut at up to 32 random points.
+    fn random_chunks<'a>(stream: &'a [u8], rng: &mut StdRng) -> Vec<&'a [u8]> {
+        let mut cuts: Vec<usize> = (0..rng.gen_range(0..32usize))
+            .map(|_| rng.gen_range(0..=stream.len()))
+            .collect();
+        cuts.sort_unstable();
+        let mut chunks = Vec::new();
+        let mut start = 0;
+        for cut in cuts.into_iter().chain([stream.len()]) {
+            chunks.push(&stream[start..cut]);
+            start = cut;
+        }
+        chunks
+    }
+
+    proptest! {
+        #[test]
+        fn chunked_feeding_yields_what_whole_feeding_does(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let stream = pipelined_stream(&mut rng);
+            let whole = feed(&[stream.as_slice()]);
+            prop_assert!(!whole.is_empty());
+            prop_assert_eq!(feed(&random_chunks(&stream, &mut rng)), whole);
+        }
+
+        #[test]
+        fn mutated_streams_never_panic_and_still_split_cleanly(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut stream = pipelined_stream(&mut rng);
+            for _ in 0..rng.gen_range(1..12usize) {
+                let at = rng.gen_range(0..stream.len());
+                let byte = pick(&mut rng, b"\r\n: 0123456789\xff\x00");
+                match rng.gen_range(0..3u32) {
+                    0 => stream[at] = byte,
+                    1 => stream.insert(at, byte),
+                    _ => {
+                        stream.remove(at);
+                        if stream.is_empty() {
+                            break;
+                        }
+                    }
+                }
+            }
+            let whole = feed(&[stream.as_slice()]);
+            prop_assert_eq!(feed(&random_chunks(&stream, &mut rng)), whole);
+        }
     }
 }

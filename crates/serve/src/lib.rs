@@ -91,6 +91,4 @@ pub use router::{error_body, Router};
 pub use server::{reusable_listener, Handler, ServeConfig, ServeStats};
 #[cfg(unix)]
 pub use server::{serve, ServerHandle};
-pub use soak::{
-    run_soak, run_soak_multi, CacheDelta, LatencySummary, ServerDelta, SoakConfig, SoakReport,
-};
+pub use soak::{run_soak, CacheDelta, LatencySummary, ServerDelta, SoakConfig, SoakReport};

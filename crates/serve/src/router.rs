@@ -880,17 +880,25 @@ mod tests {
         )
     }
 
+    /// The request `raw` holds, through the server's own parser.
+    fn parsed(raw: &str) -> Request {
+        match crate::http::parse_request(raw.as_bytes(), 1 << 20) {
+            crate::http::Parsed::Done(req, _) => req,
+            other => panic!("{raw:?} did not parse: {other:?}"),
+        }
+    }
+
     fn post(path: &str, body: &str) -> Request {
         let raw = format!(
             "POST {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
         );
-        crate::http::read_request(&mut std::io::BufReader::new(raw.as_bytes()), 1 << 20).unwrap()
+        parsed(&raw)
     }
 
     fn get(path: &str) -> Request {
         let raw = format!("GET {path} HTTP/1.1\r\n\r\n");
-        crate::http::read_request(&mut std::io::BufReader::new(raw.as_bytes()), 1 << 20).unwrap()
+        parsed(&raw)
     }
 
     #[test]
@@ -1481,7 +1489,7 @@ mod tests {
         }
         raw.push_str("\r\n");
         raw.push_str(body);
-        crate::http::read_request(&mut std::io::BufReader::new(raw.as_bytes()), 1 << 20).unwrap()
+        parsed(&raw)
     }
 
     #[test]

@@ -481,6 +481,35 @@ mod tests {
         handle.shutdown().unwrap();
     }
 
+    /// A head the parser rejects is answered as soon as it is complete,
+    /// even when it announces a body that never comes.
+    #[test]
+    fn rejected_heads_are_answered_before_their_body_arrives() {
+        let handle = boot();
+        use std::io::{Read, Write};
+        let pad = "a".repeat(crate::http::MAX_HEAD_BYTES);
+        for (head, status) in [
+            (
+                "POST /narrate HTTP/1.1\r\nTransfer-Encoding: chunked\r\nContent-Length: 100\r\n\r\n"
+                    .to_string(),
+                "501",
+            ),
+            (
+                format!("POST /narrate HTTP/1.1\r\nContent-Length: 100\r\nX-Pad: {pad}\r\n\r\n"),
+                "431",
+            ),
+        ] {
+            let mut raw = TcpStream::connect(handle.addr()).unwrap();
+            raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+            raw.write_all(head.as_bytes()).unwrap();
+            let mut buf = String::new();
+            raw.read_to_string(&mut buf)
+                .unwrap_or_else(|e| panic!("no {status} before the body: {e}"));
+            assert!(buf.starts_with(&format!("HTTP/1.1 {status}")), "{buf}");
+        }
+        handle.shutdown().unwrap();
+    }
+
     #[test]
     fn shutdown_then_connect_refused() {
         let handle = boot();

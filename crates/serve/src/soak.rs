@@ -228,32 +228,10 @@ impl SoakReport {
 /// after the run, so the hit ratio reflects *this* workload even
 /// against a warm server.
 pub fn run_soak(addr: SocketAddr, docs: &[String], config: &SoakConfig) -> io::Result<SoakReport> {
-    run_soak_multi(&[addr], docs, config)
-}
-
-/// [`run_soak`] against several servers at once: client `i` connects to
-/// `addrs[i % addrs.len()]`, and the cache/server counter deltas are
-/// summed across every address. Driving N independent replicas with
-/// one schedule (spray, no shard affinity) is the baseline a
-/// fingerprint-sharded cluster gets compared against — same machines,
-/// same traffic, no routing intelligence.
-pub fn run_soak_multi(
-    addrs: &[SocketAddr],
-    docs: &[String],
-    config: &SoakConfig,
-) -> io::Result<SoakReport> {
-    if addrs.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "run_soak_multi needs at least one address",
-        ));
-    }
-    // With several targets, at least one client per target so every
-    // address sees traffic.
-    let clients = config.clients.max(addrs.len()).min(docs.len().max(1));
+    let clients = config.clients.max(1).min(docs.len().max(1));
     let pipeline = config.pipeline.max(1);
-    let before = sample_stats_multi(addrs)?;
-    let metrics_before = sample_request_histogram(addrs);
+    let before = sample_stats(addr)?;
+    let metrics_before = sample_request_histogram(addr);
 
     let started = Instant::now();
     let mut samples: Vec<(u64, u16)> = Vec::with_capacity(docs.len());
@@ -263,7 +241,6 @@ pub fn run_soak_multi(
             // Round-robin partition: every client's slice preserves the
             // schedule's global duplicate mix.
             let schedule: Vec<&String> = docs.iter().skip(worker).step_by(clients).collect();
-            let addr = addrs[worker % addrs.len()];
             workers.push(scope.spawn(move || drive_client(addr, &schedule, pipeline)));
         }
         for worker in workers {
@@ -276,8 +253,8 @@ pub fn run_soak_multi(
     })?;
     let duration = started.elapsed();
 
-    let after = sample_stats_multi(addrs)?;
-    let metrics_after = sample_request_histogram(addrs);
+    let after = sample_stats(addr)?;
+    let metrics_after = sample_request_histogram(addr);
     let server = ServerDelta {
         shed_requests: after.shed.saturating_sub(before.shed),
         pipelined_requests: after.pipelined.saturating_sub(before.pipelined),
@@ -332,13 +309,12 @@ pub fn run_soak_multi(
     })
 }
 
-/// Cross-check the client-observed percentiles against the servers'
-/// own request histograms: delta the before/after scrapes, merge
-/// across targets, and verify the server numbers sit below the client
-/// ones. The tolerance covers the histogram's √2 bucket grid (a
-/// server-side value is reported as its bucket's upper bound) plus
-/// scheduling jitter, with an absolute floor for microsecond-scale
-/// cache-hit runs.
+/// Cross-check the client-observed percentiles against the server's
+/// own request histogram: delta the before/after scrapes and verify
+/// the server numbers sit below the client ones. The tolerance covers
+/// the histogram's √2 bucket grid (a server-side value is reported as
+/// its bucket's upper bound) plus scheduling jitter, with an absolute
+/// floor for microsecond-scale cache-hit runs.
 fn server_latency_check(
     before: Option<HistogramSnapshot>,
     after: Option<HistogramSnapshot>,
@@ -359,27 +335,21 @@ fn server_latency_check(
     })
 }
 
-/// Merge the `/metrics` request histogram across every target. `None`
-/// when any target fails to answer the scrape (metrics disabled or
-/// unreachable) — the cross-check needs the whole fleet's view.
-fn sample_request_histogram(addrs: &[SocketAddr]) -> Option<HistogramSnapshot> {
-    let mut merged = HistogramSnapshot::default();
-    for addr in addrs {
-        let mut client = HttpClient::connect(*addr).ok()?;
-        let resp = client.get("/metrics").ok()?;
-        if resp.status != 200 {
-            return None;
-        }
-        let parsed = parse_exposition(&resp.body);
-        // A fresh server renders no bucket lines yet: an empty
-        // snapshot, not a missing endpoint.
-        if let Some(snap) =
-            snapshot_from_samples(&parsed.samples, lantern_obs::METRIC_REQUEST_SECONDS, &[])
-        {
-            merged.merge(&snap);
-        }
+/// The server's `/metrics` request histogram. `None` when the scrape
+/// fails (metrics disabled or unreachable).
+fn sample_request_histogram(addr: SocketAddr) -> Option<HistogramSnapshot> {
+    let mut client = HttpClient::connect(addr).ok()?;
+    let resp = client.get("/metrics").ok()?;
+    if resp.status != 200 {
+        return None;
     }
-    Some(merged)
+    let parsed = parse_exposition(&resp.body);
+    // A fresh server renders no bucket lines yet: an empty snapshot,
+    // not a missing endpoint.
+    Some(
+        snapshot_from_samples(&parsed.samples, lantern_obs::METRIC_REQUEST_SECONDS, &[])
+            .unwrap_or_default(),
+    )
 }
 
 /// One client's request loop: time every `POST /narrate`, record
@@ -438,26 +408,6 @@ struct StatsSample {
     cache: Option<(u64, u64)>,
     shed: u64,
     pipelined: u64,
-}
-
-/// Sum one [`StatsSample`] per address: cache counters are `Some` when
-/// any server reports a cache (uncached servers contribute zero).
-fn sample_stats_multi(addrs: &[SocketAddr]) -> io::Result<StatsSample> {
-    let mut total = StatsSample {
-        cache: None,
-        shed: 0,
-        pipelined: 0,
-    };
-    for addr in addrs {
-        let sample = sample_stats(*addr)?;
-        total.shed += sample.shed;
-        total.pipelined += sample.pipelined;
-        if let Some((hits, misses)) = sample.cache {
-            let (h, m) = total.cache.unwrap_or((0, 0));
-            total.cache = Some((h + hits, m + misses));
-        }
-    }
-    Ok(total)
 }
 
 fn sample_stats(addr: SocketAddr) -> io::Result<StatsSample> {
@@ -624,51 +574,6 @@ mod tests {
         );
 
         handle.shutdown().unwrap();
-    }
-
-    #[test]
-    fn soak_multi_sums_counters_across_replicas() {
-        let boot = || {
-            let cached = Arc::new(CachedTranslator::new(
-                RuleTranslator::new(default_mssql_store()),
-                CacheConfig::default(),
-            ));
-            boot(Arc::clone(&cached), Some(cached), ServeConfig::default())
-        };
-        let (a, b) = (boot(), boot());
-
-        // Two clients, one per server; round-robin hands each client
-        // the same doc twice: every server sees 1 miss + 1 hit.
-        let docs = vec![DOC_A.to_string(); 4];
-        let report = run_soak_multi(
-            &[a.addr(), b.addr()],
-            &docs,
-            &SoakConfig {
-                clients: 2,
-                pipeline: 1,
-            },
-        )
-        .unwrap();
-        assert_eq!(report.ok, 4, "statuses: {:?}", report.statuses);
-        let cache = report.cache.expect("summed cache delta");
-        assert_eq!(cache.misses, 2, "one cold miss per replica");
-        assert_eq!(cache.hits, 2);
-
-        // `clients` is raised to cover every address.
-        let report = run_soak_multi(
-            &[a.addr(), b.addr()],
-            &docs,
-            &SoakConfig {
-                clients: 1,
-                pipeline: 1,
-            },
-        )
-        .unwrap();
-        assert_eq!(report.clients, 2);
-
-        assert!(run_soak_multi(&[], &docs, &SoakConfig::default()).is_err());
-        a.shutdown().unwrap();
-        b.shutdown().unwrap();
     }
 
     /// A replica from another build that serves no `/metrics` page:
