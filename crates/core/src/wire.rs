@@ -9,13 +9,36 @@
 //!             "bindings": [["<T>", "T1"]]}]}
 //! ```
 //!
-//! Serialization uses the in-tree JSON value model (`lantern_text`), so
-//! the output is deterministic (object keys are sorted).
+//! The service's 200 bodies — [`NarrationResponse::write_json`] and
+//! [`DiffResponse::write_json`] — use the same shape for their
+//! `narration` field.
+//!
+//! The writers here stream straight into a `String` through
+//! `lantern_text`'s shared escaper and number formatter, with object
+//! keys in sorted order: byte for byte what the `JsonValue` DOM
+//! ([`Narration::to_json_value`]) renders, without building it.
 
+use crate::api::{DiffResponse, NarrationResponse};
 use crate::narrate::{Narration, NarrationStep};
 use crate::tags::TagBinding;
-use lantern_text::json::{JsonError, JsonValue};
+use lantern_text::json::{write_number, write_string, JsonError, JsonValue};
 use std::collections::BTreeMap;
+
+/// Append `items` as a JSON array, each written by `write_item`.
+fn write_array<T>(out: &mut String, items: &[T], mut write_item: impl FnMut(&mut String, &T)) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_item(out, item);
+    }
+    out.push(']');
+}
+
+fn write_strings(out: &mut String, items: &[String]) {
+    write_array(out, items, |out, s| write_string(out, s));
+}
 
 fn shape_err(message: impl Into<String>) -> JsonError {
     JsonError {
@@ -62,6 +85,37 @@ impl NarrationStep {
             ),
         );
         JsonValue::Object(obj)
+    }
+
+    /// Append the step's compact JSON object to `out` (keys sorted,
+    /// as [`NarrationStep::to_json_value`] renders them).
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"bindings\":");
+        write_array(out, &self.bindings, |out, (tag, value)| {
+            out.push('[');
+            write_string(out, tag);
+            out.push(',');
+            write_string(out, value);
+            out.push(']');
+        });
+        out.push_str(",\"index\":");
+        write_number(out, self.index as f64);
+        out.push_str(",\"ops\":");
+        write_strings(out, &self.ops);
+        out.push_str(",\"tagged\":");
+        write_string(out, &self.tagged);
+        out.push_str(",\"text\":");
+        write_string(out, &self.text);
+        out.push('}');
+    }
+
+    /// About how many bytes [`NarrationStep::write_json`] appends: the
+    /// raw string lengths plus the fixed syntax, so a buffer sized by
+    /// it rarely grows (only escapes make the output longer).
+    fn json_len_hint(&self) -> usize {
+        let strings = |items: &[String]| items.iter().map(|s| s.len() + 3).sum::<usize>();
+        let bindings: usize = self.bindings.iter().map(|(t, v)| t.len() + v.len() + 8).sum();
+        64 + strings(&self.ops) + bindings + self.text.len() + self.tagged.len()
     }
 
     /// Parse one step from its JSON value.
@@ -126,9 +180,28 @@ impl Narration {
         JsonValue::Object(obj)
     }
 
+    /// Append the compact JSON form to `out`: the same bytes as
+    /// `self.to_json_value().to_string_compact()`.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"steps\":");
+        write_array(out, self.steps(), |out, step| step.write_json(out));
+        out.push('}');
+    }
+
+    /// About how many bytes [`Narration::write_json`] appends.
+    pub fn json_len_hint(&self) -> usize {
+        16 + self
+            .steps()
+            .iter()
+            .map(NarrationStep::json_len_hint)
+            .sum::<usize>()
+    }
+
     /// Serialize to a compact JSON string.
     pub fn to_json(&self) -> String {
-        self.to_json_value().to_string_compact()
+        let mut out = String::with_capacity(self.json_len_hint());
+        self.write_json(&mut out);
+        out
     }
 
     /// Parse a narration from its JSON wire form.
@@ -142,6 +215,91 @@ impl Narration {
             _ => return Err(shape_err("missing array field 'steps'")),
         };
         Ok(Narration::from_steps(steps))
+    }
+}
+
+impl NarrationResponse {
+    /// Append the service's `/narrate` 200 body to `out`:
+    /// `{"backend": ..., "narration": {"steps": [...]}, "text": ...}`.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"backend\":");
+        write_string(out, &self.backend);
+        out.push_str(",\"narration\":");
+        self.narration.write_json(out);
+        out.push_str(",\"text\":");
+        write_string(out, &self.text);
+        out.push('}');
+    }
+
+    /// About how many bytes [`NarrationResponse::write_json`] appends.
+    pub fn json_len_hint(&self) -> usize {
+        48 + self.backend.len() + self.narration.json_len_hint() + self.text.len()
+    }
+
+    /// The `/narrate` 200 body as a string sized to fit.
+    pub fn to_json(&self) -> String {
+        let mut out = String::with_capacity(self.json_len_hint());
+        self.write_json(&mut out);
+        out
+    }
+}
+
+impl DiffResponse {
+    /// Append the service's diff 200 body to `out`: the backend name,
+    /// informativeness score, an `identical` flag, the rendered text,
+    /// the structured change list, and the narration in the `/narrate`
+    /// wire form. `alt_index` (a `/narrate/diff/batch` item's position
+    /// in the request's `alts`) leads the object when given, as sorted
+    /// keys put it.
+    pub fn write_json(&self, out: &mut String, alt_index: Option<usize>) {
+        out.push('{');
+        if let Some(index) = alt_index {
+            out.push_str("\"alt_index\":");
+            write_number(out, index as f64);
+            out.push(',');
+        }
+        out.push_str("\"backend\":");
+        write_string(out, &self.backend);
+        out.push_str(",\"changes\":");
+        write_array(out, &self.changes, |out, change| {
+            out.push_str("{\"detail\":");
+            write_string(out, &change.detail);
+            out.push_str(",\"kind\":");
+            write_string(out, &change.kind);
+            out.push_str(",\"op\":");
+            write_string(out, &change.op);
+            out.push_str(",\"path\":");
+            write_string(out, &change.path);
+            out.push_str(",\"weight\":");
+            write_number(out, change.weight);
+            out.push('}');
+        });
+        out.push_str(",\"identical\":");
+        out.push_str(if self.is_identical() { "true" } else { "false" });
+        out.push_str(",\"narration\":");
+        self.narration.write_json(out);
+        out.push_str(",\"score\":");
+        write_number(out, self.score);
+        out.push_str(",\"text\":");
+        write_string(out, &self.text);
+        out.push('}');
+    }
+
+    /// About how many bytes [`DiffResponse::write_json`] appends.
+    pub fn json_len_hint(&self) -> usize {
+        let changes: usize = self
+            .changes
+            .iter()
+            .map(|c| 96 + c.detail.len() + c.kind.len() + c.op.len() + c.path.len())
+            .sum();
+        128 + self.backend.len() + changes + self.narration.json_len_hint() + self.text.len()
+    }
+
+    /// The `/narrate/diff` 200 body as a string sized to fit.
+    pub fn to_json(&self) -> String {
+        let mut out = String::with_capacity(self.json_len_hint());
+        self.write_json(&mut out, None);
+        out
     }
 }
 

@@ -4,12 +4,21 @@
 //!
 //! The wire format (see `docs/SERVING.md`):
 //!
-//! * success — `{"backend": "...", "text": "...", "narration":
-//!   {"steps": [...]}}` where `narration` is exactly
+//! * success — `{"backend": "...", "narration": {"steps": [...]},
+//!   "text": "..."}` where `narration` is exactly
 //!   [`Narration::to_json`](lantern_core::Narration::to_json);
 //! * failure — `{"error": {"kind": "...", "message": "...",
 //!   "status": N}}` with the status code duplicated in the HTTP
 //!   status line, mapped through [`LanternError::http_status`].
+//!
+//! Every 200 body on the narration and diff paths is written straight
+//! into the response buffer by the `write_json` writers in
+//! `lantern_core::wire` — no `JsonValue` tree on the way. A batch body
+//! is `[` + its item bodies joined by `,` + `]`, each item written by
+//! the same writer its single-plan endpoint uses, so batch ≡ sequential
+//! holds by construction. Error bodies and the admin pages stay on
+//! `JsonValue`; its serializer shares the same escaper and number
+//! formatter.
 
 use crate::catalog::{CatalogApplyError, CatalogControl};
 use crate::http::{Request, Response, REQUEST_ID_HEADER};
@@ -138,17 +147,6 @@ pub fn series_value(rows: impl IntoIterator<Item = Series>) -> JsonValue {
             .map(|row| (row.name.to_string(), JsonValue::Number(row.value as f64)))
             .collect(),
     )
-}
-
-fn narration_value(resp: &NarrationResponse) -> JsonValue {
-    let mut obj = BTreeMap::new();
-    obj.insert(
-        "backend".to_string(),
-        JsonValue::String(resp.backend.clone()),
-    );
-    obj.insert("text".to_string(), JsonValue::String(resp.text.clone()));
-    obj.insert("narration".to_string(), resp.narration.to_json_value());
-    JsonValue::Object(obj)
 }
 
 fn parse_style(raw: &str) -> Result<RenderStyle, String> {
@@ -321,7 +319,7 @@ impl<T: Translator> Router<T> {
             Ok(resp) => {
                 self.stats.narrate_ok.fetch_add(1, Ordering::Relaxed);
                 let _render = span(Stage::Render);
-                Response::json(200, narration_value(&resp).to_string_compact())
+                Response::json(200, resp.to_json())
             }
             Err(err) => {
                 self.stats.narrate_errors.fetch_add(1, Ordering::Relaxed);
@@ -398,9 +396,17 @@ impl<T: Translator> Router<T> {
             }
         };
         let _render = span(Stage::Render);
+        // Size the body from the answers: per-item errors are short.
+        let hint = placements.len() * 128
+            + narrated
+                .iter()
+                .flatten()
+                .map(NarrationResponse::json_len_hint)
+                .sum::<usize>();
+        let mut body = String::with_capacity(hint);
+        body.push('[');
         let mut narrated = narrated.into_iter();
-        let mut out = Vec::with_capacity(placements.len());
-        for placement in placements {
+        for (i, placement) in placements.into_iter().enumerate() {
             let result = match placement {
                 // A conforming backend returns one result per request;
                 // treat a short answer as that backend's error rather
@@ -413,18 +419,22 @@ impl<T: Translator> Router<T> {
                 }),
                 Err(e) => Err(e),
             };
-            out.push(match result {
+            if i > 0 {
+                body.push(',');
+            }
+            match result {
                 Ok(resp) => {
                     self.stats.narrate_ok.fetch_add(1, Ordering::Relaxed);
-                    narration_value(&resp)
+                    resp.write_json(&mut body);
                 }
                 Err(err) => {
                     self.stats.narrate_errors.fetch_add(1, Ordering::Relaxed);
-                    error_body(&err)
+                    error_body(&err).write_compact(&mut body);
                 }
-            });
+            }
         }
-        Response::json(200, JsonValue::Array(out).to_string_compact())
+        body.push(']');
+        Response::json(200, body)
     }
 
     /// `GET /healthz` — liveness plus which backend is live.
@@ -487,7 +497,7 @@ impl<T: Translator> Router<T> {
             Ok(resp) => {
                 self.stats.diff_ok.fetch_add(1, Ordering::Relaxed);
                 let _render = span(Stage::Render);
-                Response::json(200, diff_value(&resp).to_string_compact())
+                Response::json(200, resp.to_json())
             }
             Err(err) => {
                 self.stats.diff_errors.fetch_add(1, Ordering::Relaxed);
@@ -623,22 +633,26 @@ impl<T: Translator> Router<T> {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(ai.cmp(bi))
         });
-        let mut out = Vec::with_capacity(oks.len() + errs.len());
+        let hint = (oks.len() + errs.len()) * 160
+            + oks.iter().map(|(_, r)| r.json_len_hint()).sum::<usize>();
+        let mut body = String::with_capacity(hint);
+        body.push('[');
         for (index, resp) in &oks {
-            let mut value = diff_value(resp);
-            if let JsonValue::Object(obj) = &mut value {
-                obj.insert("alt_index".to_string(), JsonValue::Number(*index as f64));
-            }
-            out.push(value);
+            resp.write_json(&mut body, Some(*index));
+            body.push(',');
         }
         for (index, err) in &errs {
             let mut value = error_body(err);
             if let JsonValue::Object(obj) = &mut value {
                 obj.insert("alt_index".to_string(), JsonValue::Number(*index as f64));
             }
-            out.push(value);
+            value.write_compact(&mut body);
+            body.push(',');
         }
-        Response::json(200, JsonValue::Array(out).to_string_compact())
+        // `alts` is non-empty, so the last item left a trailing comma.
+        body.pop();
+        body.push(']');
+        Response::json(200, body)
     }
 
     /// `POST /cache/clear` — drop every cached narration; answers how
@@ -818,43 +832,6 @@ pub fn slow_log_value(recorder: &Recorder, threshold_ms: u64) -> JsonValue {
         JsonValue::Number(recorder.slow_threshold_ns() as f64 / 1e6),
     );
     obj.insert("entries".to_string(), JsonValue::Array(entries));
-    JsonValue::Object(obj)
-}
-
-/// The success wire form of a diff comparison: the backend name,
-/// informativeness score, an `identical` convenience flag, the
-/// rendered text, the structured change list, and the narration in
-/// the same stable format `/narrate` uses.
-fn diff_value(resp: &DiffResponse) -> JsonValue {
-    let changes = resp
-        .changes
-        .iter()
-        .map(|change| {
-            let mut obj = BTreeMap::new();
-            obj.insert("kind".to_string(), JsonValue::String(change.kind.clone()));
-            obj.insert("path".to_string(), JsonValue::String(change.path.clone()));
-            obj.insert("op".to_string(), JsonValue::String(change.op.clone()));
-            obj.insert(
-                "detail".to_string(),
-                JsonValue::String(change.detail.clone()),
-            );
-            obj.insert("weight".to_string(), JsonValue::Number(change.weight));
-            JsonValue::Object(obj)
-        })
-        .collect();
-    let mut obj = BTreeMap::new();
-    obj.insert(
-        "backend".to_string(),
-        JsonValue::String(resp.backend.clone()),
-    );
-    obj.insert("score".to_string(), JsonValue::Number(resp.score));
-    obj.insert(
-        "identical".to_string(),
-        JsonValue::Bool(resp.is_identical()),
-    );
-    obj.insert("text".to_string(), JsonValue::String(resp.text.clone()));
-    obj.insert("changes".to_string(), JsonValue::Array(changes));
-    obj.insert("narration".to_string(), resp.narration.to_json_value());
     JsonValue::Object(obj)
 }
 

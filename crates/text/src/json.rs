@@ -97,8 +97,13 @@ impl JsonValue {
     /// Serialize compactly.
     pub fn to_string_compact(&self) -> String {
         let mut s = String::new();
-        self.write(&mut s, None, 0);
+        self.write_compact(&mut s);
         s
+    }
+
+    /// Append the compact serialization to `out`.
+    pub fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
     }
 
     /// Serialize with 2-space indentation.
@@ -112,14 +117,8 @@ impl JsonValue {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Number(n) => {
-                if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
-            }
-            JsonValue::String(s) => write_json_string(out, s),
+            JsonValue::Number(n) => write_number(out, *n),
+            JsonValue::String(s) => write_string(out, s),
             JsonValue::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -141,7 +140,7 @@ impl JsonValue {
                         out.push(',');
                     }
                     newline_indent(out, indent, depth + 1);
-                    write_json_string(out, k);
+                    write_string(out, k);
                     out.push(':');
                     if indent.is_some() {
                         out.push(' ');
@@ -166,20 +165,79 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-fn write_json_string(out: &mut String, s: &str) {
+/// Bytes a JSON string literal cannot carry raw: `"`, `\` and every
+/// control byte below 0x20. All of them are ASCII, so a byte scan never
+/// splits a multibyte UTF-8 sequence.
+const NEEDS_ESCAPE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b] = true;
+        b += 1;
+    }
+    table[b'"' as usize] = true;
+    table[b'\\' as usize] = true;
+    table
+};
+
+/// Append `s` to `out` as a JSON string literal, quotes included: `"`,
+/// `\`, `\n`, `\r` and `\t` get their short escapes, other bytes
+/// below 0x20 become lowercase `\u00xx`, and everything else (0x7F,
+/// multibyte UTF-8, U+2028) is copied raw. Runs between escapes are
+/// copied whole.
+pub fn write_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if !NEEDS_ESCAPE[b as usize] {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[(b >> 4) as usize] as char);
+                out.push(HEX[(b & 0xf) as usize] as char);
+            }
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// Append `n` to `out` as a JSON number: integral values below 9e15 in
+/// magnitude as integers (`-0.0` as `0`), everything else through
+/// `f64`'s `Display` (so NaN and infinities print as `NaN` / `inf`).
+pub fn write_number(out: &mut String, n: f64) {
+    if n.fract() == 0.0 && n.abs() < 9.0e15 {
+        let value = n as i64;
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        let mut rest = value.unsigned_abs();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        if value < 0 {
+            out.push('-');
+        }
+        out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+    } else {
+        use std::fmt::Write;
+        let _ = write!(out, "{n}");
+    }
 }
 
 struct Parser<'a> {
@@ -459,6 +517,76 @@ mod tests {
     fn exponent_numbers() {
         assert_eq!(JsonValue::parse("1e3").unwrap().as_f64(), Some(1000.0));
         assert_eq!(JsonValue::parse("2.5E-1").unwrap().as_f64(), Some(0.25));
+    }
+
+    /// The char-at-a-time escaper `write_string` replaced, kept as the
+    /// oracle its run-copying scan must match byte for byte.
+    fn escape_oracle(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn string_writer_matches_the_char_escaper_on_every_low_byte() {
+        let mut every: String = (0u8..0x80).map(char::from).collect();
+        every.push_str("é漢😀\u{2028}\u{2029}\u{7f}");
+        let mut cases = vec![String::new(), every.clone(), every.chars().rev().collect()];
+        for c in every.chars() {
+            cases.push(c.to_string());
+            cases.push(format!("a{c}b{c}{c}"));
+        }
+        for case in &cases {
+            let mut out = String::from("prefix");
+            write_string(&mut out, case);
+            assert_eq!(out, format!("prefix{}", escape_oracle(case)), "{case:?}");
+            let parsed = JsonValue::parse(&out["prefix".len()..]).unwrap();
+            assert_eq!(parsed.as_str(), Some(case.as_str()));
+        }
+        let mut out = String::new();
+        write_string(&mut out, "\u{1}\u{1f}\u{7f}");
+        assert_eq!(out, "\"\\u0001\\u001f\u{7f}\"");
+    }
+
+    #[test]
+    fn number_writer_keeps_the_integral_and_display_rule() {
+        for (n, text) in [
+            (0.0, "0"),
+            (-0.0, "0"),
+            (42.0, "42"),
+            (-7.0, "-7"),
+            (0.1, "0.1"),
+            (-2.5, "-2.5"),
+            (1e15, "1000000000000000"),
+            (8_999_999_999_999_999.0, "8999999999999999"),
+            (9e15, "9000000000000000"),
+            (-9e15, "-9000000000000000"),
+            (1e16, "10000000000000000"),
+            (f64::NAN, "NaN"),
+            (f64::INFINITY, "inf"),
+            (f64::NEG_INFINITY, "-inf"),
+        ] {
+            let mut out = String::new();
+            write_number(&mut out, n);
+            assert_eq!(out, text, "{n:?}");
+            let oracle = if n.fract() == 0.0 && n.abs() < 9.0e15 {
+                format!("{}", n as i64)
+            } else {
+                format!("{n}")
+            };
+            assert_eq!(out, oracle, "{n:?}");
+        }
     }
 
     #[test]
