@@ -184,9 +184,49 @@ struct Replica {
     /// deprioritized, never excluded — forwarding is the liveness
     /// detector of last resort when the whole ring looks down.
     healthy: AtomicBool,
-    catalog_version: AtomicU64,
-    catalog_seq: AtomicU64,
+    catalog: CatalogView,
     pool: Mutex<Vec<HttpClient>>,
+}
+
+/// What the coordinator last learned of one replica's catalog
+/// (`applied_seq`, `version`) from `GET /catalog` probes and
+/// `/catalog/apply` acks. Those answers can land out of order — a probe
+/// sent before a broadcast may answer after the broadcast's ack — so
+/// every exchange takes a [`CatalogView::stamp`] before it sends and
+/// hands it to [`CatalogView::observe`] with the answer. An answer to a
+/// request sent after the stored answer was recorded always wins, even
+/// with a lower sequence (a restarted replica starts over from 0); an
+/// answer to a request that overlapped it only wins with a higher
+/// sequence, so an older answer never overwrites a newer one.
+#[derive(Default)]
+struct CatalogView {
+    clock: AtomicU64,
+    /// `(recorded_at, applied_seq, version)`: the stored answer and the
+    /// clock tick it was recorded at.
+    state: Mutex<(u64, u64, u64)>,
+}
+
+impl CatalogView {
+    /// Taken before sending a request whose answer will be observed.
+    fn stamp(&self) -> u64 {
+        self.clock.load(Ordering::SeqCst)
+    }
+
+    /// Record an answer (`applied_seq`, `version`) to a request sent at
+    /// stamp `sent`, unless a newer answer is already stored.
+    fn observe(&self, sent: u64, seq: u64, version: u64) {
+        let mut state = lock(&self.state);
+        let (recorded_at, stored_seq, _) = *state;
+        if sent >= recorded_at || seq > stored_seq {
+            *state = (self.clock.fetch_add(1, Ordering::SeqCst) + 1, seq, version);
+        }
+    }
+
+    /// The stored `(applied_seq, version)`.
+    fn get(&self) -> (u64, u64) {
+        let (_, seq, version) = *lock(&self.state);
+        (seq, version)
+    }
 }
 
 struct Coordinator {
@@ -272,8 +312,7 @@ impl Coordinator {
             .map(|&addr| Replica {
                 addr,
                 healthy: AtomicBool::new(true),
-                catalog_version: AtomicU64::new(0),
-                catalog_seq: AtomicU64::new(0),
+                catalog: CatalogView::default(),
                 pool: Mutex::new(Vec::new()),
             })
             .collect();
@@ -835,6 +874,7 @@ impl Coordinator {
             .replicas
             .iter()
             .map(|replica| {
+                let (applied_seq, version) = replica.catalog.get();
                 let mut obj = BTreeMap::new();
                 obj.insert(
                     "addr".to_string(),
@@ -844,13 +884,10 @@ impl Coordinator {
                     "healthy".to_string(),
                     JsonValue::Bool(replica.healthy.load(Ordering::Relaxed)),
                 );
-                obj.insert(
-                    "version".to_string(),
-                    JsonValue::Number(replica.catalog_version.load(Ordering::Relaxed) as f64),
-                );
+                obj.insert("version".to_string(), JsonValue::Number(version as f64));
                 obj.insert(
                     "applied_seq".to_string(),
-                    JsonValue::Number(replica.catalog_seq.load(Ordering::Relaxed) as f64),
+                    JsonValue::Number(applied_seq as f64),
                 );
                 JsonValue::Object(obj)
             })
@@ -915,19 +952,17 @@ impl Coordinator {
                         .join()
                         .unwrap_or_else(|_| "broadcast thread panicked".to_string());
                     let replica = &self.replicas[node];
+                    let (applied_seq, version) = replica.catalog.get();
                     let mut obj = BTreeMap::new();
                     obj.insert(
                         "addr".to_string(),
                         JsonValue::String(replica.addr.to_string()),
                     );
                     obj.insert("status".to_string(), JsonValue::String(status));
-                    obj.insert(
-                        "version".to_string(),
-                        JsonValue::Number(replica.catalog_version.load(Ordering::Relaxed) as f64),
-                    );
+                    obj.insert("version".to_string(), JsonValue::Number(version as f64));
                     obj.insert(
                         "applied_seq".to_string(),
-                        JsonValue::Number(replica.catalog_seq.load(Ordering::Relaxed) as f64),
+                        JsonValue::Number(applied_seq as f64),
                     );
                     JsonValue::Object(obj)
                 })
@@ -937,9 +972,10 @@ impl Coordinator {
 
     /// One broadcast leg; returns a short status word for the response.
     fn push_catalog(&self, node: usize, seq: u64, envelope: &str) -> String {
+        let sent = self.replicas[node].catalog.stamp();
         match self.exchange(node, "POST", "/catalog/apply", Some(envelope)) {
             Ok(resp) if resp.status == 200 => {
-                self.record_catalog_ack(node, &resp);
+                self.record_catalog(node, sent, &resp);
                 "applied".to_string()
             }
             Ok(resp) if resp.status == 409 => {
@@ -970,21 +1006,16 @@ impl Coordinator {
         }
     }
 
-    /// Read a replica's `applied`/`version` out of a `/catalog/apply`
-    /// acknowledgment.
-    fn record_catalog_ack(&self, node: usize, resp: &ClientResponse) {
-        if let Ok(body) = resp.json() {
-            if let Some(seq) = body.get("applied_seq").and_then(JsonValue::as_f64) {
-                self.replicas[node]
-                    .catalog_seq
-                    .store(seq as u64, Ordering::Relaxed);
-            }
-            if let Some(version) = body.get("version").and_then(JsonValue::as_f64) {
-                self.replicas[node]
-                    .catalog_version
-                    .store(version as u64, Ordering::Relaxed);
-            }
-        }
+    /// Record the `applied_seq`/`version` of a replica's `GET /catalog`
+    /// or `/catalog/apply` answer to a request sent at stamp `sent`;
+    /// returns the answer's `applied_seq`.
+    fn record_catalog(&self, node: usize, sent: u64, resp: &ClientResponse) -> Option<u64> {
+        let body = resp.json().ok()?;
+        let number = |key: &str| body.get(key).and_then(JsonValue::as_f64).map(|n| n as u64);
+        let seq = number("applied_seq")?;
+        let version = number("version").unwrap_or(0);
+        self.replicas[node].catalog.observe(sent, seq, version);
+        Some(seq)
     }
 
     /// Bring one replica up to the head of the statement log: ask where
@@ -1009,10 +1040,11 @@ impl Coordinator {
         }
         let suffix = &log[applied as usize..];
         let envelope = apply_envelope(applied + 1, suffix);
+        let sent = self.replicas[node].catalog.stamp();
         match self.exchange(node, "POST", "/catalog/apply", Some(&envelope)) {
             Ok(resp) if resp.status == 200 => {
                 self.cluster.catalog_replays.fetch_add(1, Ordering::Relaxed);
-                self.record_catalog_ack(node, &resp);
+                self.record_catalog(node, sent, &resp);
                 Ok(())
             }
             Ok(resp) => Err(format!("replay rejected with status {}", resp.status)),
@@ -1047,24 +1079,10 @@ impl Coordinator {
     fn probe_once(&self) {
         let log_len = lock(&self.catalog_log).len() as u64;
         for node in 0..self.replicas.len() {
+            let sent = self.replicas[node].catalog.stamp();
             match self.exchange(node, "GET", "/catalog", None) {
                 Ok(resp) if resp.status == 200 => {
-                    let applied = resp
-                        .json()
-                        .ok()
-                        .and_then(|v| {
-                            if let Some(version) = v.get("version").and_then(JsonValue::as_f64) {
-                                self.replicas[node]
-                                    .catalog_version
-                                    .store(version as u64, Ordering::Relaxed);
-                            }
-                            v.get("applied_seq").and_then(JsonValue::as_f64)
-                        })
-                        .map(|n| n as u64);
-                    if let Some(applied) = applied {
-                        self.replicas[node]
-                            .catalog_seq
-                            .store(applied, Ordering::Relaxed);
+                    if let Some(applied) = self.record_catalog(node, sent, &resp) {
                         if applied < log_len {
                             let _ = self.replay_suffix(node);
                         }
@@ -1317,5 +1335,53 @@ mod tests {
         assert_eq!(resp.status, 503);
         assert_eq!(resp.body, b"{\"x\":1}");
         assert_eq!(resp.headers, vec![("Retry-After", "2".to_string())]);
+    }
+
+    /// A probe's `GET /catalog` sent before a broadcast, answered after
+    /// the broadcast's ack was recorded, must not roll the replica's
+    /// `applied_seq` back; a probe sent after that ack must, because a
+    /// restarted replica really is behind.
+    #[test]
+    fn stale_catalog_answers_never_overwrite_newer_ones() {
+        let coordinator = Coordinator::new(ClusterConfig {
+            replicas: vec!["127.0.0.1:9".parse().unwrap()],
+            ..ClusterConfig::default()
+        });
+        let answer = |seq: u64, version: u64| ClientResponse {
+            status: 200,
+            headers: Vec::new(),
+            body: format!("{{\"applied_seq\":{seq},\"version\":{version}}}"),
+        };
+        let view = &coordinator.replicas[0].catalog;
+        let record = |sent, resp: &ClientResponse| coordinator.record_catalog(0, sent, resp);
+
+        // Probe and broadcast are both in flight; the ack lands first.
+        let probe_sent = view.stamp();
+        let ack_sent = view.stamp();
+        assert_eq!(record(ack_sent, &answer(1, 7)), Some(1));
+        assert_eq!(view.get(), (1, 7));
+        assert_eq!(record(probe_sent, &answer(0, 6)), Some(0));
+        assert_eq!(view.get(), (1, 7), "the older probe answer was ignored");
+
+        // Overlapping answers keep the higher sequence whichever lands
+        // last.
+        let first = view.stamp();
+        let second = view.stamp();
+        record(second, &answer(2, 8));
+        record(first, &answer(3, 9));
+        assert_eq!(view.get(), (3, 9));
+
+        // The replica restarts empty: a probe sent after the last
+        // recorded answer reports the lower sequence, and it sticks.
+        let probe_sent = view.stamp();
+        record(probe_sent, &answer(0, 1));
+        assert_eq!(view.get(), (0, 1));
+        // An answer without `applied_seq` records nothing.
+        let empty = ClientResponse {
+            body: "{}".to_string(),
+            ..answer(5, 5)
+        };
+        assert_eq!(record(view.stamp(), &empty), None);
+        assert_eq!(view.get(), (0, 1));
     }
 }

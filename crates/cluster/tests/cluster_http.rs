@@ -4,7 +4,7 @@
 //! restart.
 
 use lantern_cache::{CacheConfig, CachedTranslator};
-use lantern_cluster::{serve_cluster, ClusterConfig, ClusterHandle};
+use lantern_cluster::{serve_cluster, shard_key, ClusterConfig, ClusterHandle, HashRing};
 use lantern_core::RuleTranslator;
 use lantern_gen::{FormatMix, GenConfig, PlanGenerator};
 use lantern_pool::{default_pg_store, PoemStore};
@@ -532,11 +532,23 @@ fn coordinator_metrics_merge_replicas_bucket_wise_and_request_ids_round_trip() {
         .to_string();
     assert!(!minted.is_empty());
 
-    // Spread more traffic so every shard has recorded something.
-    for i in 0..12 {
-        let resp = client
-            .post("/narrate", &plan_doc(&format!("merge_{i}")))
-            .expect("narrate");
+    // Spread more traffic so every shard has recorded something: four
+    // documents owned by each replica, picked on the coordinator's own
+    // ring, so coverage holds by construction.
+    let names: Vec<String> = addrs.iter().map(|a| a.to_string()).collect();
+    let ring = HashRing::new(&names, ClusterConfig::default().virtual_nodes);
+    let mut owned = vec![0usize; addrs.len()];
+    let docs: Vec<String> = (0..)
+        .map(|i| plan_doc(&format!("merge_{i}")))
+        .filter(|doc| {
+            let owner = ring.route(shard_key(doc)).expect("non-empty ring");
+            owned[owner] += 1;
+            owned[owner] <= 4
+        })
+        .take(4 * addrs.len())
+        .collect();
+    for doc in &docs {
+        let resp = client.post("/narrate", doc).expect("narrate");
         assert_eq!(resp.status, 200);
     }
 
