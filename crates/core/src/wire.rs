@@ -36,10 +36,6 @@ fn write_array<T>(out: &mut String, items: &[T], mut write_item: impl FnMut(&mut
     out.push(']');
 }
 
-fn write_strings(out: &mut String, items: &[String]) {
-    write_array(out, items, |out, s| write_string(out, s));
-}
-
 fn shape_err(message: impl Into<String>) -> JsonError {
     JsonError {
         offset: 0,
@@ -101,7 +97,7 @@ impl NarrationStep {
         out.push_str(",\"index\":");
         write_number(out, self.index as f64);
         out.push_str(",\"ops\":");
-        write_strings(out, &self.ops);
+        write_array(out, &self.ops, |out, op| write_string(out, op));
         out.push_str(",\"tagged\":");
         write_string(out, &self.tagged);
         out.push_str(",\"text\":");
@@ -114,7 +110,11 @@ impl NarrationStep {
     /// it rarely grows (only escapes make the output longer).
     fn json_len_hint(&self) -> usize {
         let strings = |items: &[String]| items.iter().map(|s| s.len() + 3).sum::<usize>();
-        let bindings: usize = self.bindings.iter().map(|(t, v)| t.len() + v.len() + 8).sum();
+        let bindings: usize = self
+            .bindings
+            .iter()
+            .map(|(t, v)| t.len() + v.len() + 8)
+            .sum();
         64 + strings(&self.ops) + bindings + self.text.len() + self.tagged.len()
     }
 

@@ -1,7 +1,10 @@
 //! Differential test of the streaming JSON writers in `lantern_core::wire`
 //! against a `JsonValue` DOM oracle: for seeded narrations, narration
 //! responses and diffs — with and without `alt_index` — every writer must
-//! emit exactly the bytes the DOM renders. The strings carry every byte
+//! emit exactly the bytes of the DOM serialized by [`oracle`], an
+//! independent char-at-a-time serializer (the writers and
+//! `JsonValue::to_string_compact` share one escaper, so the DOM's own
+//! serializer cannot be the reference). The strings carry every byte
 //! below 0x20, 0x7F, `"`, `\`, multibyte UTF-8, U+2028 and empties; the
 //! numbers include −0.0, 0.1, 1e15, ±9e15, NaN and the infinities.
 
@@ -11,6 +14,62 @@ use proptest::prelude::*;
 use proptest::rand::rngs::StdRng;
 use proptest::rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+
+/// `value` serialized compactly, one `char` at a time, numbers through
+/// `format!`: the rendering rule the service's bodies have always had.
+fn oracle(value: &JsonValue) -> String {
+    fn string(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+    fn value_into(out: &mut String, value: &JsonValue) {
+        match value {
+            JsonValue::Null => out.push_str("null"),
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Number(n) if n.fract() == 0.0 && n.abs() < 9.0e15 => {
+                out.push_str(&format!("{}", *n as i64))
+            }
+            JsonValue::Number(n) => out.push_str(&format!("{n}")),
+            JsonValue::String(s) => string(out, s),
+            JsonValue::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    value_into(out, item);
+                }
+                out.push(']');
+            }
+            JsonValue::Object(map) => {
+                out.push('{');
+                for (i, (key, item)) in map.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    string(out, key);
+                    out.push(':');
+                    value_into(out, item);
+                }
+                out.push('}');
+            }
+        }
+    }
+    let mut out = String::new();
+    value_into(&mut out, value);
+    out
+}
 
 /// `/narrate`'s 200 body built as a DOM: the oracle for
 /// [`NarrationResponse::write_json`].
@@ -69,7 +128,9 @@ fn diff_dom(resp: &DiffResponse, alt_index: Option<usize>) -> JsonValue {
 /// the JavaScript line separator.
 fn alphabet() -> Vec<char> {
     let mut chars: Vec<char> = (0u8..0x20).map(char::from).collect();
-    chars.extend(['\u{7f}', '"', '\\', '/', 'a', 'Z', ' ', '\'', 'é', '漢', '😀', '\u{2028}']);
+    chars.extend([
+        '\u{7f}', '"', '\\', '/', 'a', 'Z', ' ', '\'', 'é', '漢', '😀', '\u{2028}',
+    ]);
     chars
 }
 
@@ -88,7 +149,14 @@ const NUMBERS: [f64; 12] = [
     f64::MIN_POSITIVE,
 ];
 
-const INDEXES: [usize; 6] = [0, 1, 7, 9_000_000_000_000_000, 9_007_199_254_740_993, usize::MAX];
+const INDEXES: [usize; 6] = [
+    0,
+    1,
+    7,
+    9_000_000_000_000_000,
+    9_007_199_254_740_993,
+    usize::MAX,
+];
 
 struct Gen {
     rng: StdRng,
@@ -172,27 +240,37 @@ impl Gen {
     }
 }
 
-/// Every writer, appending after existing bytes, against its oracle.
-fn check_all(narration: &Narration, resp: &NarrationResponse, diff: &DiffResponse) -> Result<(), String> {
+/// Every writer, appending after existing bytes, against the oracle's
+/// rendering of its DOM — and the DOM's own serializer (which error
+/// bodies and `/stats` still use) against the same oracle.
+fn check_all(
+    narration: &Narration,
+    resp: &NarrationResponse,
+    diff: &DiffResponse,
+) -> Result<(), String> {
     for step in narration.steps() {
         let mut out = String::from("[");
         step.write_json(&mut out);
-        prop_assert_eq!(&out[1..], step.to_json_value().to_string_compact());
+        prop_assert_eq!(&out[1..], oracle(&step.to_json_value()));
     }
-    prop_assert_eq!(
-        narration.to_json(),
-        narration.to_json_value().to_string_compact()
-    );
-    prop_assert_eq!(resp.to_json(), response_dom(resp).to_string_compact());
+    let dom = narration.to_json_value();
+    prop_assert_eq!(narration.to_json(), oracle(&dom));
+    prop_assert_eq!(dom.to_string_compact(), oracle(&dom));
+
+    let dom = response_dom(resp);
+    prop_assert_eq!(resp.to_json(), oracle(&dom));
     let mut out = String::from("[");
     resp.write_json(&mut out);
-    prop_assert_eq!(&out[1..], response_dom(resp).to_string_compact());
+    prop_assert_eq!(&out[1..], oracle(&dom));
+    prop_assert_eq!(dom.to_string_compact(), oracle(&dom));
 
-    prop_assert_eq!(diff.to_json(), diff_dom(diff, None).to_string_compact());
+    prop_assert_eq!(diff.to_json(), oracle(&diff_dom(diff, None)));
     for alt_index in INDEXES {
+        let dom = diff_dom(diff, Some(alt_index));
         let mut out = String::from(",");
         diff.write_json(&mut out, Some(alt_index));
-        prop_assert_eq!(&out[1..], diff_dom(diff, Some(alt_index)).to_string_compact());
+        prop_assert_eq!(&out[1..], oracle(&dom));
+        prop_assert_eq!(dom.to_string_compact(), oracle(&dom));
     }
     Ok(())
 }

@@ -638,19 +638,21 @@ impl<T: Translator> Router<T> {
         let mut body = String::with_capacity(hint);
         body.push('[');
         for (index, resp) in &oks {
+            if body.len() > 1 {
+                body.push(',');
+            }
             resp.write_json(&mut body, Some(*index));
-            body.push(',');
         }
         for (index, err) in &errs {
+            if body.len() > 1 {
+                body.push(',');
+            }
             let mut value = error_body(err);
             if let JsonValue::Object(obj) = &mut value {
                 obj.insert("alt_index".to_string(), JsonValue::Number(*index as f64));
             }
             value.write_compact(&mut body);
-            body.push(',');
         }
-        // `alts` is non-empty, so the last item left a trailing comma.
-        body.pop();
         body.push(']');
         Response::json(200, body)
     }

@@ -97,7 +97,10 @@ fn batch_bodies_are_their_single_bodies_stitched() {
         assert!(singles.iter().any(|b| b.starts_with("{\"error\":")));
         let envelope = format!(
             "[{}]",
-            docs.iter().map(|d| json_string(d)).collect::<Vec<_>>().join(",")
+            docs.iter()
+                .map(|d| json_string(d))
+                .collect::<Vec<_>>()
+                .join(",")
         );
         let expected = format!("[{}]", singles.join(","));
         for nocache in [true, false, false] {
@@ -131,7 +134,10 @@ fn cached_answers_equal_uncached_answers_byte_for_byte() {
     })))
     .unwrap();
     let hits = stats.get("cache").and_then(|c| c.get("hits"));
-    assert!(hits.and_then(JsonValue::as_f64).unwrap() >= 16.0, "{stats:?}");
+    assert!(
+        hits.and_then(JsonValue::as_f64).unwrap() >= 16.0,
+        "{stats:?}"
+    );
 }
 
 #[test]
@@ -168,7 +174,9 @@ fn diff_batch_ranks_single_diff_bodies_under_their_alt_index() {
                 (body, score)
             })
             .collect();
-        let mut ranked: Vec<usize> = (0..alts.len()).filter(|&i| singles[i].1.is_some()).collect();
+        let mut ranked: Vec<usize> = (0..alts.len())
+            .filter(|&i| singles[i].1.is_some())
+            .collect();
         ranked.sort_by(|&a, &b| {
             let (sa, sb) = (singles[a].1.unwrap(), singles[b].1.unwrap());
             sb.partial_cmp(&sa).unwrap().then(a.cmp(&b))
@@ -183,7 +191,10 @@ fn diff_batch_ranks_single_diff_bodies_under_their_alt_index() {
 
         let envelope = format!(
             "{{\"alts\":[{}],\"base\":{}}}",
-            alts.iter().map(|a| json_string(a)).collect::<Vec<_>>().join(","),
+            alts.iter()
+                .map(|a| json_string(a))
+                .collect::<Vec<_>>()
+                .join(","),
             json_string(&base)
         );
         let batch = post(&router, "/narrate/diff/batch", &envelope, false);
