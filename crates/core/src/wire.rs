@@ -85,7 +85,7 @@ impl NarrationStep {
 
     /// Append the step's compact JSON object to `out` (keys sorted,
     /// as [`NarrationStep::to_json_value`] renders them).
-    pub fn write_json(&self, out: &mut String) {
+    fn write_json(&self, out: &mut String) {
         out.push_str("{\"bindings\":");
         write_array(out, &self.bindings, |out, (tag, value)| {
             out.push('[');
@@ -109,13 +109,13 @@ impl NarrationStep {
     /// raw string lengths plus the fixed syntax, so a buffer sized by
     /// it rarely grows (only escapes make the output longer).
     fn json_len_hint(&self) -> usize {
-        let strings = |items: &[String]| items.iter().map(|s| s.len() + 3).sum::<usize>();
+        let ops: usize = self.ops.iter().map(|op| op.len() + 3).sum();
         let bindings: usize = self
             .bindings
             .iter()
             .map(|(t, v)| t.len() + v.len() + 8)
             .sum();
-        64 + strings(&self.ops) + bindings + self.text.len() + self.tagged.len()
+        64 + ops + bindings + self.text.len() + self.tagged.len()
     }
 
     /// Parse one step from its JSON value.
@@ -189,7 +189,7 @@ impl Narration {
     }
 
     /// About how many bytes [`Narration::write_json`] appends.
-    pub fn json_len_hint(&self) -> usize {
+    fn json_len_hint(&self) -> usize {
         16 + self
             .steps()
             .iter()
