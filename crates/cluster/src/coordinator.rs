@@ -40,10 +40,12 @@ use lantern_serve::{
     ClientConfig, ClientError, ClientErrorKind, ClientResponse, Handler, HttpClient, ServeConfig,
     ServeStats,
 };
-use lantern_text::json::JsonValue;
+use lantern_text::json::{array_item_spans, JsonReader, JsonValue};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -58,6 +60,55 @@ use {
 /// One sub-batch's original item positions paired with the replica's
 /// response (or the transport failure that exhausted its retries).
 type SubBatchResult = (Vec<usize>, Result<ClientResponse, Option<ClientError>>);
+
+/// One sub-batch's share of a stitched batch answer.
+enum GroupAnswer {
+    /// The replica's answer body and the byte range of each item in it,
+    /// in entry order.
+    Items(String, Vec<Range<usize>>),
+    /// The compact error body every entry of the sub-batch gets.
+    Error(String),
+}
+
+/// The `"base"` string of a diff envelope (the last one, as a parsed
+/// object would hold it), read without decoding the other members.
+/// `None` when the body is not valid JSON, not an object, or has no
+/// string `"base"`.
+fn diff_base(body: &str) -> Option<Cow<'_, str>> {
+    let mut reader = JsonReader::new(body);
+    if reader.peek() != Some(b'{') {
+        return None;
+    }
+    let mut base = None;
+    let mut key = reader.begin_object().ok()?;
+    while let Some(k) = key {
+        if k == "base" && reader.peek() == Some(b'"') {
+            base = Some(reader.string().ok()?);
+        } else {
+            if k == "base" {
+                base = None;
+            }
+            reader.skip_value().ok()?;
+        }
+        key = reader.next_key().ok()?;
+    }
+    reader.finish().ok()?;
+    base
+}
+
+/// `[` + `items` joined by `,` + `]`: a JSON array of already-encoded
+/// values.
+fn join_items<'a>(items: impl Iterator<Item = &'a str>) -> String {
+    let mut out = String::from("[");
+    for (n, item) in items.enumerate() {
+        if n > 0 {
+            out.push(',');
+        }
+        out.push_str(item);
+    }
+    out.push(']');
+    out
+}
 
 /// Tunables for [`serve_cluster`].
 #[derive(Debug, Clone)]
@@ -543,21 +594,27 @@ impl Coordinator {
     /// `POST /narrate/batch`: validate the envelope like a replica
     /// would, split entries by owning shard, forward sub-batches
     /// concurrently, and re-stitch responses in request order.
+    ///
+    /// Entries and answers travel as byte ranges: each sub-batch is the
+    /// original entries' bytes joined by `,` inside `[`…`]`, and each
+    /// replica answer (whose items the replica writes compactly, in
+    /// order) is split into item ranges by a validating skip and copied
+    /// into place. No entry or answer is decoded into a value tree.
     fn narrate_batch(&self, req: &Request) -> Response {
         self.stats.batch_requests.fetch_add(1, Ordering::Relaxed);
         let Some(body) = req.body_utf8() else {
             return json_error("parse", "request body is not valid UTF-8", 400);
         };
-        let items = match JsonValue::parse(body) {
-            Ok(JsonValue::Array(items)) if items.is_empty() => {
+        let spans = match array_item_spans(body) {
+            Ok(Some(spans)) if spans.is_empty() => {
                 return json_error(
                     "parse",
                     "batch body must be a non-empty JSON array of plan document strings",
                     400,
                 )
             }
-            Ok(JsonValue::Array(items)) => items,
-            Ok(_) => {
+            Ok(Some(spans)) => spans,
+            Ok(None) => {
                 return json_error(
                     "parse",
                     "batch body must be a JSON array of plan document strings",
@@ -568,13 +625,10 @@ impl Coordinator {
         };
         self.stats
             .batch_items
-            .fetch_add(items.len() as u64, Ordering::Relaxed);
-        let keys: Vec<u128> = items
+            .fetch_add(spans.len() as u64, Ordering::Relaxed);
+        let keys: Vec<u128> = spans
             .iter()
-            .map(|item| match item.as_str() {
-                Some(doc) => self.route_key(doc),
-                None => item_key(item),
-            })
+            .map(|span| self.entry_key(&body[span.clone()]))
             .collect();
         let groups = group_by_node(&keys, &self.ring);
         let path = format!("/narrate/batch{}", encode_query(&req.query));
@@ -585,14 +639,11 @@ impl Coordinator {
             return self.forward_response(key, "POST", &path, Some(body));
         }
 
-        let mut slots: Vec<Option<JsonValue>> = vec![None; items.len()];
         let group_results: Vec<SubBatchResult> = std::thread::scope(|scope| {
             let handles: Vec<_> = groups
                 .into_values()
                 .map(|indices| {
-                    let sub_body =
-                        JsonValue::Array(indices.iter().map(|&i| items[i].clone()).collect())
-                            .to_string_compact();
+                    let sub_body = join_items(indices.iter().map(|&i| &body[spans[i].clone()]));
                     // Failover for the sub-batch follows the first
                     // entry's successor chain — one group, one
                     // shard, one chain.
@@ -611,65 +662,88 @@ impl Coordinator {
                 })
                 .collect()
         });
-        for (indices, result) in group_results {
-            match result {
-                Ok(resp) if resp.status == 200 => {
-                    let values = match resp.json() {
-                        Ok(JsonValue::Array(values)) if values.len() == indices.len() => values,
-                        _ => {
-                            let err = error_body_raw(
-                                "backend",
-                                "replica returned a malformed batch response",
-                                502,
-                            );
-                            indices.iter().for_each(|&i| slots[i] = Some(err.clone()));
-                            continue;
-                        }
-                    };
-                    for (&index, value) in indices.iter().zip(values) {
-                        slots[index] = Some(value);
-                    }
-                }
-                Ok(resp) => {
-                    // The replica rejected the sub-batch wholesale
-                    // (can't normally happen for a coordinator-built
-                    // envelope): surface its error per item.
-                    let err = resp
-                        .json()
-                        .ok()
-                        .and_then(|v| v.get("error").cloned())
-                        .map(|inner| {
-                            let mut obj = BTreeMap::new();
-                            obj.insert("error".to_string(), inner);
-                            JsonValue::Object(obj)
-                        })
-                        .unwrap_or_else(|| {
-                            error_body_raw("backend", "replica rejected the sub-batch", 502)
-                        });
-                    indices.iter().for_each(|&i| slots[i] = Some(err.clone()));
-                }
-                Err(err) => {
-                    self.cluster
-                        .unavailable_responses
-                        .fetch_add(1, Ordering::Relaxed);
-                    let message = match err {
-                        Some(e) => format!("shard unavailable: {e}"),
-                        None => "shard unavailable".to_string(),
-                    };
-                    let err = error_body_raw("unavailable", &message, 503);
-                    indices.iter().for_each(|&i| slots[i] = Some(err.clone()));
-                }
-            }
-        }
-        let out: Vec<JsonValue> = slots
+        let answers: Vec<(Vec<usize>, GroupAnswer)> = group_results
             .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    error_body_raw("backend", "batch entry was not stitched", 500)
-                })
+            .map(|(indices, result)| {
+                let answer = self.group_answer(indices.len(), result);
+                (indices, answer)
             })
             .collect();
-        Response::json(200, JsonValue::Array(out).to_string_compact())
+        let mut slots: Vec<Option<&str>> = vec![None; spans.len()];
+        for (indices, answer) in &answers {
+            match answer {
+                GroupAnswer::Items(body, items) => {
+                    for (&index, item) in indices.iter().zip(items) {
+                        slots[index] = Some(&body[item.clone()]);
+                    }
+                }
+                GroupAnswer::Error(err) => indices.iter().for_each(|&i| slots[i] = Some(err)),
+            }
+        }
+        let unstitched =
+            error_body_raw("backend", "batch entry was not stitched", 500).to_string_compact();
+        Response::json(
+            200,
+            join_items(slots.into_iter().map(|slot| slot.unwrap_or(&unstitched))),
+        )
+    }
+
+    /// Ring key of one batch entry, given as its (validated) JSON
+    /// bytes: string entries key like single documents, anything else
+    /// as [`item_key`] does.
+    fn entry_key(&self, raw: &str) -> u128 {
+        match JsonValue::parse(raw).expect("batch entries are validated before keying") {
+            JsonValue::String(doc) => self.route_key(&doc),
+            item => item_key(&item),
+        }
+    }
+
+    /// What one sub-batch contributes to the stitched answer: the
+    /// replica's item ranges when it answered `200` with one item per
+    /// entry, else one error body for each of its entries.
+    fn group_answer(
+        &self,
+        entries: usize,
+        result: Result<ClientResponse, Option<ClientError>>,
+    ) -> GroupAnswer {
+        let err = match result {
+            Ok(resp) if resp.status == 200 => match array_item_spans(&resp.body) {
+                Ok(Some(items)) if items.len() == entries => {
+                    return GroupAnswer::Items(resp.body, items)
+                }
+                _ => error_body_raw(
+                    "backend",
+                    "replica returned a malformed batch response",
+                    502,
+                ),
+            },
+            // The replica rejected the sub-batch wholesale (can't
+            // normally happen for a coordinator-built envelope):
+            // surface its error per item.
+            Ok(resp) => resp
+                .json()
+                .ok()
+                .and_then(|v| v.get("error").cloned())
+                .map(|inner| {
+                    let mut obj = BTreeMap::new();
+                    obj.insert("error".to_string(), inner);
+                    JsonValue::Object(obj)
+                })
+                .unwrap_or_else(|| {
+                    error_body_raw("backend", "replica rejected the sub-batch", 502)
+                }),
+            Err(err) => {
+                self.cluster
+                    .unavailable_responses
+                    .fetch_add(1, Ordering::Relaxed);
+                let message = match err {
+                    Some(e) => format!("shard unavailable: {e}"),
+                    None => "shard unavailable".to_string(),
+                };
+                error_body_raw("unavailable", &message, 503)
+            }
+        };
+        GroupAnswer::Error(err.to_string_compact())
     }
 
     /// `/narrate/diff[/batch]`: a comparison is routed whole, keyed by
@@ -687,14 +761,8 @@ impl Coordinator {
         let Some(body) = req.body_utf8() else {
             return json_error("parse", "request body is not valid UTF-8", 400);
         };
-        let key = JsonValue::parse(body)
-            .ok()
-            .and_then(|envelope| {
-                envelope
-                    .get("base")
-                    .and_then(JsonValue::as_str)
-                    .map(|base| self.route_key(base))
-            })
+        let key = diff_base(body)
+            .map(|base| self.route_key(&base))
             .unwrap_or_else(|| document_key(body).0);
         let path = format!(
             "/narrate/diff{}{}",
@@ -1335,6 +1403,104 @@ mod tests {
         assert_eq!(resp.status, 503);
         assert_eq!(resp.body, b"{\"x\":1}");
         assert_eq!(resp.headers, vec![("Retry-After", "2".to_string())]);
+    }
+
+    #[test]
+    fn diff_base_reads_what_the_parsed_envelope_holds() {
+        for body in [
+            r#"{"base": "b", "alt": "a"}"#,
+            r#"{"alt": {"x": [1, "\u00e9"]}, "base": "b\"q"}"#,
+            r#"{"base": "first", "base": "second"}"#,
+            r#"{"base": "first", "base": 2}"#,
+            r#"{"base": 2, "base": "second"}"#,
+            r#"{"base": ["b"]}"#,
+            r#"{"alt": "a"}"#,
+            r#"["base", "b"]"#,
+            r#"{"base": "b", "alt": tru}"#,
+            r#"{"base": "b"} x"#,
+            "",
+        ] {
+            let parsed = JsonValue::parse(body).ok().and_then(|envelope| {
+                envelope
+                    .get("base")
+                    .and_then(JsonValue::as_str)
+                    .map(str::to_string)
+            });
+            assert_eq!(diff_base(body).map(Cow::into_owned), parsed, "{body}");
+        }
+    }
+
+    #[test]
+    fn sub_batch_answers_split_into_items_or_one_error_per_entry() {
+        let coordinator = Coordinator::new(ClusterConfig {
+            replicas: vec!["127.0.0.1:9".parse().unwrap()],
+            ..ClusterConfig::default()
+        });
+        let answer = |status: u16, body: &str| {
+            Ok(ClientResponse {
+                status,
+                headers: Vec::new(),
+                body: body.to_string(),
+            })
+        };
+        let error = |answer: GroupAnswer| match answer {
+            GroupAnswer::Error(err) => err,
+            GroupAnswer::Items(body, _) => panic!("{body} should not stitch"),
+        };
+        let bad_gateway = error_body_raw(
+            "backend",
+            "replica returned a malformed batch response",
+            502,
+        )
+        .to_string_compact();
+
+        let GroupAnswer::Items(body, items) =
+            coordinator.group_answer(2, answer(200, r#"[{"a":[1,"]"]},{"error":{}}]"#))
+        else {
+            panic!("a well-formed answer stitches");
+        };
+        let items: Vec<&str> = items.iter().map(|r| &body[r.clone()]).collect();
+        assert_eq!(items, [r#"{"a":[1,"]"]}"#, r#"{"error":{}}"#]);
+        for malformed in [
+            r#"[{"a":1}]"#,
+            r#"[{"a":1},{"b":2}"#,
+            r#"{"a":1}"#,
+            "",
+            "[1,2] x",
+        ] {
+            assert_eq!(
+                error(coordinator.group_answer(2, answer(200, malformed))),
+                bad_gateway,
+                "{malformed:?}"
+            );
+        }
+        assert_eq!(
+            error(
+                coordinator
+                    .group_answer(1, answer(400, r#"{"error":{"kind":"parse","status":400}}"#))
+            ),
+            r#"{"error":{"kind":"parse","status":400}}"#
+        );
+        assert_eq!(
+            error(coordinator.group_answer(1, answer(500, "oops"))),
+            error_body_raw("backend", "replica rejected the sub-batch", 502).to_string_compact()
+        );
+        assert_eq!(
+            error(coordinator.group_answer(3, Err(None))),
+            error_body_raw("unavailable", "shard unavailable", 503).to_string_compact()
+        );
+        assert_eq!(
+            coordinator
+                .cluster
+                .unavailable_responses
+                .load(Ordering::Relaxed),
+            1
+        );
+        assert_eq!(
+            join_items(["1", "{}", "\"x\""].into_iter()),
+            r#"[1,{},"x"]"#
+        );
+        assert_eq!(join_items(std::iter::empty()), "[]");
     }
 
     /// A probe's `GET /catalog` sent before a broadcast, answered after

@@ -36,7 +36,7 @@ pub fn document_key(doc: &str) -> Fingerprint {
 /// The ring key for one plan document: canonical lax fingerprint when
 /// the document parses, exact-text digest otherwise.
 pub fn shard_key(doc: &str) -> u128 {
-    match PlanSource::auto(doc).and_then(|source| source.resolve()) {
+    match PlanSource::parse_auto(doc) {
         Ok(tree) => fingerprint_tree(&tree, FingerprintOptions::default()).0,
         Err(_) => document_key(doc).0,
     }

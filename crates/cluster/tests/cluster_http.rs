@@ -410,6 +410,76 @@ fn batch_splits_across_shards_and_stitches_in_order() {
     }
 }
 
+/// The coordinator stitches batch answers from the replicas' item bytes.
+/// The DOM path it replaced parsed each replica answer and re-serialized
+/// the stitched array; since every replica narrates deterministically
+/// (batch ≡ sequential, cache on ≡ off), that path's output is one
+/// replica's answer to the whole batch, parsed and written back
+/// compactly. Seeded batches span both replicas and carry per-item
+/// errors; one is sent with whitespace between entries, which the
+/// coordinator forwards as is.
+#[test]
+fn stitched_batches_equal_the_dom_stitching_byte_for_byte() {
+    let replicas: Vec<ServerHandle> = (0..2).map(|_| boot_replica()).collect();
+    let addrs: Vec<SocketAddr> = replicas.iter().map(|r| r.addr()).collect();
+    let names: Vec<String> = addrs.iter().map(|a| a.to_string()).collect();
+    let ring = HashRing::new(&names, ClusterConfig::default().virtual_nodes);
+    let coordinator = boot_coordinator(addrs);
+    let mut client = HttpClient::connect(coordinator.addr()).expect("connect");
+    let mut direct = HttpClient::connect(replicas[0].addr()).expect("connect");
+
+    for seed in 0..4u64 {
+        let config = GenConfig::default()
+            .with_seed(seed)
+            .with_format(FormatMix::Mixed)
+            .with_mutate_rate(0.3)
+            .with_duplicate_rate(0.2);
+        let docs: Vec<String> = PlanGenerator::new(config)
+            .generate(10)
+            .into_iter()
+            .map(|item| item.doc)
+            .collect();
+        let owners: std::collections::BTreeSet<usize> = docs
+            .iter()
+            .map(|doc| ring.route(shard_key(doc)).expect("non-empty ring"))
+            .collect();
+        assert_eq!(
+            owners.len(),
+            2,
+            "seed {seed}: the batch must span both replicas"
+        );
+        let mut items: Vec<JsonValue> = docs.iter().cloned().map(JsonValue::String).collect();
+        items.insert(2, JsonValue::Number(7.5));
+        items.insert(5, JsonValue::String("not a plan at all".to_string()));
+        items.push(JsonValue::String(docs[0][..docs[0].len() / 2].to_string()));
+        items.push(JsonValue::Null);
+        let compact = JsonValue::Array(items.clone()).to_string_compact();
+        let spaced = JsonValue::Array(items).to_string_pretty();
+        for body in [&compact, &spaced] {
+            let stitched = client.post("/narrate/batch", body).expect("batch");
+            assert_eq!(stitched.status, 200, "{}", stitched.body);
+            let reference = direct.post("/narrate/batch", body).expect("batch");
+            assert_eq!(reference.status, 200, "{}", reference.body);
+            let dom = reference.json().expect("JSON answer").to_string_compact();
+            assert_eq!(stitched.body, dom, "seed {seed}");
+            let answers = stitched.json().expect("JSON answer");
+            let answers = answers.as_array().expect("array answer");
+            for i in [2, 5, answers.len() - 2, answers.len() - 1] {
+                assert!(
+                    answers[i].get("error").is_some(),
+                    "entry {i}: {:?}",
+                    answers[i]
+                );
+            }
+        }
+    }
+
+    coordinator.shutdown().unwrap();
+    for replica in replicas {
+        replica.shutdown().unwrap();
+    }
+}
+
 #[test]
 fn catalog_mutation_broadcasts_rolls_cache_keys_and_changes_narration() {
     let replicas: Vec<ServerHandle> = (0..3).map(|_| boot_replica()).collect();

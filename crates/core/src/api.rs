@@ -29,6 +29,21 @@ pub enum PlanFormat {
     SqlServerXml,
 }
 
+impl PlanFormat {
+    /// Parse a document of this format into a [`PlanTree`]. Parse
+    /// failures become [`LanternError::Parse`].
+    pub fn parse(self, doc: &str) -> Result<PlanTree, LanternError> {
+        let parsed = match self {
+            PlanFormat::PgJson => parse_pg_json_plan(doc).map_err(|e| e.to_string()),
+            PlanFormat::SqlServerXml => parse_sqlserver_xml_plan(doc).map_err(|e| e.to_string()),
+        };
+        parsed.map_err(|message| LanternError::Parse {
+            format: self,
+            message,
+        })
+    }
+}
+
 impl fmt::Display for PlanFormat {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -181,6 +196,11 @@ impl From<LanternError> for CoreError {
     }
 }
 
+/// `doc` past its leading BOM / whitespace prefix.
+fn skip_prefix(doc: &str) -> &str {
+    doc.trim_start_matches(|c: char| c.is_whitespace() || c == '\u{feff}')
+}
+
 /// A source-agnostic plan input: the serialized vendor artifact, or an
 /// already-parsed [`PlanTree`] (e.g. straight from the internal
 /// planner).
@@ -203,9 +223,7 @@ impl PlanSource {
     /// [`LanternError::EmptyInput`] / [`LanternError::UnknownFormat`]
     /// when no classification is possible.
     pub fn detect(doc: &str) -> Result<PlanFormat, LanternError> {
-        let trimmed = doc
-            .trim_start_matches(|c: char| c.is_whitespace() || c == '\u{feff}')
-            .trim_end();
+        let trimmed = skip_prefix(doc).trim_end();
         match trimmed.chars().next() {
             None => Err(LanternError::EmptyInput),
             Some('{') | Some('[') => Ok(PlanFormat::PgJson),
@@ -223,10 +241,7 @@ impl PlanSource {
     pub fn auto(doc: impl Into<String>) -> Result<PlanSource, LanternError> {
         let mut doc = doc.into();
         let format = Self::detect(&doc)?;
-        let prefix = doc.len()
-            - doc
-                .trim_start_matches(|c: char| c.is_whitespace() || c == '\u{feff}')
-                .len();
+        let prefix = doc.len() - skip_prefix(&doc).len();
         if prefix > 0 {
             doc.drain(..prefix);
         }
@@ -236,19 +251,18 @@ impl PlanSource {
         })
     }
 
+    /// Detect a serialized document's format and parse it in place:
+    /// what `PlanSource::auto(doc)?.resolve()` answers, without copying
+    /// the document into a source first.
+    pub fn parse_auto(doc: &str) -> Result<PlanTree, LanternError> {
+        Self::detect(doc)?.parse(skip_prefix(doc))
+    }
+
     /// Parse (or clone) into a [`PlanTree`].
     pub fn resolve(&self) -> Result<PlanTree, LanternError> {
         match self {
-            PlanSource::PgJson(doc) => parse_pg_json_plan(doc).map_err(|e| LanternError::Parse {
-                format: PlanFormat::PgJson,
-                message: e.to_string(),
-            }),
-            PlanSource::SqlServerXml(doc) => {
-                parse_sqlserver_xml_plan(doc).map_err(|e| LanternError::Parse {
-                    format: PlanFormat::SqlServerXml,
-                    message: e.to_string(),
-                })
-            }
+            PlanSource::PgJson(doc) => PlanFormat::PgJson.parse(doc),
+            PlanSource::SqlServerXml(doc) => PlanFormat::SqlServerXml.parse(doc),
             PlanSource::Tree(tree) => Ok(tree.as_ref().clone()),
         }
     }
@@ -789,6 +803,25 @@ mod tests {
             PlanSource::auto("\u{feff} \n").unwrap_err(),
             LanternError::EmptyInput
         );
+    }
+
+    #[test]
+    fn parse_auto_answers_what_auto_then_resolve_answers() {
+        for doc in [
+            PG_DOC.to_string(),
+            format!("\u{feff}\n{PG_DOC}"),
+            format!("  {XML_DOC}"),
+            String::new(),
+            "EXPLAIN SELECT 1".to_string(),
+            r#"{"Plan": {"Node Type"#.to_string(),
+            "<ShowPlanXML/>".to_string(),
+        ] {
+            assert_eq!(
+                PlanSource::parse_auto(&doc),
+                PlanSource::auto(doc.as_str()).and_then(|source| source.resolve()),
+                "{doc:?}"
+            );
+        }
     }
 
     #[test]

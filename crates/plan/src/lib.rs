@@ -11,6 +11,11 @@
 //!   `EXPLAIN (FORMAT JSON)` documents,
 //! * [`parse_sqlserver_xml_plan`] — reader for SQL Server-style XML
 //!   showplans,
+//!
+//!   both reading the document once, through the `lantern-text` pull
+//!   readers, straight into [`PlanNode`]s: fields the model keeps are
+//!   decoded, everything else is validated and skipped, and no
+//!   `JsonValue` / `XmlNode` tree is built,
 //! * traversal utilities (post-order walks, parent maps, subtree
 //!   extraction) used by RULE-LANTERN and the act decomposition.
 

@@ -8,7 +8,7 @@
 //! `"Total Cost"`, and `"Plans"` (children).
 
 use crate::node::{PlanNode, PlanTree};
-use lantern_text::json::{JsonError, JsonValue};
+use lantern_text::json::{JsonError, JsonReader, JsonValue};
 use std::collections::BTreeMap;
 
 /// Keys recognised as join conditions, in the order PostgreSQL uses
@@ -17,83 +17,151 @@ const JOIN_COND_KEYS: &[&str] = &["Hash Cond", "Merge Cond", "Join Filter", "Ind
 
 /// Parse a PostgreSQL-style JSON plan document into a [`PlanTree`]
 /// tagged with source `pg`.
+///
+/// The document is read once, straight into the tree: the fields the
+/// plan model keeps are decoded, every other value is validated and
+/// skipped. A later duplicate key wins. Every syntax error in the
+/// document is reported before a missing `"Plan"` key or
+/// `"Node Type"`.
 pub fn parse_pg_json_plan(doc: &str) -> Result<PlanTree, JsonError> {
-    let value = JsonValue::parse(doc)?;
+    let mut r = JsonReader::new(doc);
     // PostgreSQL wraps the plan in a single-element array; also accept
-    // the bare object.
-    let obj = match &value {
-        JsonValue::Array(items) if !items.is_empty() => &items[0],
-        other => other,
+    // the bare object. Only the first array element is read.
+    let plan = if r.peek() == Some(b'[') {
+        let mut plan = None;
+        if r.begin_array()? {
+            plan = read_wrapper(&mut r)?;
+            while r.next_item()? {
+                r.skip_value()?;
+            }
+        }
+        plan
+    } else {
+        read_wrapper(&mut r)?
     };
-    let plan = obj.get("Plan").ok_or(JsonError {
-        offset: 0,
-        message: "missing 'Plan' key".to_string(),
-    })?;
-    Ok(PlanTree::new("pg", parse_node(plan)?))
+    r.finish()?;
+    let plan = plan.ok_or_else(|| semantic("missing 'Plan' key"))?;
+    let root = plan.ok_or_else(|| semantic("missing 'Node Type'"))?;
+    Ok(PlanTree::new("pg", root))
 }
 
-fn parse_node(v: &JsonValue) -> Result<PlanNode, JsonError> {
-    let op = v
-        .get("Node Type")
-        .and_then(JsonValue::as_str)
-        .ok_or(JsonError {
-            offset: 0,
-            message: "missing 'Node Type'".to_string(),
-        })?
-        .to_string();
-    let mut node = PlanNode::new(op);
-    node.relation = v
-        .get("Relation Name")
-        .and_then(JsonValue::as_str)
-        .map(str::to_string);
-    node.alias = v
-        .get("Alias")
-        .and_then(JsonValue::as_str)
-        .map(str::to_string);
-    node.index_name = v
-        .get("Index Name")
-        .and_then(JsonValue::as_str)
-        .map(str::to_string);
-    node.filter = v
-        .get("Filter")
-        .and_then(JsonValue::as_str)
-        .map(str::to_string);
-    for key in JOIN_COND_KEYS {
-        if let Some(c) = v.get(key).and_then(JsonValue::as_str) {
-            node.join_cond = Some(c.to_string());
-            break;
+fn semantic(message: &str) -> JsonError {
+    JsonError {
+        offset: 0,
+        message: message.to_string(),
+    }
+}
+
+/// The value holding `"Plan"`: `None` when it has no such key,
+/// `Some(None)` when the plan below it lacks a `"Node Type"`.
+fn read_wrapper(r: &mut JsonReader<'_>) -> Result<Option<Option<PlanNode>>, JsonError> {
+    if r.peek() != Some(b'{') {
+        r.skip_value()?;
+        return Ok(None);
+    }
+    let mut plan = None;
+    let mut key = r.begin_object()?;
+    while let Some(k) = key {
+        if k == "Plan" {
+            plan = Some(read_node(r)?);
+        } else {
+            r.skip_value()?;
         }
+        key = r.next_key()?;
     }
-    if let Some(keys) = v.get("Sort Key").and_then(JsonValue::as_array) {
-        node.sort_keys = keys
-            .iter()
-            .filter_map(|k| k.as_str().map(str::to_string))
-            .collect();
+    Ok(plan)
+}
+
+/// One plan node: `Ok(None)` when it, or a node below it, lacks a
+/// string `"Node Type"` (the rest is still read, so a later syntax
+/// error wins).
+fn read_node(r: &mut JsonReader<'_>) -> Result<Option<PlanNode>, JsonError> {
+    if r.peek() != Some(b'{') {
+        r.skip_value()?;
+        return Ok(None);
     }
-    if let Some(keys) = v.get("Group Key").and_then(JsonValue::as_array) {
-        node.group_keys = keys
-            .iter()
-            .filter_map(|k| k.as_str().map(str::to_string))
-            .collect();
-    }
-    node.strategy = v
-        .get("Strategy")
-        .and_then(JsonValue::as_str)
-        .map(str::to_string);
-    node.estimated_rows = v
-        .get("Plan Rows")
-        .and_then(JsonValue::as_f64)
-        .unwrap_or(0.0);
-    node.estimated_cost = v
-        .get("Total Cost")
-        .and_then(JsonValue::as_f64)
-        .unwrap_or(0.0);
-    if let Some(children) = v.get("Plans").and_then(JsonValue::as_array) {
-        for c in children {
-            node.children.push(parse_node(c)?);
+    let mut node = PlanNode::default();
+    let mut op = None;
+    let mut join_conds: [Option<String>; JOIN_COND_KEYS.len()] = Default::default();
+    let mut children_ok = true;
+    let mut key = r.begin_object()?;
+    while let Some(k) = key {
+        match &*k {
+            "Node Type" => op = read_str(r)?,
+            "Relation Name" => node.relation = read_str(r)?,
+            "Alias" => node.alias = read_str(r)?,
+            "Index Name" => node.index_name = read_str(r)?,
+            "Filter" => node.filter = read_str(r)?,
+            "Sort Key" => node.sort_keys = read_str_array(r)?,
+            "Group Key" => node.group_keys = read_str_array(r)?,
+            "Strategy" => node.strategy = read_str(r)?,
+            "Plan Rows" => node.estimated_rows = read_f64(r)?,
+            "Total Cost" => node.estimated_cost = read_f64(r)?,
+            "Plans" => {
+                node.children.clear();
+                children_ok = true;
+                if r.peek() == Some(b'[') {
+                    let mut more = r.begin_array()?;
+                    while more {
+                        match read_node(r)? {
+                            Some(child) => node.children.push(child),
+                            None => children_ok = false,
+                        }
+                        more = r.next_item()?;
+                    }
+                } else {
+                    r.skip_value()?;
+                }
+            }
+            other => match JOIN_COND_KEYS.iter().position(|&c| c == other) {
+                Some(i) => join_conds[i] = read_str(r)?,
+                None => r.skip_value()?,
+            },
         }
+        key = r.next_key()?;
     }
-    Ok(node)
+    let Some(op) = op.filter(|_| children_ok) else {
+        return Ok(None);
+    };
+    node.op = op;
+    node.join_cond = join_conds.into_iter().flatten().next();
+    Ok(Some(node))
+}
+
+/// A string field; any other value reads as absent.
+fn read_str(r: &mut JsonReader<'_>) -> Result<Option<String>, JsonError> {
+    if r.peek() == Some(b'"') {
+        return r.string().map(|s| Some(s.into_owned()));
+    }
+    r.skip_value()?;
+    Ok(None)
+}
+
+/// A number field; any other value reads as `0`.
+fn read_f64(r: &mut JsonReader<'_>) -> Result<f64, JsonError> {
+    if matches!(r.peek(), Some(b'-' | b'0'..=b'9')) {
+        return r.number();
+    }
+    r.skip_value()?;
+    Ok(0.0)
+}
+
+/// The string items of an array field (other items dropped); any
+/// other value reads as empty.
+fn read_str_array(r: &mut JsonReader<'_>) -> Result<Vec<String>, JsonError> {
+    let mut items = Vec::new();
+    if r.peek() != Some(b'[') {
+        r.skip_value()?;
+        return Ok(items);
+    }
+    let mut more = r.begin_array()?;
+    while more {
+        if let Some(s) = read_str(r)? {
+            items.push(s);
+        }
+        more = r.next_item()?;
+    }
+    Ok(items)
 }
 
 /// Serialize a plan back into the PostgreSQL JSON document shape.

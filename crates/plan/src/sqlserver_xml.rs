@@ -25,7 +25,8 @@
 //! both PostgreSQL and SQL Server.
 
 use crate::node::{PlanNode, PlanTree};
-use lantern_text::xml::{XmlError, XmlNode};
+use lantern_text::xml::{push_text, XmlError, XmlEvent, XmlNode, XmlReader, XmlTag};
+use std::borrow::Cow;
 
 /// PostgreSQL-name -> SQL Server-name operator mapping used when a
 /// `pg`-sourced tree is exported as a showplan. (Auxiliary `Hash`
@@ -61,72 +62,134 @@ pub fn pg_op_to_mssql(op: &str) -> &str {
 
 /// Parse an XML showplan into a [`PlanTree`] tagged with source
 /// `mssql`. Vendor operator names are preserved verbatim.
+///
+/// The document is read once, straight into the tree. The plan root is
+/// the first `RelOp` element in document order; only its direct `RelOp`
+/// children are its children. The first of duplicate attributes wins.
+/// Every syntax error in the document is reported before a missing
+/// `RelOp`.
 pub fn parse_sqlserver_xml_plan(doc: &str) -> Result<PlanTree, XmlError> {
-    let root = XmlNode::parse(doc)?;
-    let relop = find_first_relop(&root).ok_or(XmlError {
-        offset: 0,
-        message: "no RelOp element found in showplan".to_string(),
-    })?;
-    Ok(PlanTree::new("mssql", parse_relop(relop)))
-}
-
-fn find_first_relop(node: &XmlNode) -> Option<&XmlNode> {
-    if node.local_name() == "RelOp" {
-        return Some(node);
-    }
-    node.children.iter().find_map(find_first_relop)
-}
-
-fn parse_relop(el: &XmlNode) -> PlanNode {
-    let mut node = PlanNode::new(el.attr("PhysicalOp").unwrap_or("Unknown"));
-    node.estimated_rows = el
-        .attr("EstimateRows")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.0);
-    node.estimated_cost = el
-        .attr("EstimatedTotalSubtreeCost")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.0);
-    if let Some(logical) = el.attr("LogicalOp") {
-        node.extra
-            .insert("LogicalOp".to_string(), logical.to_string());
-    }
-    if let Some(strategy) = el.attr("Strategy") {
-        node.strategy = Some(strategy.to_string());
-    }
-    for child in &el.children {
-        match child.local_name() {
-            "Object" => {
-                node.relation = child.attr("Table").map(str::to_string);
-                node.alias = child.attr("Alias").map(str::to_string);
-                node.index_name = child.attr("Index").map(str::to_string);
+    let mut r = XmlReader::new(doc);
+    let mut root = None;
+    loop {
+        match r.next()? {
+            XmlEvent::Start(tag) if root.is_none() && tag.local_name() == "RelOp" => {
+                root = Some(read_relop(&mut r, &tag)?);
             }
-            "Predicate" => node.filter = Some(child.text.clone()),
-            "JoinPredicate" => node.join_cond = Some(child.text.clone()),
-            "OrderBy" => {
-                for col in child.children_named("ColumnReference") {
-                    if let Some(c) = col.attr("Column") {
-                        let dir = if col.attr("Descending") == Some("true") {
-                            " DESC"
-                        } else {
-                            ""
-                        };
-                        node.sort_keys.push(format!("{c}{dir}"));
-                    }
-                }
-            }
-            "GroupBy" => {
-                for col in child.children_named("ColumnReference") {
-                    if let Some(c) = col.attr("Column") {
-                        node.group_keys.push(c.to_string());
-                    }
-                }
-            }
-            "RelOp" => node.children.push(parse_relop(child)),
+            XmlEvent::Eof => break,
             _ => {}
         }
     }
-    node
+    let root = root.ok_or(XmlError {
+        offset: 0,
+        message: "no RelOp element found in showplan".to_string(),
+    })?;
+    Ok(PlanTree::new("mssql", root))
+}
+
+/// The `RelOp` element just opened as `tag`, through its end tag.
+fn read_relop(r: &mut XmlReader<'_>, tag: &XmlTag<'_>) -> Result<PlanNode, XmlError> {
+    let [op, rows, cost, logical, strategy] = tag.attrs_named([
+        "PhysicalOp",
+        "EstimateRows",
+        "EstimatedTotalSubtreeCost",
+        "LogicalOp",
+        "Strategy",
+    ]);
+    let mut node = PlanNode::new(op.as_deref().unwrap_or("Unknown"));
+    let number = |value: Option<Cow<'_, str>>| value.and_then(|s| s.parse().ok()).unwrap_or(0.0);
+    node.estimated_rows = number(rows);
+    node.estimated_cost = number(cost);
+    if let Some(logical) = logical {
+        node.extra
+            .insert("LogicalOp".to_string(), logical.into_owned());
+    }
+    node.strategy = strategy.map(Cow::into_owned);
+    loop {
+        let child = match r.next()? {
+            XmlEvent::Start(child) => child,
+            XmlEvent::End(_) | XmlEvent::Eof => return Ok(node),
+            _ => continue,
+        };
+        match child.local_name() {
+            "Object" => {
+                let [table, alias, index] = child.attrs_named(["Table", "Alias", "Index"]);
+                node.relation = table.map(Cow::into_owned);
+                node.alias = alias.map(Cow::into_owned);
+                node.index_name = index.map(Cow::into_owned);
+                skip_element(r)?;
+            }
+            "Predicate" => node.filter = Some(read_text(r)?),
+            "JoinPredicate" => node.join_cond = Some(read_text(r)?),
+            "OrderBy" => read_columns(r, |col| {
+                if let [Some(c), descending] = col.attrs_named(["Column", "Descending"]) {
+                    let dir = if descending.as_deref() == Some("true") {
+                        " DESC"
+                    } else {
+                        ""
+                    };
+                    node.sort_keys.push(format!("{c}{dir}"));
+                }
+            })?,
+            "GroupBy" => read_columns(r, |col| {
+                if let [Some(c)] = col.attrs_named(["Column"]) {
+                    node.group_keys.push(c.into_owned());
+                }
+            })?,
+            "RelOp" => node.children.push(read_relop(r, &child)?),
+            _ => skip_element(r)?,
+        }
+    }
+}
+
+/// Skip the rest of the element just opened, through its end tag.
+fn skip_element(r: &mut XmlReader<'_>) -> Result<(), XmlError> {
+    let mut depth = 1usize;
+    loop {
+        match r.next()? {
+            XmlEvent::Start(_) => depth += 1,
+            XmlEvent::End(_) => {
+                depth -= 1;
+                if depth == 0 {
+                    return Ok(());
+                }
+            }
+            XmlEvent::Eof => return Ok(()),
+            _ => {}
+        }
+    }
+}
+
+/// The text directly inside the element just opened (descendants'
+/// text excluded), built like [`XmlNode`] text.
+fn read_text(r: &mut XmlReader<'_>) -> Result<String, XmlError> {
+    let mut text = String::new();
+    loop {
+        match r.next()? {
+            XmlEvent::Text(raw) => push_text(&mut text, raw),
+            XmlEvent::CData(data) => text.push_str(data),
+            XmlEvent::Start(_) => skip_element(r)?,
+            XmlEvent::End(_) | XmlEvent::Eof => return Ok(text),
+            XmlEvent::Comment | XmlEvent::Pi => {}
+        }
+    }
+}
+
+/// Visit the direct `ColumnReference` children of the element just
+/// opened.
+fn read_columns(r: &mut XmlReader<'_>, mut visit: impl FnMut(&XmlTag<'_>)) -> Result<(), XmlError> {
+    loop {
+        match r.next()? {
+            XmlEvent::Start(col) => {
+                if col.local_name() == "ColumnReference" {
+                    visit(&col);
+                }
+                skip_element(r)?;
+            }
+            XmlEvent::End(_) | XmlEvent::Eof => return Ok(()),
+            _ => {}
+        }
+    }
 }
 
 /// Serialize a plan as an XML showplan. If the tree's source is `pg`,

@@ -49,8 +49,9 @@ const SHED_RETRY_AFTER_SECS: u32 = 1;
 /// How long shutdown waits for in-flight requests and buffered
 /// responses before dropping what remains.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
-/// Idle-sweep granularity: the longest the loop sleeps when nothing
-/// happens, so idle timeouts are enforced within this bound.
+/// Idle-sweep granularity: the idle scan runs once per interval, and
+/// the loop never sleeps past the next one, so idle timeouts are
+/// enforced within this bound.
 const SWEEP_INTERVAL: Duration = Duration::from_millis(250);
 
 // ---------------------------------------------------------------------
@@ -568,6 +569,7 @@ impl EventLoop {
         }
         let mut events: Vec<PollEvent> = Vec::new();
         let mut draining_since: Option<Instant> = None;
+        let mut next_sweep = Instant::now() + SWEEP_INTERVAL;
         loop {
             let shutting_down = self.shutdown.load(Ordering::SeqCst);
             if shutting_down && draining_since.is_none() {
@@ -582,7 +584,8 @@ impl EventLoop {
             }
 
             events.clear();
-            if self.poller.wait(&mut events, SWEEP_INTERVAL).is_err() {
+            let until_sweep = next_sweep.saturating_duration_since(Instant::now());
+            if self.poller.wait(&mut events, until_sweep).is_err() {
                 return;
             }
             // Completions first: they may unblock ordered writes that
@@ -605,7 +608,13 @@ impl EventLoop {
                 }
             }
             self.drain_completions();
-            self.sweep_idle();
+            // The idle scan costs O(connections): run it once per
+            // interval, not after every wakeup.
+            let now = Instant::now();
+            if now >= next_sweep {
+                self.sweep_idle(now);
+                next_sweep = now + SWEEP_INTERVAL;
+            }
         }
     }
 
@@ -1012,7 +1021,7 @@ impl EventLoop {
 
     /// Close idle connections past the configured read timeout —
     /// including slow-loris peers parked on a partial request head.
-    fn sweep_idle(&mut self) {
+    fn sweep_idle(&mut self, now: Instant) {
         let timeout = self.config.read_timeout;
         if timeout.is_zero() {
             return;
@@ -1023,7 +1032,7 @@ impl EventLoop {
                     conn.in_flight == 0
                         && conn.ready.is_empty()
                         && !conn.has_pending_output()
-                        && conn.last_activity.elapsed() >= timeout
+                        && now.saturating_duration_since(conn.last_activity) >= timeout
                 }
                 None => false,
             };

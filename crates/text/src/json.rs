@@ -4,10 +4,14 @@
 //! `lantern-plan` parses that artifact into an operator tree. The
 //! sanctioned offline dependency set contains `serde` but not
 //! `serde_json`, so this module implements the subset of JSON needed
-//! (which is in fact all of JSON) with precise error positions.
+//! (which is in fact all of JSON) with precise error positions: one
+//! pull reader ([`JsonReader`]) that `lantern-plan` reads plans with
+//! and [`JsonValue::parse`] builds trees with, and one writer.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 /// A parsed JSON value. Objects use `BTreeMap` so output is
 /// deterministic.
@@ -41,17 +45,10 @@ impl std::error::Error for JsonError {}
 impl JsonValue {
     /// Parse a JSON document.
     pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON value"));
-        }
-        Ok(v)
+        let mut reader = JsonReader::new(input);
+        let value = reader.value()?;
+        reader.finish()?;
+        Ok(value)
     }
 
     /// Object field access.
@@ -240,21 +237,207 @@ pub fn write_number(out: &mut String, n: f64) {
     }
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+const OBJECT_SEPARATOR: &str = "expected ',' or '}' in object";
+const ARRAY_SEPARATOR: &str = "expected ',' or ']' in array";
+
+/// A pull reader over one JSON document: the one JSON tokenizer.
+///
+/// Callers walk the document with [`begin_object`](Self::begin_object)
+/// / [`next_key`](Self::next_key) and [`begin_array`](Self::begin_array)
+/// / [`next_item`](Self::next_item), decode the scalars they keep with
+/// [`string`](Self::string) and [`number`](Self::number), and step over
+/// everything else with [`skip_value`](Self::skip_value), which
+/// validates without allocating. Keys and strings without escapes come
+/// back borrowed from the input. [`JsonValue::parse`] is this reader
+/// building a tree, so every consumer reports the same error, at the
+/// same offset, for the same bytes.
+///
+/// Each value method expects the reader at the value's first byte;
+/// the navigation methods leave it there (whitespace skipped), and
+/// [`finish`](Self::finish) rejects anything but trailing whitespace.
+///
+/// ```
+/// use lantern_text::json::JsonReader;
+///
+/// let mut r = JsonReader::new(r#"{"a": [1, "x"], "b": "y"}"#);
+/// let mut key = r.begin_object().unwrap();
+/// let mut b = None;
+/// while let Some(k) = key {
+///     if k == "b" {
+///         b = Some(r.string().unwrap());
+///     } else {
+///         r.skip_value().unwrap();
+///     }
+///     key = r.next_key().unwrap();
+/// }
+/// r.finish().unwrap();
+/// assert_eq!(b.as_deref(), Some("y"));
+/// ```
+#[derive(Debug, Clone)]
+pub struct JsonReader<'a> {
+    src: &'a str,
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> JsonReader<'a> {
+    /// A reader at the first value of `src` (leading whitespace skipped).
+    pub fn new(src: &'a str) -> Self {
+        let mut reader = JsonReader { src, pos: 0 };
+        reader.skip_ws();
+        reader
+    }
+
+    /// The next byte without consuming it: the first byte of the next
+    /// value when called where a value is expected.
+    pub fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
+    }
+
+    /// End of document: only whitespace may follow the value read.
+    pub fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.src.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(())
+    }
+
+    /// Open an object: consume `{` and return its first key (the reader
+    /// then sits at that member's value), or `None` for `{}`.
+    pub fn begin_object(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if self.open(b'{', b'}')? {
+            self.key().map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// After a member's value: the next key, or `None` at the closing `}`.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if self.more(b'}', OBJECT_SEPARATOR)? {
+            self.key().map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// Open an array: consume `[` and report whether an item follows
+    /// (the reader then sits at it).
+    pub fn begin_array(&mut self) -> Result<bool, JsonError> {
+        self.open(b'[', b']')
+    }
+
+    /// After an item: whether another follows, consuming the `,` (or
+    /// the closing `]`).
+    pub fn next_item(&mut self) -> Result<bool, JsonError> {
+        self.more(b']', ARRAY_SEPARATOR)
+    }
+
+    /// Decode a string value. Borrowed from the input when it holds no
+    /// escapes.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.expect(b'"')?;
+        let start = self.pos;
+        self.plain_run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.src[start..self.pos - 1]));
+        }
+        let mut out = String::with_capacity(self.pos - start + 16);
+        out.push_str(&self.src[start..self.pos]);
+        self.string_rest(Some(&mut out))?;
+        Ok(Cow::Owned(out))
+    }
+
+    /// Decode a number value.
+    pub fn number(&mut self) -> Result<f64, JsonError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        self.digits();
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits();
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits();
+        }
+        self.src[start..self.pos]
+            .parse::<f64>()
+            .map_err(|_| self.err("invalid number"))
+    }
+
+    /// Read the value at the reader into a [`JsonValue`] tree.
+    pub fn value(&mut self) -> Result<JsonValue, JsonError> {
+        match self.peek() {
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                let mut key = self.begin_object()?;
+                while let Some(k) = key {
+                    let value = self.value()?;
+                    map.insert(k.into_owned(), value);
+                    key = self.next_key()?;
+                }
+                Ok(JsonValue::Object(map))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                let mut more = self.begin_array()?;
+                while more {
+                    items.push(self.value()?);
+                    more = self.next_item()?;
+                }
+                Ok(JsonValue::Array(items))
+            }
+            Some(b'"') => Ok(JsonValue::String(self.string()?.into_owned())),
+            Some(b'-' | b'0'..=b'9') => self.number().map(JsonValue::Number),
+            _ => self.scalar_literal(),
+        }
+    }
+
+    /// Step over the value at the reader, validating it exactly as
+    /// [`value`](Self::value) would, without building or allocating
+    /// anything.
+    pub fn skip_value(&mut self) -> Result<(), JsonError> {
+        match self.peek() {
+            Some(b'{') => {
+                let mut more = self.open(b'{', b'}')?;
+                while more {
+                    self.expect(b'"')?;
+                    self.string_rest(None)?;
+                    self.colon()?;
+                    self.skip_value()?;
+                    more = self.more(b'}', OBJECT_SEPARATOR)?;
+                }
+                Ok(())
+            }
+            Some(b'[') => {
+                let mut more = self.begin_array()?;
+                while more {
+                    self.skip_value()?;
+                    more = self.next_item()?;
+                }
+                Ok(())
+            }
+            Some(b'"') => {
+                self.pos += 1;
+                self.string_rest(None)
+            }
+            Some(b'-' | b'0'..=b'9') => self.number().map(drop),
+            _ => self.scalar_literal().map(drop),
+        }
+    }
+
     fn err(&self, msg: &str) -> JsonError {
         JsonError {
             offset: self.pos,
             message: msg.to_string(),
         }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -264,9 +447,30 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
+        let rest = &self.src.as_bytes()[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|b| !matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+            .unwrap_or(rest.len());
+    }
+
+    fn digits(&mut self) {
+        let rest = &self.src.as_bytes()[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|b| !b.is_ascii_digit())
+            .unwrap_or(rest.len());
+    }
+
+    /// Advance to the next byte that ends a plain string run: the
+    /// closing quote, a backslash or a raw control byte — the bytes
+    /// [`write_string`] escapes.
+    fn plain_run(&mut self) {
+        let rest = &self.src.as_bytes()[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|&b| NEEDS_ESCAPE[b as usize])
+            .unwrap_or(rest.len());
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -278,22 +482,56 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
+    /// Consume the `open` bracket; `true` when a member follows rather
+    /// than the `close` bracket.
+    fn open(&mut self, open: u8, close: u8) -> Result<bool, JsonError> {
+        self.expect(open)?;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(false);
+        }
+        self.skip_ws();
+        Ok(true)
+    }
+
+    /// After a member: consume `,` (`true`) or the `close` bracket.
+    fn more(&mut self, close: u8, separator: &str) -> Result<bool, JsonError> {
+        self.skip_ws();
+        match self.bump() {
+            Some(b',') => {
+                self.skip_ws();
+                Ok(true)
+            }
+            Some(b) if b == close => Ok(false),
+            _ => Err(self.err(separator)),
         }
     }
 
-    fn literal(&mut self, lit: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+    fn key(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        let key = self.string()?;
+        self.colon()?;
+        Ok(key)
+    }
+
+    fn colon(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(())
+    }
+
+    /// `true`, `false`, `null`, or the error for whatever else sits
+    /// where a value belongs.
+    fn scalar_literal(&mut self) -> Result<JsonValue, JsonError> {
+        let (lit, value) = match self.peek() {
+            Some(b't') => ("true", JsonValue::Bool(true)),
+            Some(b'f') => ("false", JsonValue::Bool(false)),
+            Some(b'n') => ("null", JsonValue::Null),
+            Some(_) => return Err(self.err("unexpected character")),
+            None => return Err(self.err("unexpected end of input")),
+        };
+        if self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -301,101 +539,59 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(JsonValue::Object(map)),
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(JsonValue::Array(items)),
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut s = String::new();
+    /// The rest of a string literal after its opening quote (or after
+    /// a plain prefix already taken): validate through the closing
+    /// quote, appending the decoded text to `out` when given.
+    fn string_rest(&mut self, mut out: Option<&mut String>) -> Result<(), JsonError> {
         loop {
             let start = self.pos;
-            // Fast path: copy a run of plain bytes.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
+            self.plain_run();
+            if let Some(out) = &mut out {
+                out.push_str(&self.src[start..self.pos]);
             }
-            s.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
-            );
             match self.bump() {
-                Some(b'"') => return Ok(s),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => s.push('"'),
-                    Some(b'\\') => s.push('\\'),
-                    Some(b'/') => s.push('/'),
-                    Some(b'b') => s.push('\u{8}'),
-                    Some(b'f') => s.push('\u{c}'),
-                    Some(b'n') => s.push('\n'),
-                    Some(b'r') => s.push('\r'),
-                    Some(b't') => s.push('\t'),
-                    Some(b'u') => {
-                        let cp = self.hex4()?;
-                        // Handle surrogate pairs.
-                        if (0xD800..0xDC00).contains(&cp) {
-                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                return Err(self.err("unpaired surrogate"));
-                            }
-                            let low = self.hex4()?;
-                            if !(0xDC00..0xE000).contains(&low) {
-                                return Err(self.err("invalid low surrogate"));
-                            }
-                            let c = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-                            s.push(char::from_u32(c).ok_or_else(|| self.err("bad codepoint"))?);
-                        } else {
-                            s.push(char::from_u32(cp).ok_or_else(|| self.err("bad codepoint"))?);
-                        }
+                Some(b'"') => return Ok(()),
+                Some(b'\\') => {
+                    let c = self.escape()?;
+                    if let Some(out) = &mut out {
+                        out.push(c);
                     }
-                    _ => return Err(self.err("invalid escape")),
-                },
+                }
                 Some(_) => return Err(self.err("control character in string")),
                 None => return Err(self.err("unterminated string")),
             }
         }
+    }
+
+    /// One escape sequence, after its backslash.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        Ok(match self.bump() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let cp = self.hex4()?;
+                if (0xD800..0xDC00).contains(&cp) {
+                    if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
+                        return Err(self.err("unpaired surrogate"));
+                    }
+                    let low = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    let c = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+                    char::from_u32(c).ok_or_else(|| self.err("bad codepoint"))?
+                } else {
+                    char::from_u32(cp).ok_or_else(|| self.err("bad codepoint"))?
+                }
+            }
+            _ => return Err(self.err("invalid escape")),
+        })
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
@@ -411,35 +607,29 @@ impl<'a> Parser<'a> {
         }
         Ok(v)
     }
+}
 
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| self.err("invalid number"))
+/// Split a top-level JSON array into the byte ranges of its items,
+/// validating the whole document without building values: the ranges
+/// index `doc` and cover each item exactly, without the surrounding
+/// whitespace. `Ok(None)` when `doc` is valid JSON but not an array.
+pub fn array_item_spans(doc: &str) -> Result<Option<Vec<Range<usize>>>, JsonError> {
+    let mut reader = JsonReader::new(doc);
+    if reader.peek() != Some(b'[') {
+        reader.skip_value()?;
+        reader.finish()?;
+        return Ok(None);
     }
+    let mut spans = Vec::new();
+    let mut more = reader.begin_array()?;
+    while more {
+        let start = reader.pos;
+        reader.skip_value()?;
+        spans.push(start..reader.pos);
+        more = reader.next_item()?;
+    }
+    reader.finish()?;
+    Ok(Some(spans))
 }
 
 #[cfg(test)]
@@ -587,6 +777,53 @@ mod tests {
             };
             assert_eq!(out, oracle, "{n:?}");
         }
+    }
+
+    #[test]
+    fn reader_borrows_escape_free_strings() {
+        let mut r = JsonReader::new(r#"{"plain": "x y", "esc\u0061ped": "a\"b"}"#);
+        let key = r.begin_object().unwrap().unwrap();
+        assert!(matches!(key, Cow::Borrowed("plain")));
+        assert!(matches!(r.string().unwrap(), Cow::Borrowed("x y")));
+        let key = r.next_key().unwrap().unwrap();
+        assert!(matches!(&key, Cow::Owned(k) if k == "escaped"));
+        assert_eq!(r.string().unwrap(), "a\"b");
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn skip_value_reports_what_parse_reports() {
+        for doc in [
+            r#"{"a": [1, {"b": "\q"}]}"#,
+            r#"[1, 2,]"#,
+            r#"{"a" 1}"#,
+            r#""\ud800x""#,
+            "[\"tab\there\"]",
+            r#"{"a": tru}"#,
+            r#"-"#,
+            r#"{"a": [null, false, "\u00e9"]} x"#,
+            r#"{"a": [null, false, "\u00e9"]}"#,
+        ] {
+            let mut r = JsonReader::new(doc);
+            let skipped = r.skip_value().and_then(|()| r.finish());
+            assert_eq!(skipped, JsonValue::parse(doc).map(drop), "{doc}");
+        }
+    }
+
+    #[test]
+    fn array_item_spans_cover_each_item() {
+        let doc = r#" [ "a\"b" , {"k": [1, 2]},3 ] "#;
+        let spans = array_item_spans(doc).unwrap().unwrap();
+        let items: Vec<&str> = spans.into_iter().map(|s| &doc[s]).collect();
+        assert_eq!(items, [r#""a\"b""#, r#"{"k": [1, 2]}"#, "3"]);
+        assert_eq!(array_item_spans("[]").unwrap(), Some(vec![]));
+        assert_eq!(array_item_spans(r#"{"a": 1}"#).unwrap(), None);
+        assert_eq!(
+            array_item_spans("[1, 2").unwrap_err(),
+            JsonValue::parse("[1, 2").unwrap_err()
+        );
+        assert!(array_item_spans(r#"{"a": 1} x"#).is_err());
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! exchanged in PostgreSQL-style JSON `EXPLAIN` output and SQL
 //! Server-style XML showplans; the sanctioned offline dependency set has
 //! no `serde_json`/XML crate, so this crate ships minimal, fully tested
-//! implementations. The same [`JsonValue`] model renders every
-//! narration-service response body (see `lantern-serve`).
+//! implementations. Each format has one tokenizer, a pull reader
+//! ([`JsonReader`], [`XmlReader`]) that borrows from the input and
+//! decodes only what its caller keeps; the [`JsonValue`] and [`XmlNode`]
+//! trees are built on those readers.
 //!
 //! # Example
 //!
@@ -40,8 +42,8 @@ pub mod xml;
 
 pub use bleu::{bleu, corpus_bleu, self_bleu, BleuConfig};
 pub use edit::{levenshtein, token_edit_distance};
-pub use json::{JsonError, JsonValue};
+pub use json::{JsonError, JsonReader, JsonValue};
 pub use ngram::NgramCounts;
 pub use tokenize::{detokenize, tokenize, word_tokenize};
 pub use vocab::Vocab;
-pub use xml::{XmlError, XmlNode};
+pub use xml::{XmlError, XmlEvent, XmlNode, XmlReader};
