@@ -32,15 +32,14 @@ use crate::shard::{document_key, group_by_node, item_key, shard_key};
 use lantern_cache::ShardedLru;
 use lantern_obs::{parse_exposition, MetricsPage, Recorder, Sample, Series};
 use lantern_pool::parse_pool;
+use lantern_serve::envelope::{self, error_body_raw, json_error, Envelope};
 use lantern_serve::http::{Request, Response, REQUEST_ID_HEADER};
-use lantern_serve::router::{
-    error_body_raw, handle_traced, json_error, route, series_value, Route,
-};
+use lantern_serve::router::{debug_slow, handle_traced, route, series_value, Route};
 use lantern_serve::{
     ClientConfig, ClientError, ClientErrorKind, ClientResponse, Handler, HttpClient, ServeConfig,
     ServeStats,
 };
-use lantern_text::json::{array_item_spans, JsonReader, JsonValue};
+use lantern_text::json::{array_item_spans, JsonValue};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -57,44 +56,10 @@ use {
     std::thread::JoinHandle,
 };
 
-/// One sub-batch's original item positions paired with the replica's
-/// response (or the transport failure that exhausted its retries).
-type SubBatchResult = (Vec<usize>, Result<ClientResponse, Option<ClientError>>);
-
-/// One sub-batch's share of a stitched batch answer.
-enum GroupAnswer {
-    /// The replica's answer body and the byte range of each item in it,
-    /// in entry order.
-    Items(String, Vec<Range<usize>>),
-    /// The compact error body every entry of the sub-batch gets.
-    Error(String),
-}
-
-/// The `"base"` string of a diff envelope (the last one, as a parsed
-/// object would hold it), read without decoding the other members.
-/// `None` when the body is not valid JSON, not an object, or has no
-/// string `"base"`.
-fn diff_base(body: &str) -> Option<Cow<'_, str>> {
-    let mut reader = JsonReader::new(body);
-    if reader.peek() != Some(b'{') {
-        return None;
-    }
-    let mut base = None;
-    let mut key = reader.begin_object().ok()?;
-    while let Some(k) = key {
-        if k == "base" && reader.peek() == Some(b'"') {
-            base = Some(reader.string().ok()?);
-        } else {
-            if k == "base" {
-                base = None;
-            }
-            reader.skip_value().ok()?;
-        }
-        key = reader.next_key().ok()?;
-    }
-    reader.finish().ok()?;
-    base
-}
+/// One sub-batch's share of a stitched batch answer: the replica's
+/// answer body and the byte range of each item in it, in entry order;
+/// or the compact error body every entry of the sub-batch gets.
+type GroupAnswer = Result<(String, Vec<Range<usize>>), String>;
 
 /// `[` + `items` joined by `,` + `]`: a JSON array of already-encoded
 /// values.
@@ -237,6 +202,28 @@ struct Replica {
     healthy: AtomicBool,
     catalog: CatalogView,
     pool: Mutex<Vec<HttpClient>>,
+}
+
+impl Replica {
+    /// The `addr` and `healthy` members of the replica's admin-page
+    /// objects.
+    fn identity(&self) -> [(&'static str, JsonValue); 2] {
+        let healthy = self.healthy.load(Ordering::Relaxed);
+        [
+            ("addr", JsonValue::String(self.addr.to_string())),
+            ("healthy", JsonValue::Bool(healthy)),
+        ]
+    }
+
+    /// The `version` and `applied_seq` members: the replica's catalog as
+    /// last observed.
+    fn catalog_view(&self) -> [(&'static str, JsonValue); 2] {
+        let (applied_seq, version) = self.catalog.get();
+        [
+            ("version", JsonValue::Number(version as f64)),
+            ("applied_seq", JsonValue::Number(applied_seq as f64)),
+        ]
+    }
 }
 
 /// What the coordinator last learned of one replica's catalog
@@ -561,18 +548,29 @@ impl Coordinator {
 
     fn dispatch(&self, req: &Request) -> Response {
         let routes: [Route<Self>; 11] = [
-            ("POST", "/narrate", true, Self::narrate),
+            ("POST", "/narrate", true, |c, req| {
+                c.stats.narrate_requests.fetch_add(1, Ordering::Relaxed);
+                c.route_whole(req, envelope::narrate(req).map(|e| (e.body, e.body.into())))
+            }),
             ("POST", "/narrate/batch", true, Self::narrate_batch),
             ("POST", "/narrate/diff", true, |c, req| {
-                c.narrate_diff(req, false)
+                c.stats.diff_requests.fetch_add(1, Ordering::Relaxed);
+                c.route_whole(req, envelope::diff(req).map(|e| (e.body, e.docs.base)))
             }),
             ("POST", "/narrate/diff/batch", true, |c, req| {
-                c.narrate_diff(req, true)
+                c.stats.diff_batch_requests.fetch_add(1, Ordering::Relaxed);
+                c.route_whole(
+                    req,
+                    envelope::diff_batch(req).map(|e| (e.body, e.docs.base)),
+                )
             }),
             ("GET", "/healthz", true, |c, _| c.healthz()),
             ("GET", "/stats", true, |c, _| c.aggregate_stats()),
             ("GET", "/metrics", true, |c, _| c.metrics()),
-            ("GET", "/debug/slow", true, Self::debug_slow),
+            // The coordinator's own slow ring: its entries carry the
+            // request ids the replicas logged, so a slow request here can
+            // be chased into the owning replica's `/debug/slow`.
+            ("GET", "/debug/slow", true, |c, req| debug_slow(&c.obs, req)),
             ("GET", "/catalog", true, |c, _| c.catalog_info()),
             ("POST", "/catalog/apply", true, Self::catalog_apply),
             ("POST", "/cache/clear", true, |c, _| c.cache_clear()),
@@ -580,20 +578,26 @@ impl Coordinator {
         route(self, req, &routes, &self.stats.not_found)
     }
 
-    fn narrate(&self, req: &Request) -> Response {
-        self.stats.narrate_requests.fetch_add(1, Ordering::Relaxed);
-        let Some(doc) = req.body_utf8() else {
-            // The replica would answer this 400 itself; answering it
-            // here saves shipping bytes that cannot narrate.
-            return json_error("parse", "request body is not valid UTF-8", 400);
-        };
-        let path = format!("/narrate{}", encode_query(&req.query));
-        self.forward_response(self.route_key(doc), "POST", &path, Some(doc))
+    /// `/narrate` and `/narrate/diff[/batch]`, given the body and the
+    /// document that keys it as the replica's envelope reader returns
+    /// them: routed whole to the key document's owner. A diff is keyed by
+    /// its base, so repeat comparisons of the same base warm one
+    /// replica's plan cache. A malformed request is answered with the
+    /// reader's 400, exactly as a replica would answer it.
+    fn route_whole(&self, req: &Request, read: Result<(&str, Cow<'_, str>), Response>) -> Response {
+        match read {
+            Ok((body, doc)) => {
+                let path = format!("{}{}", req.path, encode_query(&req.query));
+                self.forward_response(self.route_key(&doc), "POST", &path, Some(body))
+            }
+            Err(response) => response,
+        }
     }
 
-    /// `POST /narrate/batch`: validate the envelope like a replica
-    /// would, split entries by owning shard, forward sub-batches
-    /// concurrently, and re-stitch responses in request order.
+    /// `POST /narrate/batch`: read the envelope with the replica's own
+    /// reader (a malformed one gets the replica's 400 from here), split
+    /// entries by owning shard, forward sub-batches concurrently, and
+    /// re-stitch responses in request order.
     ///
     /// Entries and answers travel as byte ranges: each sub-batch is the
     /// original entries' bytes joined by `,` inside `[`…`]`, and each
@@ -602,33 +606,25 @@ impl Coordinator {
     /// into place. No entry or answer is decoded into a value tree.
     fn narrate_batch(&self, req: &Request) -> Response {
         self.stats.batch_requests.fetch_add(1, Ordering::Relaxed);
-        let Some(body) = req.body_utf8() else {
-            return json_error("parse", "request body is not valid UTF-8", 400);
-        };
-        let spans = match array_item_spans(body) {
-            Ok(Some(spans)) if spans.is_empty() => {
-                return json_error(
-                    "parse",
-                    "batch body must be a non-empty JSON array of plan document strings",
-                    400,
-                )
-            }
-            Ok(Some(spans)) => spans,
-            Ok(None) => {
-                return json_error(
-                    "parse",
-                    "batch body must be a JSON array of plan document strings",
-                    400,
-                )
-            }
-            Err(e) => return json_error("parse", &format!("batch body is not JSON: {e}"), 400),
+        let Envelope {
+            body,
+            docs: entries,
+            ..
+        } = match envelope::batch(req) {
+            Ok(envelope) => envelope,
+            Err(response) => return response,
         };
         self.stats
             .batch_items
-            .fetch_add(spans.len() as u64, Ordering::Relaxed);
-        let keys: Vec<u128> = spans
+            .fetch_add(entries.len() as u64, Ordering::Relaxed);
+        // String entries key like single documents, off the reader's
+        // decode; any other entry off its raw bytes.
+        let keys: Vec<u128> = entries
             .iter()
-            .map(|span| self.entry_key(&body[span.clone()]))
+            .map(|entry| match &entry.doc {
+                Ok(doc) => self.route_key(doc),
+                Err(_) => item_key(&body[entry.span.clone()]),
+            })
             .collect();
         let groups = group_by_node(&keys, &self.ring);
         let path = format!("/narrate/batch{}", encode_query(&req.query));
@@ -639,63 +635,48 @@ impl Coordinator {
             return self.forward_response(key, "POST", &path, Some(body));
         }
 
-        let group_results: Vec<SubBatchResult> = std::thread::scope(|scope| {
+        let answers: Vec<(Vec<usize>, GroupAnswer)> = std::thread::scope(|scope| {
             let handles: Vec<_> = groups
                 .into_values()
                 .map(|indices| {
-                    let sub_body = join_items(indices.iter().map(|&i| &body[spans[i].clone()]));
+                    let sub_body =
+                        join_items(indices.iter().map(|&i| &body[entries[i].span.clone()]));
                     // Failover for the sub-batch follows the first
                     // entry's successor chain — one group, one
                     // shard, one chain.
-                    let key = keys[indices[0]];
-                    let path = &path;
-                    let handle =
-                        scope.spawn(move || self.forward(key, "POST", path, Some(&sub_body)));
+                    let (key, n, path) = (keys[indices[0]], indices.len(), &path);
+                    let handle = scope.spawn(move || {
+                        self.group_answer(n, self.forward(key, "POST", path, Some(&sub_body)))
+                    });
                     (indices, handle)
                 })
                 .collect();
             handles
                 .into_iter()
                 .map(|(indices, handle)| {
-                    let result = handle.join().unwrap_or(Err(None));
-                    (indices, result)
+                    let answer = handle
+                        .join()
+                        .unwrap_or_else(|_| self.group_answer(indices.len(), Err(None)));
+                    (indices, answer)
                 })
                 .collect()
         });
-        let answers: Vec<(Vec<usize>, GroupAnswer)> = group_results
-            .into_iter()
-            .map(|(indices, result)| {
-                let answer = self.group_answer(indices.len(), result);
-                (indices, answer)
-            })
-            .collect();
-        let mut slots: Vec<Option<&str>> = vec![None; spans.len()];
+        let mut slots: Vec<Option<&str>> = vec![None; entries.len()];
         for (indices, answer) in &answers {
             match answer {
-                GroupAnswer::Items(body, items) => {
+                Ok((body, items)) => {
                     for (&index, item) in indices.iter().zip(items) {
                         slots[index] = Some(&body[item.clone()]);
                     }
                 }
-                GroupAnswer::Error(err) => indices.iter().for_each(|&i| slots[i] = Some(err)),
+                Err(err) => indices.iter().for_each(|&i| slots[i] = Some(err)),
             }
         }
-        let unstitched =
-            error_body_raw("backend", "batch entry was not stitched", 500).to_string_compact();
+        let unstitched = error_body_raw("backend", "batch entry was not stitched", 500);
         Response::json(
             200,
             join_items(slots.into_iter().map(|slot| slot.unwrap_or(&unstitched))),
         )
-    }
-
-    /// Ring key of one batch entry, given as its (validated) JSON
-    /// bytes: string entries key like single documents, anything else
-    /// as [`item_key`] does.
-    fn entry_key(&self, raw: &str) -> u128 {
-        match JsonValue::parse(raw).expect("batch entries are validated before keying") {
-            JsonValue::String(doc) => self.route_key(&doc),
-            item => item_key(&item),
-        }
     }
 
     /// What one sub-batch contributes to the stitched answer: the
@@ -708,9 +689,7 @@ impl Coordinator {
     ) -> GroupAnswer {
         let err = match result {
             Ok(resp) if resp.status == 200 => match array_item_spans(&resp.body) {
-                Ok(Some(items)) if items.len() == entries => {
-                    return GroupAnswer::Items(resp.body, items)
-                }
+                Ok(Some(items)) if items.len() == entries => return Ok((resp.body, items)),
                 _ => error_body_raw(
                     "backend",
                     "replica returned a malformed batch response",
@@ -720,15 +699,8 @@ impl Coordinator {
             // The replica rejected the sub-batch wholesale (can't
             // normally happen for a coordinator-built envelope):
             // surface its error per item.
-            Ok(resp) => resp
-                .json()
-                .ok()
-                .and_then(|v| v.get("error").cloned())
-                .map(|inner| {
-                    let mut obj = BTreeMap::new();
-                    obj.insert("error".to_string(), inner);
-                    JsonValue::Object(obj)
-                })
+            Ok(resp) => envelope::member(&resp.body, "error")
+                .map(|inner| format!("{{\"error\":{inner}}}"))
                 .unwrap_or_else(|| {
                     error_body_raw("backend", "replica rejected the sub-batch", 502)
                 }),
@@ -743,68 +715,24 @@ impl Coordinator {
                 error_body_raw("unavailable", &message, 503)
             }
         };
-        GroupAnswer::Error(err.to_string_compact())
-    }
-
-    /// `/narrate/diff[/batch]`: a comparison is routed whole, keyed by
-    /// its base plan so repeat comparisons of the same base warm one
-    /// replica's plan cache. Bodies that don't parse as a diff envelope
-    /// are still forwarded (keyed by exact text) — the replica owns the
-    /// structured 400.
-    fn narrate_diff(&self, req: &Request, batch: bool) -> Response {
-        let counter = if batch {
-            &self.stats.diff_batch_requests
-        } else {
-            &self.stats.diff_requests
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        let Some(body) = req.body_utf8() else {
-            return json_error("parse", "request body is not valid UTF-8", 400);
-        };
-        let key = diff_base(body)
-            .map(|base| self.route_key(&base))
-            .unwrap_or_else(|| document_key(body).0);
-        let path = format!(
-            "/narrate/diff{}{}",
-            if batch { "/batch" } else { "" },
-            encode_query(&req.query)
-        );
-        self.forward_response(key, "POST", &path, Some(body))
+        Err(err)
     }
 
     fn healthz(&self) -> Response {
         let replicas: Vec<JsonValue> = self
             .replicas
             .iter()
-            .map(|replica| {
-                let mut obj = BTreeMap::new();
-                obj.insert(
-                    "addr".to_string(),
-                    JsonValue::String(replica.addr.to_string()),
-                );
-                obj.insert(
-                    "healthy".to_string(),
-                    JsonValue::Bool(replica.healthy.load(Ordering::Relaxed)),
-                );
-                JsonValue::Object(obj)
-            })
+            .map(|replica| JsonValue::object(replica.identity()))
             .collect();
-        let mut obj = BTreeMap::new();
-        obj.insert("status".to_string(), JsonValue::String("ok".to_string()));
-        obj.insert(
-            "role".to_string(),
-            JsonValue::String("coordinator".to_string()),
-        );
-        obj.insert(
-            "ring_nodes".to_string(),
-            JsonValue::Number(self.ring.len() as f64),
-        );
-        obj.insert("replicas".to_string(), JsonValue::Array(replicas));
-        obj.insert(
-            "uptime_ms".to_string(),
-            JsonValue::Number(self.stats.uptime().as_millis() as f64),
-        );
-        Response::json(200, JsonValue::Object(obj).to_string_compact())
+        let uptime_ms = self.stats.uptime().as_millis() as f64;
+        let body = JsonValue::object([
+            ("status", JsonValue::String("ok".to_string())),
+            ("role", JsonValue::String("coordinator".to_string())),
+            ("ring_nodes", JsonValue::Number(self.ring.len() as f64)),
+            ("replicas", JsonValue::Array(replicas)),
+            ("uptime_ms", JsonValue::Number(uptime_ms)),
+        ]);
+        Response::json(200, body.to_string_compact())
     }
 
     /// `GET /stats`: every reachable replica's counters summed (cache
@@ -838,27 +766,24 @@ impl Coordinator {
             .zip(answered)
             .map(|(replica, up)| {
                 let addr = replica.addr.to_string();
-                let mut obj = BTreeMap::new();
-                obj.insert("healthy".to_string(), JsonValue::Bool(up));
-                if up {
-                    let stats = stats_object(&samples, &[("replica", &addr)]);
-                    obj.insert("stats".to_string(), JsonValue::Object(stats));
-                }
-                obj.insert("addr".to_string(), JsonValue::String(addr));
-                JsonValue::Object(obj)
+                let stats = up.then(|| stats_object(&samples, &[("replica", &addr)]));
+                let stats = stats.map(|stats| ("stats", JsonValue::Object(stats)));
+                let members = [
+                    ("healthy", JsonValue::Bool(up)),
+                    ("addr", JsonValue::String(addr)),
+                ];
+                JsonValue::object(members.into_iter().chain(stats))
             })
             .collect();
         let mut coordinator = series_value(self.own_series());
         if let JsonValue::Object(obj) = &mut coordinator {
             let memo = self.route_memo.stats();
-            let mut route = BTreeMap::new();
-            route.insert("hits".to_string(), JsonValue::Number(memo.hits as f64));
-            route.insert("misses".to_string(), JsonValue::Number(memo.misses as f64));
-            route.insert(
-                "entries".to_string(),
-                JsonValue::Number(memo.entries as f64),
-            );
-            obj.insert("route_memo".to_string(), JsonValue::Object(route));
+            let route = JsonValue::object([
+                ("hits", JsonValue::Number(memo.hits as f64)),
+                ("misses", JsonValue::Number(memo.misses as f64)),
+                ("entries", JsonValue::Number(memo.entries as f64)),
+            ]);
+            obj.insert("route_memo".to_string(), route);
             obj.insert(
                 "uptime_ms".to_string(),
                 JsonValue::Number(self.stats.uptime().as_millis() as f64),
@@ -921,49 +846,21 @@ impl Coordinator {
         Response::text(200, page.render())
     }
 
-    /// `GET /debug/slow?threshold_ms=N` — the coordinator's own
-    /// slow-request ring. Entries carry the same request ids the
-    /// replicas logged, so a slow request here can be chased into the
-    /// owning replica's `/debug/slow`.
-    fn debug_slow(&self, req: &Request) -> Response {
-        let threshold_ms = req
-            .query_param("threshold_ms")
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(0);
-        Response::json(
-            200,
-            lantern_serve::router::slow_log_value(&self.obs, threshold_ms).to_string_compact(),
-        )
-    }
-
     fn catalog_info(&self) -> Response {
         let seq = lock(&self.catalog_log).len() as u64;
         let replicas: Vec<JsonValue> = self
             .replicas
             .iter()
             .map(|replica| {
-                let (applied_seq, version) = replica.catalog.get();
-                let mut obj = BTreeMap::new();
-                obj.insert(
-                    "addr".to_string(),
-                    JsonValue::String(replica.addr.to_string()),
-                );
-                obj.insert(
-                    "healthy".to_string(),
-                    JsonValue::Bool(replica.healthy.load(Ordering::Relaxed)),
-                );
-                obj.insert("version".to_string(), JsonValue::Number(version as f64));
-                obj.insert(
-                    "applied_seq".to_string(),
-                    JsonValue::Number(applied_seq as f64),
-                );
-                JsonValue::Object(obj)
+                let catalog = replica.catalog_view();
+                JsonValue::object(replica.identity().into_iter().chain(catalog))
             })
             .collect();
-        let mut obj = BTreeMap::new();
-        obj.insert("seq".to_string(), JsonValue::Number(seq as f64));
-        obj.insert("replicas".to_string(), JsonValue::Array(replicas));
-        Response::json(200, JsonValue::Object(obj).to_string_compact())
+        let body = JsonValue::object([
+            ("seq", JsonValue::Number(seq as f64)),
+            ("replicas", JsonValue::Array(replicas)),
+        ]);
+        Response::json(200, body.to_string_compact())
     }
 
     /// `POST /catalog/apply` at the coordinator: the body is **one raw
@@ -973,10 +870,10 @@ impl Coordinator {
     /// is a clean 400 instead of N replica-side failures, appended to
     /// the log, and broadcast to every replica.
     fn catalog_apply(&self, req: &Request) -> Response {
-        let Some(statement) = req.body_utf8() else {
-            return json_error("parse", "request body is not valid UTF-8", 400);
+        let statement = match envelope::body_text(req) {
+            Ok(statement) => statement.trim(),
+            Err(response) => return response,
         };
-        let statement = statement.trim();
         if statement.is_empty() {
             return json_error("pool", "request body must be one POOL statement", 400);
         }
@@ -991,11 +888,12 @@ impl Coordinator {
             log.push(statement.to_string());
             log.len() as u64
         };
-        let outcomes = self.broadcast_statement(seq, statement);
-        let mut obj = BTreeMap::new();
-        obj.insert("seq".to_string(), JsonValue::Number(seq as f64));
-        obj.insert("replicas".to_string(), JsonValue::Array(outcomes));
-        Response::json(200, JsonValue::Object(obj).to_string_compact())
+        let replicas = self.broadcast_statement(seq, statement);
+        let body = JsonValue::object([
+            ("seq", JsonValue::Number(seq as f64)),
+            ("replicas", JsonValue::Array(replicas)),
+        ]);
+        Response::json(200, body.to_string_compact())
     }
 
     /// Push one logged statement to every replica concurrently,
@@ -1004,7 +902,7 @@ impl Coordinator {
     /// the leg immediately replays the missing suffix instead of
     /// waiting for the next probe sweep.
     fn broadcast_statement(&self, seq: u64, statement: &str) -> Vec<JsonValue> {
-        let envelope = apply_envelope(seq, std::slice::from_ref(&statement.to_string()));
+        let envelope = envelope::write_catalog_apply(seq, &[statement]);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.replicas.len())
                 .map(|node| {
@@ -1020,19 +918,9 @@ impl Coordinator {
                         .join()
                         .unwrap_or_else(|_| "broadcast thread panicked".to_string());
                     let replica = &self.replicas[node];
-                    let (applied_seq, version) = replica.catalog.get();
-                    let mut obj = BTreeMap::new();
-                    obj.insert(
-                        "addr".to_string(),
-                        JsonValue::String(replica.addr.to_string()),
-                    );
-                    obj.insert("status".to_string(), JsonValue::String(status));
-                    obj.insert("version".to_string(), JsonValue::Number(version as f64));
-                    obj.insert(
-                        "applied_seq".to_string(),
-                        JsonValue::Number(applied_seq as f64),
-                    );
-                    JsonValue::Object(obj)
+                    let addr = ("addr", JsonValue::String(replica.addr.to_string()));
+                    let status = ("status", JsonValue::String(status));
+                    JsonValue::object([addr, status].into_iter().chain(replica.catalog_view()))
                 })
                 .collect()
         })
@@ -1041,47 +929,31 @@ impl Coordinator {
     /// One broadcast leg; returns a short status word for the response.
     fn push_catalog(&self, node: usize, seq: u64, envelope: &str) -> String {
         let sent = self.replicas[node].catalog.stamp();
-        match self.exchange(node, "POST", "/catalog/apply", Some(envelope)) {
+        let failed = match self.exchange(node, "POST", "/catalog/apply", Some(envelope)) {
             Ok(resp) if resp.status == 200 => {
                 self.record_catalog(node, sent, &resp);
-                "applied".to_string()
+                return "applied".to_string();
             }
-            Ok(resp) if resp.status == 409 => {
-                // The replica is behind this statement's predecessor:
-                // replay everything it is missing, which includes seq.
-                match self.replay_suffix(node) {
-                    Ok(()) => "replayed".to_string(),
-                    Err(message) => {
-                        self.cluster
-                            .catalog_broadcast_errors
-                            .fetch_add(1, Ordering::Relaxed);
-                        message
-                    }
-                }
-            }
-            Ok(resp) => {
-                self.cluster
-                    .catalog_broadcast_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                format!("rejected with status {} at seq {seq}", resp.status)
-            }
-            Err(e) => {
-                self.cluster
-                    .catalog_broadcast_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                format!("unreachable: {e}")
-            }
-        }
+            // The replica is behind this statement's predecessor: replay
+            // everything it is missing, which includes seq.
+            Ok(resp) if resp.status == 409 => match self.replay_suffix(node) {
+                Ok(()) => return "replayed".to_string(),
+                Err(message) => message,
+            },
+            Ok(resp) => format!("rejected with status {} at seq {seq}", resp.status),
+            Err(e) => format!("unreachable: {e}"),
+        };
+        self.cluster
+            .catalog_broadcast_errors
+            .fetch_add(1, Ordering::Relaxed);
+        failed
     }
 
     /// Record the `applied_seq`/`version` of a replica's `GET /catalog`
     /// or `/catalog/apply` answer to a request sent at stamp `sent`;
     /// returns the answer's `applied_seq`.
     fn record_catalog(&self, node: usize, sent: u64, resp: &ClientResponse) -> Option<u64> {
-        let body = resp.json().ok()?;
-        let number = |key: &str| body.get(key).and_then(JsonValue::as_f64).map(|n| n as u64);
-        let seq = number("applied_seq")?;
-        let version = number("version").unwrap_or(0);
+        let (seq, version) = envelope::catalog_answer(&resp.body)?;
         self.replicas[node].catalog.observe(sent, seq, version);
         Some(seq)
     }
@@ -1092,12 +964,10 @@ impl Coordinator {
     /// catch-up path for one that missed broadcasts while partitioned.
     fn replay_suffix(&self, node: usize) -> Result<(), String> {
         let log: Vec<String> = lock(&self.catalog_log).clone();
+        let sent = self.replicas[node].catalog.stamp();
         let applied = match self.exchange(node, "GET", "/catalog", None) {
-            Ok(resp) if resp.status == 200 => resp
-                .json()
-                .ok()
-                .and_then(|v| v.get("applied_seq").and_then(JsonValue::as_f64))
-                .map(|n| n as u64)
+            Ok(resp) if resp.status == 200 => self
+                .record_catalog(node, sent, &resp)
                 .ok_or_else(|| "replica /catalog answered without applied_seq".to_string())?,
             Ok(resp) => return Err(format!("replica /catalog answered {}", resp.status)),
             Err(e) => return Err(format!("unreachable: {e}")),
@@ -1107,7 +977,7 @@ impl Coordinator {
             return Ok(());
         }
         let suffix = &log[applied as usize..];
-        let envelope = apply_envelope(applied + 1, suffix);
+        let envelope = envelope::write_catalog_apply(applied + 1, suffix);
         let sent = self.replicas[node].catalog.stamp();
         match self.exchange(node, "POST", "/catalog/apply", Some(&envelope)) {
             Ok(resp) if resp.status == 200 => {
@@ -1125,19 +995,15 @@ impl Coordinator {
         for node in 0..self.replicas.len() {
             if let Ok(resp) = self.exchange(node, "POST", "/cache/clear", Some("")) {
                 if resp.status == 200 {
-                    if let Ok(body) = resp.json() {
-                        cleared += body
-                            .get("cleared")
-                            .and_then(JsonValue::as_f64)
-                            .unwrap_or(0.0);
-                    }
+                    cleared += envelope::member(&resp.body, "cleared")
+                        .and_then(|raw| raw.parse::<f64>().ok())
+                        .unwrap_or(0.0);
                 }
             }
         }
         self.route_memo.clear();
-        let mut obj = BTreeMap::new();
-        obj.insert("cleared".to_string(), JsonValue::Number(cleared));
-        Response::json(200, JsonValue::Object(obj).to_string_compact())
+        let body = JsonValue::object([("cleared", JsonValue::Number(cleared))]);
+        Response::json(200, body.to_string_compact())
     }
 
     /// One probe sweep: `GET /catalog` against every replica (any HTTP
@@ -1191,23 +1057,6 @@ fn stats_object(samples: &[Sample], labels: &[(&str, &str)]) -> BTreeMap<String,
         stats.insert("cache".to_string(), JsonValue::Object(cache));
     }
     stats
-}
-
-/// The replicated `/catalog/apply` envelope for `statements` starting
-/// at sequence number `from_seq`.
-fn apply_envelope(from_seq: u64, statements: &[String]) -> String {
-    let mut obj = BTreeMap::new();
-    obj.insert("from_seq".to_string(), JsonValue::Number(from_seq as f64));
-    obj.insert(
-        "statements".to_string(),
-        JsonValue::Array(
-            statements
-                .iter()
-                .map(|s| JsonValue::String(s.clone()))
-                .collect(),
-        ),
-    );
-    JsonValue::Object(obj).to_string_compact()
 }
 
 /// Render a replica's response back to the coordinator's client.
@@ -1380,17 +1229,24 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
+    fn post(path: &str, body: &str) -> Request {
+        Request {
+            method: "POST".to_string(),
+            path: path.to_string(),
+            query: Vec::new(),
+            headers: Vec::new(),
+            body: body.as_bytes().to_vec(),
+            keep_alive: true,
+        }
+    }
+
     #[test]
     fn apply_envelope_is_the_replica_wire_form() {
-        let envelope = apply_envelope(3, &["SHOW VERSION".to_string()]);
-        let value = JsonValue::parse(&envelope).unwrap();
+        let sent = envelope::write_catalog_apply(3, &["SHOW VERSION"]);
+        let read = envelope::catalog_apply(&post("/catalog/apply", &sent)).unwrap();
+        assert_eq!(read, (3, vec!["SHOW VERSION".to_string()]));
+        let value = JsonValue::parse(&sent).unwrap();
         assert_eq!(value.get("from_seq").and_then(JsonValue::as_f64), Some(3.0));
-        let statements = value
-            .get("statements")
-            .and_then(|s| s.as_array())
-            .expect("statements array");
-        assert_eq!(statements.len(), 1);
-        assert_eq!(statements[0].as_str(), Some("SHOW VERSION"));
     }
 
     #[test]
@@ -1405,28 +1261,35 @@ mod tests {
         assert_eq!(resp.headers, vec![("Retry-After", "2".to_string())]);
     }
 
+    /// A diff is routed by the `base` the replica's envelope reader
+    /// returns, which for a well-formed envelope is what the parsed
+    /// envelope holds; a malformed one is answered, not routed.
     #[test]
     fn diff_base_reads_what_the_parsed_envelope_holds() {
         for body in [
             r#"{"base": "b", "alt": "a"}"#,
-            r#"{"alt": {"x": [1, "\u00e9"]}, "base": "b\"q"}"#,
-            r#"{"base": "first", "base": "second"}"#,
-            r#"{"base": "first", "base": 2}"#,
-            r#"{"base": 2, "base": "second"}"#,
-            r#"{"base": ["b"]}"#,
+            r#"{"alt": "\u00e9", "base": "b\"q"}"#,
+            r#"{"base": "first", "base": "second", "alt": "a"}"#,
+            r#"{"base": "first", "base": 2, "alt": "a"}"#,
+            r#"{"base": 2, "base": "second", "alt": "a"}"#,
+            r#"{"base": ["b"], "alt": "a"}"#,
             r#"{"alt": "a"}"#,
+            r#"{"base": "b", "alt": {"x": 1}}"#,
             r#"["base", "b"]"#,
             r#"{"base": "b", "alt": tru}"#,
-            r#"{"base": "b"} x"#,
+            r#"{"base": "b", "alt": "a"} x"#,
             "",
         ] {
             let parsed = JsonValue::parse(body).ok().and_then(|envelope| {
+                envelope.get("alt").and_then(JsonValue::as_str)?;
                 envelope
                     .get("base")
                     .and_then(JsonValue::as_str)
                     .map(str::to_string)
             });
-            assert_eq!(diff_base(body).map(Cow::into_owned), parsed, "{body}");
+            let req = post("/narrate/diff", body);
+            let base = envelope::diff(&req).ok().map(|d| d.docs.base.into_owned());
+            assert_eq!(base, parsed, "{body}");
         }
     }
 
@@ -1444,17 +1307,16 @@ mod tests {
             })
         };
         let error = |answer: GroupAnswer| match answer {
-            GroupAnswer::Error(err) => err,
-            GroupAnswer::Items(body, _) => panic!("{body} should not stitch"),
+            Err(err) => err,
+            Ok((body, _)) => panic!("{body} should not stitch"),
         };
         let bad_gateway = error_body_raw(
             "backend",
             "replica returned a malformed batch response",
             502,
-        )
-        .to_string_compact();
+        );
 
-        let GroupAnswer::Items(body, items) =
+        let Ok((body, items)) =
             coordinator.group_answer(2, answer(200, r#"[{"a":[1,"]"]},{"error":{}}]"#))
         else {
             panic!("a well-formed answer stitches");
@@ -1483,11 +1345,11 @@ mod tests {
         );
         assert_eq!(
             error(coordinator.group_answer(1, answer(500, "oops"))),
-            error_body_raw("backend", "replica rejected the sub-batch", 502).to_string_compact()
+            error_body_raw("backend", "replica rejected the sub-batch", 502)
         );
         assert_eq!(
             error(coordinator.group_answer(3, Err(None))),
-            error_body_raw("unavailable", "shard unavailable", 503).to_string_compact()
+            error_body_raw("unavailable", "shard unavailable", 503)
         );
         assert_eq!(
             coordinator

@@ -18,7 +18,6 @@
 use crate::ring::HashRing;
 use lantern_cache::{fingerprint_document, fingerprint_tree, Fingerprint, FingerprintOptions};
 use lantern_core::PlanSource;
-use lantern_text::json::JsonValue;
 use std::collections::BTreeMap;
 
 /// Format tag for the routing-only document digest. Distinct from the
@@ -42,15 +41,12 @@ pub fn shard_key(doc: &str) -> u128 {
     }
 }
 
-/// The ring key for one `/narrate/batch` entry. String entries key like
-/// single documents; non-string entries (which the replica answers with
-/// a per-item error) key off their compact JSON rendering so they still
-/// route deterministically.
-pub fn item_key(item: &JsonValue) -> u128 {
-    match item.as_str() {
-        Some(doc) => shard_key(doc),
-        None => document_key(&item.to_string_compact()).0,
-    }
+/// The ring key for one non-string `/narrate/batch` entry, given as its
+/// raw JSON bytes. Every replica answers such an entry with the same
+/// per-item error, so it only needs a deterministic home: the exact-text
+/// digest of its bytes. (String entries key like single documents.)
+pub fn item_key(raw: &str) -> u128 {
+    document_key(raw).0
 }
 
 /// Group batch-entry indices by owning node: `keys[i]` is the ring key
@@ -111,12 +107,9 @@ mod tests {
 
     #[test]
     fn non_string_batch_items_route_deterministically() {
-        let item = JsonValue::Number(42.0);
-        assert_eq!(item_key(&item), item_key(&JsonValue::Number(42.0)));
-        assert_eq!(
-            item_key(&JsonValue::String(PG_DOC.to_string())),
-            shard_key(PG_DOC)
-        );
+        assert_eq!(item_key("42"), item_key("42"));
+        assert_ne!(item_key("42"), item_key("42.0"));
+        assert_eq!(item_key("{\"a\": 1}"), document_key("{\"a\": 1}").0);
     }
 
     #[test]

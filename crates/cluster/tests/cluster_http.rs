@@ -1,11 +1,13 @@
 //! Socket-level coordinator tests: stats aggregation across replicas
 //! (including a dead one), catalog broadcast with cache-key rollover,
-//! and a lagging replica catching up from the statement log after a
-//! restart.
+//! a lagging replica catching up from the statement log after a
+//! restart, and the coordinator answering every request shape as a
+//! replica does.
 
 use lantern_cache::{CacheConfig, CachedTranslator};
 use lantern_cluster::{serve_cluster, shard_key, ClusterConfig, ClusterHandle, HashRing};
 use lantern_core::RuleTranslator;
+use lantern_diff::RuleDiffTranslator;
 use lantern_gen::{FormatMix, GenConfig, PlanGenerator};
 use lantern_pool::{default_pg_store, PoemStore};
 use lantern_serve::{
@@ -87,7 +89,7 @@ impl CatalogControl for TestCatalog {
 
 /// One booted replica: cached rule translator over its own store, cache
 /// generation keyed on the store version so catalog mutations roll every
-/// cache key at once.
+/// cache key at once, and a rule diff backend.
 fn boot_replica_on(listener: std::net::TcpListener) -> ServerHandle {
     boot_replica_sized(listener, 512)
 }
@@ -106,12 +108,13 @@ fn boot_replica_sized(listener: std::net::TcpListener, max_entries: usize) -> Se
         )
         .with_generation(move || generation_store.version()),
     );
+    let diff = Arc::new(RuleDiffTranslator::new(store.clone()));
     let catalog = Arc::new(TestCatalog::new(store));
     let router = Router::with_catalog(
         Arc::clone(&cached),
         Arc::new(ServeStats::new()),
         Some(cached),
-        None,
+        Some(diff),
         Some(catalog),
     );
     serve(
@@ -472,6 +475,137 @@ fn stitched_batches_equal_the_dom_stitching_byte_for_byte() {
                 );
             }
         }
+    }
+
+    coordinator.shutdown().unwrap();
+    for replica in replicas {
+        replica.shutdown().unwrap();
+    }
+}
+
+/// Status and body of one `POST path` carrying the raw `body` bytes
+/// (which need not be UTF-8), on a fresh connection to `addr`.
+fn post_bytes(addr: SocketAddr, path: &str, body: &[u8]) -> (u16, String) {
+    use std::io::Write;
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    let mut bytes = format!(
+        "POST {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    bytes.extend_from_slice(body);
+    stream.write_all(&bytes).expect("send request");
+    let response = read_responses(&mut stream, 1).remove(0);
+    let (_, body) = response.split_once("\r\n\r\n").expect("head and body");
+    (status_of(&response), body.to_string())
+}
+
+/// The coordinator answers as a replica answering directly would, on
+/// every request shape: the same status and body bytes (the request id
+/// header aside). Malformed requests, including a bad `?style=` on a
+/// batch that spans several shards and bodies that are not UTF-8, are
+/// answered by the coordinator through the replicas' own envelope
+/// reader; well-formed ones are routed, and every replica narrates
+/// alike.
+#[test]
+fn coordinator_answers_every_request_shape_as_a_replica_does() {
+    let replicas: Vec<ServerHandle> = (0..3).map(|_| boot_replica()).collect();
+    let addrs: Vec<SocketAddr> = replicas.iter().map(|r| r.addr()).collect();
+    let names: Vec<String> = addrs.iter().map(|a| a.to_string()).collect();
+    let ring = HashRing::new(&names, ClusterConfig::default().virtual_nodes);
+    let coordinator = boot_coordinator(addrs.clone());
+
+    let docs: Vec<String> = (0..12).map(|i| plan_doc(&format!("shape_{i}"))).collect();
+    let owners: std::collections::BTreeSet<usize> = docs
+        .iter()
+        .map(|doc| ring.route(shard_key(doc)).expect("non-empty ring"))
+        .collect();
+    assert!(owners.len() > 1, "the batch must span several shards");
+    let strings = |docs: &[String]| -> Vec<JsonValue> {
+        docs.iter().cloned().map(JsonValue::String).collect()
+    };
+    let batch = JsonValue::Array(strings(&docs)).to_string_compact();
+    let mut mixed = strings(&docs[..4]);
+    mixed.insert(1, JsonValue::Number(7.0));
+    mixed.push(JsonValue::Null);
+    mixed.push(JsonValue::String("not a plan".to_string()));
+    let mixed = JsonValue::Array(mixed).to_string_pretty();
+    let envelope = |members: Vec<(&str, JsonValue)>| {
+        JsonValue::Object(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+        .to_string_compact()
+    };
+    let alt = docs[1].replace("Seq Scan", "Index Scan");
+    let diff = envelope(vec![
+        ("base", JsonValue::String(docs[0].clone())),
+        ("alt", JsonValue::String(alt.clone())),
+    ]);
+    let diff_batch = envelope(vec![
+        ("base", JsonValue::String(docs[0].clone())),
+        (
+            "alts",
+            JsonValue::Array(vec![
+                JsonValue::String(alt),
+                JsonValue::Number(1.0),
+                JsonValue::String(docs[0].clone()),
+            ]),
+        ),
+    ]);
+    let not_utf8: &[u8] = b"{\"Plan\": \"\xff\xfe\"}";
+    let mut corpus: Vec<(String, Vec<u8>)> = Vec::new();
+    for (route, good) in [
+        ("/narrate", docs[0].as_str()),
+        ("/narrate/batch", batch.as_str()),
+        ("/narrate/diff", diff.as_str()),
+        ("/narrate/diff/batch", diff_batch.as_str()),
+    ] {
+        for query in ["", "?style=bogus", "?style=bulleted", "?nocache=1"] {
+            corpus.push((format!("{route}{query}"), good.as_bytes().to_vec()));
+        }
+        for query in ["", "?style=bogus"] {
+            corpus.push((format!("{route}{query}"), not_utf8.to_vec()));
+        }
+        for body in [
+            "",
+            "not json",
+            "[]",
+            "{}",
+            "42",
+            "[1, \"x\"] x",
+            "EXPLAIN SELECT 1",
+        ] {
+            corpus.push((route.to_string(), body.as_bytes().to_vec()));
+        }
+    }
+    for (route, body) in [
+        ("/narrate/batch", mixed.as_str()),
+        ("/narrate/batch", r#"{"plans": []}"#),
+        ("/narrate/diff", r#"{"base": "x"}"#),
+        ("/narrate/diff", r#"{"base": 42, "alt": "x"}"#),
+        ("/narrate/diff", r#"{"base": "x", "alt": 42}"#),
+        (
+            "/narrate/diff",
+            r#"{"base": "EXPLAIN", "alt": "x", "base": ""}"#,
+        ),
+        ("/narrate/diff/batch", r#"{"base": "x", "alts": []}"#),
+        ("/narrate/diff/batch", r#"{"base": "x", "alts": "x"}"#),
+        ("/narrate/diff/batch", r#"{"alts": ["x"]}"#),
+        (
+            "/narrate/diff/batch",
+            r#"{"base": "EXPLAIN SELECT 1", "alts": ["x"]}"#,
+        ),
+    ] {
+        corpus.push((route.to_string(), body.as_bytes().to_vec()));
+    }
+
+    for (path, body) in &corpus {
+        let routed = post_bytes(coordinator.addr(), path, body);
+        let direct = post_bytes(addrs[0], path, body);
+        assert_eq!(routed, direct, "{path} {:?}", String::from_utf8_lossy(body));
     }
 
     coordinator.shutdown().unwrap();

@@ -29,8 +29,8 @@
 
 #![cfg(unix)]
 
+use crate::envelope::json_error;
 use crate::http::{encode_response, parse_request, Parsed, Request, Response, REQUEST_ID_HEADER};
-use crate::router::json_error;
 use crate::server::{Handler, ServeConfig, ServeStats};
 use lantern_obs::{Recorder, Stage};
 use std::collections::BTreeMap;

@@ -13,9 +13,10 @@
 //! Linux, `poll` elsewhere) with HTTP/1.1 pipelining and
 //! load-shedding, running any [`Handler`]. Serving is therefore
 //! Unix-only; the router, HTTP codec, and client build everywhere.
-//! Request and response bodies use the in-tree JSON value model
-//! (`lantern_text::json`) and the stable `Narration::to_json` wire
-//! format.
+//! Request envelopes are read, and error bodies written, by [`envelope`]
+//! with the in-tree JSON pull reader (`lantern_text::json`), for the
+//! router and the cluster coordinator alike; narration bodies use the
+//! stable `Narration::to_json` wire format.
 //!
 //! ## Endpoints
 //!
@@ -76,6 +77,7 @@
 
 pub mod catalog;
 pub mod client;
+pub mod envelope;
 #[cfg(unix)]
 pub(crate) mod event;
 pub mod http;
@@ -87,7 +89,7 @@ pub use catalog::{CatalogApplied, CatalogApplyError, CatalogControl};
 pub use client::{ClientConfig, ClientError, ClientErrorKind, ClientResponse, HttpClient};
 pub use http::{Request, Response};
 pub use lantern_cache::{CacheControl, CacheStatsSnapshot};
-pub use router::{error_body, Router};
+pub use router::Router;
 pub use server::{reusable_listener, Handler, ServeConfig, ServeStats};
 #[cfg(unix)]
 pub use server::{serve, ServerHandle};

@@ -16,11 +16,13 @@
 //! `lantern_core::wire` — no `JsonValue` tree on the way. A batch body
 //! is `[` + its item bodies joined by `,` + `]`, each item written by
 //! the same writer its single-plan endpoint uses, so batch ≡ sequential
-//! holds by construction. Error bodies and the admin pages stay on
-//! `JsonValue`; its serializer shares the same escaper and number
-//! formatter.
+//! holds by construction. Request envelopes are read, and error bodies
+//! written, by [`crate::envelope`], which the cluster coordinator shares.
+//! The admin pages stay on `JsonValue`; its serializer shares the same
+//! escaper and number formatter.
 
 use crate::catalog::{CatalogApplyError, CatalogControl};
+use crate::envelope::{self, error_response, json_error, write_lantern_error, Diff};
 use crate::http::{Request, Response, REQUEST_ID_HEADER};
 use crate::server::{Handler, ServeStats};
 use lantern_cache::CacheControl;
@@ -30,44 +32,8 @@ use lantern_core::{
 };
 use lantern_obs::{span, MetricsPage, Recorder, RecorderConfig, Series, Stage};
 use lantern_text::json::JsonValue;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// The `{"error": {...}}` JSON body for a narration failure.
-pub fn error_body(err: &LanternError) -> JsonValue {
-    error_body_raw(err.kind(), &err.to_string(), err.http_status())
-}
-
-/// An error body for failures that never reached the translator
-/// (routing and HTTP protocol errors).
-pub fn error_body_raw(kind: &str, message: &str, status: u16) -> JsonValue {
-    let mut inner = BTreeMap::new();
-    inner.insert("kind".to_string(), JsonValue::String(kind.to_string()));
-    inner.insert(
-        "message".to_string(),
-        JsonValue::String(message.to_string()),
-    );
-    inner.insert("status".to_string(), JsonValue::Number(status as f64));
-    let mut obj = BTreeMap::new();
-    obj.insert("error".to_string(), JsonValue::Object(inner));
-    JsonValue::Object(obj)
-}
-
-/// A complete HTTP error response (body + status) for a narration
-/// failure.
-pub fn error_response(err: &LanternError) -> Response {
-    Response::json(err.http_status(), error_body(err).to_string_compact())
-}
-
-/// A complete HTTP error response for a failure that never reached the
-/// translator: [`error_body_raw`] under `status`.
-pub fn json_error(kind: &str, message: &str, status: u16) -> Response {
-    Response::json(
-        status,
-        error_body_raw(kind, message, status).to_string_compact(),
-    )
-}
 
 /// One route-table entry: method, path, whether the route is live on
 /// this server, and the function answering it.
@@ -147,20 +113,6 @@ pub fn series_value(rows: impl IntoIterator<Item = Series>) -> JsonValue {
             .map(|row| (row.name.to_string(), JsonValue::Number(row.value as f64)))
             .collect(),
     )
-}
-
-fn parse_style(raw: &str) -> Result<RenderStyle, String> {
-    // Query values arrive percent-decoded, so an encoded trailing
-    // space (`?style=bulleted%20` or `?style=bulleted+`) shows up
-    // here as whitespace — forgive it rather than 400ing.
-    match raw.trim() {
-        "numbered" => Ok(RenderStyle::Numbered),
-        "bulleted" => Ok(RenderStyle::Bulleted),
-        "paragraph" => Ok(RenderStyle::Paragraph),
-        other => Err(format!(
-            "unknown style {other:?} (expected numbered, bulleted, or paragraph)"
-        )),
-    }
 }
 
 /// Routes requests for one service instance: holds the translator, the
@@ -251,7 +203,7 @@ impl<T: Translator> Router<T> {
             ("GET", "/healthz", true, |r, _| r.healthz()),
             ("GET", "/stats", true, |r, _| r.stats()),
             ("GET", "/metrics", true, |r, _| r.metrics()),
-            ("GET", "/debug/slow", true, Self::debug_slow),
+            ("GET", "/debug/slow", true, |r, req| debug_slow(&r.obs, req)),
             ("GET", "/catalog", catalog, |r, _| r.catalog_info()),
             ("POST", "/catalog/apply", catalog, Self::catalog_apply),
             ("POST", "/cache/clear", self.cache.is_some(), |r, _| {
@@ -267,18 +219,8 @@ impl<T: Translator> Router<T> {
         req.query_param("nocache").is_some_and(|v| v != "0")
     }
 
-    /// Per-request style override from `?style=`, if present. A value
-    /// outside the known set is the *client's* mistake: `Err` carries a
-    /// ready-made 400 response, not a translator error.
-    fn style_of(req: &Request) -> Result<Option<RenderStyle>, Response> {
-        match req.query_param("style").map(parse_style).transpose() {
-            Ok(style) => Ok(style),
-            Err(message) => Err(json_error("style", &message, 400)),
-        }
-    }
-
     fn build_request(
-        doc: &str,
+        doc: impl Into<String>,
         style: Option<RenderStyle>,
     ) -> Result<NarrationRequest, LanternError> {
         let mut narration_req = NarrationRequest::auto(doc)?;
@@ -292,19 +234,13 @@ impl<T: Translator> Router<T> {
     /// format auto-detected.
     fn narrate(&self, req: &Request) -> Response {
         self.stats.narrate_requests.fetch_add(1, Ordering::Relaxed);
-        let style = match Self::style_of(req) {
-            Ok(style) => style,
+        let read = match envelope::narrate(req) {
+            Ok(read) => read,
             Err(response) => return response,
-        };
-        let Some(doc) = req.body_utf8() else {
-            return error_response(&LanternError::Parse {
-                format: lantern_core::PlanFormat::PgJson,
-                message: "request body is not valid UTF-8".into(),
-            });
         };
         let parsed = {
             let _parse = span(Stage::Parse);
-            Self::build_request(doc, style)
+            Self::build_request(read.body, read.style)
         };
         let narrated = parsed.and_then(|r| {
             let _narrate = span(Stage::Narrate);
@@ -334,91 +270,48 @@ impl<T: Translator> Router<T> {
     /// classmates batched with it.
     fn narrate_batch(&self, req: &Request) -> Response {
         self.stats.batch_requests.fetch_add(1, Ordering::Relaxed);
-        let style = match Self::style_of(req) {
-            Ok(style) => style,
+        let parse_span = span(Stage::Parse);
+        let read = match envelope::batch(req) {
+            Ok(read) => read,
             Err(response) => return response,
         };
-        let Some(body) = req.body_utf8() else {
-            return json_error("parse", "request body is not valid UTF-8", 400);
-        };
-        let parse_span = span(Stage::Parse);
-        let docs = match JsonValue::parse(body) {
-            // An empty batch is a client mistake (usually a broken
-            // harness): answer a clear 400 instead of an empty 200
-            // the caller would silently zip against its inputs.
-            Ok(JsonValue::Array(items)) if items.is_empty() => {
-                return json_error(
-                    "parse",
-                    "batch body must be a non-empty JSON array of plan document strings",
-                    400,
-                )
-            }
-            Ok(JsonValue::Array(items)) => items,
-            Ok(_) => {
-                return json_error(
-                    "parse",
-                    "batch body must be a JSON array of plan document strings",
-                    400,
-                )
-            }
-            Err(e) => return json_error("parse", &format!("batch body is not JSON: {e}"), 400),
-        };
-        let mut items: Vec<Result<NarrationRequest, LanternError>> = Vec::with_capacity(docs.len());
-        for doc in &docs {
-            items.push(match doc.as_str() {
-                Some(doc) => Self::build_request(doc, style),
-                None => Err(LanternError::Parse {
-                    format: lantern_core::PlanFormat::PgJson,
-                    message: "batch entries must be plan document strings".into(),
-                }),
-            });
-        }
-        drop(parse_span);
         self.stats
             .batch_items
-            .fetch_add(items.len() as u64, Ordering::Relaxed);
-
-        // Fan the well-formed requests through `narrate_batch` (one
-        // POEM snapshot, threaded fan-out), then stitch per-item
-        // detection errors back in at their original positions. The Ok
-        // requests are moved out, not cloned — each one owns its raw
-        // plan document, up to `max_body_bytes` of it.
-        let mut good: Vec<NarrationRequest> = Vec::with_capacity(docs.len());
-        let placements: Vec<Result<(), LanternError>> = items
+            .fetch_add(read.docs.len() as u64, Ordering::Relaxed);
+        // Each request takes its entry's decoded document by move: an
+        // entry without escapes is copied once, out of the body.
+        let style = read.style;
+        let requests = read
+            .docs
             .into_iter()
-            .map(|item| item.map(|req| good.push(req)))
+            .map(|entry| entry.doc.and_then(|doc| Self::build_request(doc, style)))
             .collect();
-        let narrated = {
-            let _narrate = span(Stage::Narrate);
-            match (&self.cache, Self::wants_nocache(req)) {
-                (Some(cache), true) => cache.narrate_batch_uncached(&good),
-                _ => self.translator.narrate_batch(&good),
-            }
-        };
+        drop(parse_span);
+        let results = fan_out(
+            requests,
+            |good| {
+                let _narrate = span(Stage::Narrate);
+                match (&self.cache, Self::wants_nocache(req)) {
+                    (Some(cache), true) => cache.narrate_batch_uncached(good),
+                    _ => self.translator.narrate_batch(good),
+                }
+            },
+            || LanternError::Backend {
+                backend: self.translator.backend().to_string(),
+                message: "backend returned fewer batch results than requests".into(),
+            },
+        );
         let _render = span(Stage::Render);
         // Size the body from the answers: per-item errors are short.
-        let hint = placements.len() * 128
-            + narrated
+        let hint = results.len() * 128
+            + results
                 .iter()
                 .flatten()
                 .map(NarrationResponse::json_len_hint)
                 .sum::<usize>();
         let mut body = String::with_capacity(hint);
         body.push('[');
-        let mut narrated = narrated.into_iter();
-        for (i, placement) in placements.into_iter().enumerate() {
-            let result = match placement {
-                // A conforming backend returns one result per request;
-                // treat a short answer as that backend's error rather
-                // than panicking the worker.
-                Ok(()) => narrated.next().unwrap_or_else(|| {
-                    Err(LanternError::Backend {
-                        backend: self.translator.backend().to_string(),
-                        message: "backend returned fewer batch results than requests".into(),
-                    })
-                }),
-                Err(e) => Err(e),
-            };
+        for (i, result) in results.into_iter().enumerate() {
             if i > 0 {
                 body.push(',');
             }
@@ -429,7 +322,7 @@ impl<T: Translator> Router<T> {
                 }
                 Err(err) => {
                     self.stats.narrate_errors.fetch_add(1, Ordering::Relaxed);
-                    error_body(&err).write_compact(&mut body);
+                    write_lantern_error(&mut body, &err, None);
                 }
             }
         }
@@ -439,17 +332,14 @@ impl<T: Translator> Router<T> {
 
     /// `GET /healthz` — liveness plus which backend is live.
     fn healthz(&self) -> Response {
-        let mut obj = BTreeMap::new();
-        obj.insert("status".to_string(), JsonValue::String("ok".to_string()));
-        obj.insert(
-            "backend".to_string(),
-            JsonValue::String(self.translator.backend().to_string()),
-        );
-        obj.insert(
-            "uptime_ms".to_string(),
-            JsonValue::Number(self.stats.uptime().as_millis() as f64),
-        );
-        Response::json(200, JsonValue::Object(obj).to_string_compact())
+        let backend = self.translator.backend().to_string();
+        let uptime_ms = self.stats.uptime().as_millis() as f64;
+        let body = JsonValue::object([
+            ("status", JsonValue::String("ok".to_string())),
+            ("backend", JsonValue::String(backend)),
+            ("uptime_ms", JsonValue::Number(uptime_ms)),
+        ]);
+        Response::json(200, body.to_string_compact())
     }
 
     /// `GET /stats` — the counter snapshot, with the narration cache's
@@ -472,19 +362,12 @@ impl<T: Translator> Router<T> {
     fn narrate_diff(&self, req: &Request) -> Response {
         let diff = self.diff.as_ref().expect("routed only with a diff backend");
         self.stats.diff_requests.fetch_add(1, Ordering::Relaxed);
-        let style = match Self::style_of(req) {
-            Ok(style) => style,
-            Err(response) => return response,
-        };
         let parse_span = span(Stage::Parse);
-        let (base_doc, alt_value) = match Self::diff_envelope(req, "alt") {
-            Ok(docs) => docs,
+        let (style, Diff { base, alt }) = match envelope::diff(req) {
+            Ok(read) => (read.style, read.docs),
             Err(response) => return response,
         };
-        let Some(alt_doc) = alt_value.as_str() else {
-            return json_error("parse", "\"alt\" must be a plan document string", 400);
-        };
-        let request = DiffRequest::auto(&base_doc, alt_doc).map(|r| match style {
+        let request = DiffRequest::auto(base, alt).map(|r| match style {
             Some(style) => r.with_style(style),
             None => r,
         });
@@ -506,32 +389,6 @@ impl<T: Translator> Router<T> {
         }
     }
 
-    /// Pulls `{"base": ..., "<alt key>": ...}` out of a diff request
-    /// body; `Err` is a ready-made 400. The alt value comes back as
-    /// parsed JSON — a string for `/narrate/diff`, an array for
-    /// `/narrate/diff/batch` — for the caller to validate.
-    fn diff_envelope(req: &Request, alt_key: &str) -> Result<(String, JsonValue), Response> {
-        let parse_err = |message: &str| Err(json_error("parse", message, 400));
-        let Some(body) = req.body_utf8() else {
-            return parse_err("request body is not valid UTF-8");
-        };
-        let envelope = match JsonValue::parse(body) {
-            Ok(value) => value,
-            Err(e) => return parse_err(&format!("diff body is not JSON: {e}")),
-        };
-        let Some(base) = envelope.get("base").and_then(JsonValue::as_str) else {
-            return parse_err(&format!(
-                "diff body must be an object with string \"base\" and {alt_key:?} keys"
-            ));
-        };
-        let Some(alt) = envelope.get(alt_key) else {
-            return parse_err(&format!(
-                "diff body must be an object with string \"base\" and {alt_key:?} keys"
-            ));
-        };
-        Ok((base.to_string(), alt.clone()))
-    }
-
     /// `POST /narrate/diff/batch` — the body is
     /// `{"base": "<doc>", "alts": ["<doc>", ...]}`: one base compared
     /// against every alternative. Successful comparisons come back
@@ -544,35 +401,14 @@ impl<T: Translator> Router<T> {
         self.stats
             .diff_batch_requests
             .fetch_add(1, Ordering::Relaxed);
-        let style = match Self::style_of(req) {
-            Ok(style) => style,
-            Err(response) => return response,
-        };
         let parse_span = span(Stage::Parse);
-        let (base_doc, alts_value) = match Self::diff_envelope(req, "alts") {
-            Ok(docs) => docs,
+        let (style, Diff { base, alt: alts }) = match envelope::diff_batch(req) {
+            Ok(read) => (read.style, read.docs),
             Err(response) => return response,
-        };
-        let alts = match alts_value {
-            JsonValue::Array(items) if items.is_empty() => {
-                return json_error(
-                    "parse",
-                    "\"alts\" must be a non-empty JSON array of plan document strings",
-                    400,
-                )
-            }
-            JsonValue::Array(items) => items,
-            _ => {
-                return json_error(
-                    "parse",
-                    "\"alts\" must be a JSON array of plan document strings",
-                    400,
-                )
-            }
         };
         // The base failing to detect/parse is a whole-request error:
         // with no base there is nothing to compare any alternative to.
-        let base = match PlanSource::auto(&base_doc) {
+        let base = match PlanSource::auto(base) {
             Ok(base) => base,
             Err(err) => {
                 self.stats.diff_errors.fetch_add(1, Ordering::Relaxed);
@@ -582,40 +418,29 @@ impl<T: Translator> Router<T> {
         self.stats
             .diff_batch_items
             .fetch_add(alts.len() as u64, Ordering::Relaxed);
-        let mut good: Vec<PlanSource> = Vec::with_capacity(alts.len());
-        let placements: Vec<Result<(), LanternError>> = alts
-            .iter()
-            .map(|item| {
-                let doc = item.as_str().ok_or_else(|| LanternError::Parse {
-                    format: lantern_core::PlanFormat::PgJson,
-                    message: "\"alts\" entries must be plan document strings".into(),
-                })?;
-                PlanSource::auto(doc).map(|source| good.push(source))
-            })
+        let sources = alts
+            .into_iter()
+            .map(|entry| entry.doc.and_then(PlanSource::auto))
             .collect();
         drop(parse_span);
-        let compared = {
-            let _diff = span(Stage::Diff);
-            diff.narrate_diff_batch(&base, &good, style)
-        };
+        let results = fan_out(
+            sources,
+            |good| {
+                let _diff = span(Stage::Diff);
+                diff.narrate_diff_batch(&base, good, style)
+            },
+            || LanternError::Backend {
+                backend: diff.diff_backend().to_string(),
+                message: "diff backend returned fewer batch results than requests".into(),
+            },
+        );
         let _render = span(Stage::Render);
-        let mut compared = compared.into_iter();
 
-        // Stitch detection errors back in at their original indices,
-        // then rank: successes by score descending (ties keep input
-        // order), failures after them in input order.
-        let mut oks: Vec<(usize, DiffResponse)> = Vec::with_capacity(placements.len());
+        // Rank: successes by score descending (ties keep input order),
+        // failures after them in input order.
+        let mut oks: Vec<(usize, DiffResponse)> = Vec::with_capacity(results.len());
         let mut errs: Vec<(usize, LanternError)> = Vec::new();
-        for (index, placement) in placements.into_iter().enumerate() {
-            let result = match placement {
-                Ok(()) => compared.next().unwrap_or_else(|| {
-                    Err(LanternError::Backend {
-                        backend: diff.diff_backend().to_string(),
-                        message: "diff backend returned fewer batch results than requests".into(),
-                    })
-                }),
-                Err(e) => Err(e),
-            };
+        for (index, result) in results.into_iter().enumerate() {
             match result {
                 Ok(resp) => {
                     self.stats.diff_ok.fetch_add(1, Ordering::Relaxed);
@@ -647,11 +472,7 @@ impl<T: Translator> Router<T> {
             if body.len() > 1 {
                 body.push(',');
             }
-            let mut value = error_body(err);
-            if let JsonValue::Object(obj) = &mut value {
-                obj.insert("alt_index".to_string(), JsonValue::Number(*index as f64));
-            }
-            value.write_compact(&mut body);
+            write_lantern_error(&mut body, err, Some(*index));
         }
         body.push(']');
         Response::json(200, body)
@@ -661,12 +482,8 @@ impl<T: Translator> Router<T> {
     /// many were resident. Only routed when a cache is configured.
     fn cache_clear(&self) -> Response {
         let cache = self.cache.as_ref().expect("routed only with a cache");
-        let mut obj = BTreeMap::new();
-        obj.insert(
-            "cleared".to_string(),
-            JsonValue::Number(cache.clear_cache() as f64),
-        );
-        Response::json(200, JsonValue::Object(obj).to_string_compact())
+        let body = JsonValue::object([("cleared", JsonValue::Number(cache.clear_cache() as f64))]);
+        Response::json(200, body.to_string_compact())
     }
 
     /// `GET /catalog` — the node's catalog version and the highest
@@ -674,16 +491,12 @@ impl<T: Translator> Router<T> {
     /// health + lag probe. Only routed with a catalog surface.
     fn catalog_info(&self) -> Response {
         let catalog = self.catalog.as_ref().expect("routed only with a catalog");
-        let mut obj = BTreeMap::new();
-        obj.insert(
-            "version".to_string(),
-            JsonValue::Number(catalog.catalog_version() as f64),
-        );
-        obj.insert(
-            "applied_seq".to_string(),
-            JsonValue::Number(catalog.catalog_seq() as f64),
-        );
-        Response::json(200, JsonValue::Object(obj).to_string_compact())
+        let (version, applied_seq) = (catalog.catalog_version(), catalog.catalog_seq());
+        let body = JsonValue::object([
+            ("version", JsonValue::Number(version as f64)),
+            ("applied_seq", JsonValue::Number(applied_seq as f64)),
+        ]);
+        Response::json(200, body.to_string_compact())
     }
 
     /// `POST /catalog/apply` — body
@@ -694,64 +507,21 @@ impl<T: Translator> Router<T> {
     /// with `409` so the sender replays the missing prefix first.
     fn catalog_apply(&self, req: &Request) -> Response {
         let catalog = self.catalog.as_ref().expect("routed only with a catalog");
-        let parse_err = |message: &str| json_error("parse", message, 400);
-        let Some(body) = req.body_utf8() else {
-            return parse_err("request body is not valid UTF-8");
+        let (from_seq, statements) = match envelope::catalog_apply(req) {
+            Ok(envelope) => envelope,
+            Err(response) => return response,
         };
-        let envelope = match JsonValue::parse(body) {
-            Ok(value) => value,
-            Err(e) => return parse_err(&format!("catalog body is not JSON: {e}")),
-        };
-        let Some(from_seq) = envelope.get("from_seq").and_then(JsonValue::as_f64) else {
-            return parse_err("catalog body must carry a numeric \"from_seq\"");
-        };
-        let statements: Vec<String> = match envelope.get("statements") {
-            Some(JsonValue::Array(items)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    match item.as_str() {
-                        Some(stmt) => out.push(stmt.to_string()),
-                        None => {
-                            return parse_err(
-                                "\"statements\" entries must be POOL statement strings",
-                            )
-                        }
-                    }
-                }
-                out
-            }
-            _ => return parse_err("catalog body must carry a \"statements\" array"),
-        };
-        match catalog.catalog_apply(from_seq as u64, &statements) {
+        match catalog.catalog_apply(from_seq, &statements) {
             Ok(applied) => {
-                let mut obj = BTreeMap::new();
-                obj.insert(
-                    "applied".to_string(),
-                    JsonValue::Number(applied.applied as f64),
-                );
-                obj.insert(
-                    "skipped".to_string(),
-                    JsonValue::Number(applied.skipped as f64),
-                );
-                obj.insert(
-                    "applied_seq".to_string(),
-                    JsonValue::Number(applied.applied_seq as f64),
-                );
-                obj.insert(
-                    "version".to_string(),
-                    JsonValue::Number(applied.version as f64),
-                );
-                obj.insert(
-                    "errors".to_string(),
-                    JsonValue::Array(
-                        applied
-                            .errors
-                            .iter()
-                            .map(|e| JsonValue::String(e.clone()))
-                            .collect(),
-                    ),
-                );
-                Response::json(200, JsonValue::Object(obj).to_string_compact())
+                let errors = applied.errors.into_iter().map(JsonValue::String).collect();
+                let body = JsonValue::object([
+                    ("applied", JsonValue::Number(applied.applied as f64)),
+                    ("skipped", JsonValue::Number(applied.skipped as f64)),
+                    ("applied_seq", JsonValue::Number(applied.applied_seq as f64)),
+                    ("version", JsonValue::Number(applied.version as f64)),
+                    ("errors", JsonValue::Array(errors)),
+                ]);
+                Response::json(200, body.to_string_compact())
             }
             Err(err @ CatalogApplyError::SequenceGap { .. }) => {
                 json_error("catalog", &err.to_string(), 409)
@@ -772,69 +542,77 @@ impl<T: Translator> Router<T> {
         }
         Response::text(200, page.render())
     }
-
-    /// `GET /debug/slow?threshold_ms=N` — the captured slow-request
-    /// ring (newest first): request id, path, status, total and
-    /// per-stage latency in microseconds, and the plan fingerprint when
-    /// the request reached the cache layer. `threshold_ms` filters at
-    /// read time; capture is governed by `--slow-log-ms`.
-    fn debug_slow(&self, req: &Request) -> Response {
-        let threshold_ms = req
-            .query_param("threshold_ms")
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(0);
-        Response::json(
-            200,
-            slow_log_value(&self.obs, threshold_ms).to_string_compact(),
-        )
-    }
 }
 
-/// The `GET /debug/slow` response body over `recorder`'s slow-request
-/// ring, filtered to requests at least `threshold_ms` long (newest
-/// first). Shared with the cluster coordinator, which serves the same
-/// endpoint over its own recorder.
-pub fn slow_log_value(recorder: &Recorder, threshold_ms: u64) -> JsonValue {
+/// Run `batch` over the items that are requests and put each answer back
+/// at its item's position; an item that is an error stands for its own
+/// answer. A conforming backend answers once per request: a short answer
+/// gives the missing items `short()` rather than panicking the worker.
+fn fan_out<Q, A>(
+    items: Vec<Result<Q, LanternError>>,
+    batch: impl FnOnce(&[Q]) -> Vec<Result<A, LanternError>>,
+    short: impl Fn() -> LanternError,
+) -> Vec<Result<A, LanternError>> {
+    let mut good = Vec::with_capacity(items.len());
+    let placements: Vec<Result<(), LanternError>> = items
+        .into_iter()
+        .map(|item| item.map(|request| good.push(request)))
+        .collect();
+    let mut answers = batch(&good).into_iter();
+    placements
+        .into_iter()
+        .map(|placement| placement.and_then(|()| answers.next().unwrap_or_else(|| Err(short()))))
+        .collect()
+}
+
+/// `GET /debug/slow?threshold_ms=N` over `recorder`'s slow-request ring
+/// (newest first): request id, path, status, total and per-stage latency
+/// in microseconds, and the plan fingerprint when the request reached
+/// the cache layer. `threshold_ms` filters at read time; capture is
+/// governed by `--slow-log-ms`. Shared with the cluster coordinator,
+/// which serves the same endpoint over its own recorder.
+pub fn debug_slow(recorder: &Recorder, req: &Request) -> Response {
+    let threshold_ms = req
+        .query_param("threshold_ms")
+        .and_then(|v| v.parse::<u64>().ok())
+        .unwrap_or(0);
     let entries = recorder
         .slow_entries(threshold_ms.saturating_mul(1_000_000))
         .into_iter()
         .map(|entry| {
-            let mut stages = BTreeMap::new();
-            for stage in Stage::ALL {
-                let ns = entry.stage_ns[stage.index()];
-                if ns > 0 {
-                    stages.insert(
-                        stage.name().to_string(),
-                        JsonValue::Number(ns as f64 / 1_000.0),
-                    );
-                }
-            }
-            let mut obj = BTreeMap::new();
-            obj.insert("id".to_string(), JsonValue::String(entry.id));
-            obj.insert("path".to_string(), JsonValue::String(entry.path));
-            obj.insert("status".to_string(), JsonValue::Number(entry.status as f64));
-            obj.insert(
-                "total_us".to_string(),
-                JsonValue::Number(entry.total_ns as f64 / 1_000.0),
-            );
-            obj.insert("stages_us".to_string(), JsonValue::Object(stages));
-            if let Some(fp) = entry.fingerprint {
-                obj.insert("fingerprint".to_string(), JsonValue::String(fp));
-            }
-            JsonValue::Object(obj)
+            let stages = Stage::ALL
+                .into_iter()
+                .map(|stage| (stage.name(), entry.stage_ns[stage.index()]))
+                .filter(|&(_, ns)| ns > 0)
+                .map(|(name, ns)| (name, JsonValue::Number(ns as f64 / 1_000.0)));
+            let fingerprint = entry
+                .fingerprint
+                .map(|fp| ("fingerprint", JsonValue::String(fp)));
+            JsonValue::object(
+                [
+                    ("id", JsonValue::String(entry.id)),
+                    ("path", JsonValue::String(entry.path)),
+                    ("status", JsonValue::Number(entry.status as f64)),
+                    (
+                        "total_us",
+                        JsonValue::Number(entry.total_ns as f64 / 1_000.0),
+                    ),
+                    ("stages_us", JsonValue::object(stages)),
+                ]
+                .into_iter()
+                .chain(fingerprint),
+            )
         })
         .collect();
-    let mut obj = BTreeMap::new();
-    obj.insert(
-        "threshold_ms".to_string(),
-        JsonValue::Number(threshold_ms as f64),
-    );
-    obj.insert(
-        "capture_threshold_ms".to_string(),
-        JsonValue::Number(recorder.slow_threshold_ns() as f64 / 1e6),
-    );
-    obj.insert("entries".to_string(), JsonValue::Array(entries));
-    JsonValue::Object(obj)
+    let body = JsonValue::object([
+        ("threshold_ms", JsonValue::Number(threshold_ms as f64)),
+        (
+            "capture_threshold_ms",
+            JsonValue::Number(recorder.slow_threshold_ns() as f64 / 1e6),
+        ),
+        ("entries", JsonValue::Array(entries)),
+    ]);
+    Response::json(200, body.to_string_compact())
 }
 
 #[cfg(test)]

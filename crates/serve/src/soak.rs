@@ -135,85 +135,59 @@ pub struct SoakReport {
 impl SoakReport {
     /// The report as a JSON object.
     pub fn to_json_value(&self) -> JsonValue {
-        let mut obj = BTreeMap::new();
-        obj.insert(
-            "requests".to_string(),
-            JsonValue::Number(self.requests as f64),
-        );
-        obj.insert(
-            "clients".to_string(),
-            JsonValue::Number(self.clients as f64),
-        );
-        obj.insert(
-            "pipeline".to_string(),
-            JsonValue::Number(self.pipeline as f64),
-        );
-        obj.insert("shed".to_string(), JsonValue::Number(self.shed as f64));
-        let mut server = BTreeMap::new();
-        server.insert(
-            "shed_requests".to_string(),
-            JsonValue::Number(self.server.shed_requests as f64),
-        );
-        server.insert(
-            "pipelined_requests".to_string(),
-            JsonValue::Number(self.server.pipelined_requests as f64),
-        );
-        obj.insert("server".to_string(), JsonValue::Object(server));
-        obj.insert(
-            "duration_ms".to_string(),
-            JsonValue::Number(self.duration_ms),
-        );
-        obj.insert(
-            "throughput_rps".to_string(),
-            JsonValue::Number(self.throughput_rps),
-        );
-        obj.insert("ok".to_string(), JsonValue::Number(self.ok as f64));
-        obj.insert("errors".to_string(), JsonValue::Number(self.errors as f64));
+        let server = JsonValue::object([
+            (
+                "shed_requests",
+                JsonValue::Number(self.server.shed_requests as f64),
+            ),
+            (
+                "pipelined_requests",
+                JsonValue::Number(self.server.pipelined_requests as f64),
+            ),
+        ]);
         let statuses = self
             .statuses
             .iter()
             .map(|(status, count)| (status.to_string(), JsonValue::Number(*count as f64)))
             .collect();
-        obj.insert("statuses".to_string(), JsonValue::Object(statuses));
-        let mut latency = BTreeMap::new();
-        for (key, value) in [
-            ("p50_us", self.latency.p50_us),
-            ("p90_us", self.latency.p90_us),
-            ("p99_us", self.latency.p99_us),
-            ("max_us", self.latency.max_us),
-            ("mean_us", self.latency.mean_us),
-        ] {
-            latency.insert(key.to_string(), JsonValue::Number(value as f64));
-        }
-        obj.insert("latency_us".to_string(), JsonValue::Object(latency));
-        if let Some(cache) = &self.cache {
-            let mut c = BTreeMap::new();
-            c.insert("hits".to_string(), JsonValue::Number(cache.hits as f64));
-            c.insert("misses".to_string(), JsonValue::Number(cache.misses as f64));
-            c.insert("hit_ratio".to_string(), JsonValue::Number(cache.hit_ratio));
-            obj.insert("cache".to_string(), JsonValue::Object(c));
-        }
-        if let Some(server_latency) = &self.server_latency {
-            let mut s = BTreeMap::new();
-            s.insert(
-                "p50_us".to_string(),
-                JsonValue::Number(server_latency.p50_us as f64),
-            );
-            s.insert(
-                "p99_us".to_string(),
-                JsonValue::Number(server_latency.p99_us as f64),
-            );
-            s.insert(
-                "count".to_string(),
-                JsonValue::Number(server_latency.count as f64),
-            );
-            s.insert(
-                "bracket_ok".to_string(),
-                JsonValue::Bool(server_latency.bracket_ok),
-            );
-            obj.insert("server_latency".to_string(), JsonValue::Object(s));
-        }
-        JsonValue::Object(obj)
+        let latency = JsonValue::object([
+            ("p50_us", JsonValue::Number(self.latency.p50_us as f64)),
+            ("p90_us", JsonValue::Number(self.latency.p90_us as f64)),
+            ("p99_us", JsonValue::Number(self.latency.p99_us as f64)),
+            ("max_us", JsonValue::Number(self.latency.max_us as f64)),
+            ("mean_us", JsonValue::Number(self.latency.mean_us as f64)),
+        ]);
+        let cache = self.cache.as_ref().map(|cache| {
+            let cache = JsonValue::object([
+                ("hits", JsonValue::Number(cache.hits as f64)),
+                ("misses", JsonValue::Number(cache.misses as f64)),
+                ("hit_ratio", JsonValue::Number(cache.hit_ratio)),
+            ]);
+            ("cache", cache)
+        });
+        let server_latency = self.server_latency.as_ref().map(|s| {
+            let server_latency = JsonValue::object([
+                ("p50_us", JsonValue::Number(s.p50_us as f64)),
+                ("p99_us", JsonValue::Number(s.p99_us as f64)),
+                ("count", JsonValue::Number(s.count as f64)),
+                ("bracket_ok", JsonValue::Bool(s.bracket_ok)),
+            ]);
+            ("server_latency", server_latency)
+        });
+        let members = [
+            ("requests", JsonValue::Number(self.requests as f64)),
+            ("clients", JsonValue::Number(self.clients as f64)),
+            ("pipeline", JsonValue::Number(self.pipeline as f64)),
+            ("shed", JsonValue::Number(self.shed as f64)),
+            ("server", server),
+            ("duration_ms", JsonValue::Number(self.duration_ms)),
+            ("throughput_rps", JsonValue::Number(self.throughput_rps)),
+            ("ok", JsonValue::Number(self.ok as f64)),
+            ("errors", JsonValue::Number(self.errors as f64)),
+            ("statuses", JsonValue::Object(statuses)),
+            ("latency_us", latency),
+        ];
+        JsonValue::object(members.into_iter().chain(cache).chain(server_latency))
     }
 
     /// The report as pretty-printed JSON text.

@@ -51,6 +51,16 @@ impl JsonValue {
         Ok(value)
     }
 
+    /// An object of `members` (a later duplicate key wins).
+    pub fn object<'k>(members: impl IntoIterator<Item = (&'k str, JsonValue)>) -> JsonValue {
+        JsonValue::Object(
+            members
+                .into_iter()
+                .map(|(key, value)| (key.to_string(), value))
+                .collect(),
+        )
+    }
+
     /// Object field access.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
@@ -291,6 +301,12 @@ impl<'a> JsonReader<'a> {
     /// value when called where a value is expected.
     pub fn peek(&self) -> Option<u8> {
         self.src.as_bytes().get(self.pos).copied()
+    }
+
+    /// The reader's byte offset into the input: where the next value
+    /// starts, or just past the value last read.
+    pub fn offset(&self) -> usize {
+        self.pos
     }
 
     /// End of document: only whitespace may follow the value read.
