@@ -15,9 +15,10 @@
 //!   one leader narrates, followers block on a condvar and share the
 //!   result (errors included), so a thundering herd of identical
 //!   submissions costs one backend call.
-//! * **Batch dedup** — [`Translator::narrate_batch`] fingerprints the
-//!   whole batch first, narrates only the unique plans through the
-//!   inner backend's batch path, and stitches results back in order.
+//!
+//! A batch takes this same path item by item (the trait's default
+//! [`Translator::narrate_batch`]), so a plan repeated inside a batch is
+//! an ordinary hit, or a coalesced miss, on its second occurrence.
 //!
 //! Failed narrations are *not* cached: an error is returned to every
 //! coalesced waiter of that flight, but the next request retries the
@@ -109,7 +110,6 @@ pub struct NarrationCache {
     inflight: Mutex<HashMap<u128, Arc<InFlight>>>,
     doc_hits: AtomicU64,
     coalesced: AtomicU64,
-    batch_dedup_hits: AtomicU64,
     uncacheable: AtomicU64,
     clears: AtomicU64,
 }
@@ -130,7 +130,6 @@ impl NarrationCache {
             inflight: Mutex::new(HashMap::new()),
             doc_hits: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            batch_dedup_hits: AtomicU64::new(0),
             uncacheable: AtomicU64::new(0),
             clears: AtomicU64::new(0),
             config,
@@ -167,7 +166,6 @@ impl NarrationCache {
             evictions: lru.evictions,
             doc_hits: self.doc_hits.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
-            batch_dedup_hits: self.batch_dedup_hits.load(Ordering::Relaxed),
             uncacheable: self.uncacheable.load(Ordering::Relaxed),
             clears: self.clears.load(Ordering::Relaxed),
         }
@@ -197,7 +195,7 @@ pub struct CacheStatsSnapshot {
     pub max_bytes: u64,
     /// Lock stripes.
     pub shards: u64,
-    /// Narration-LRU hits (batch-dedup stitches included).
+    /// Narration-LRU hits.
     pub hits: u64,
     /// Narration-LRU misses.
     pub misses: u64,
@@ -210,8 +208,6 @@ pub struct CacheStatsSnapshot {
     pub doc_hits: u64,
     /// Misses coalesced onto another thread's in-flight narration.
     pub coalesced: u64,
-    /// Batch items answered by another item of the *same* batch.
-    pub batch_dedup_hits: u64,
     /// Requests that could not be keyed (e.g. unparseable documents).
     pub uncacheable: u64,
     /// Times the cache was cleared.
@@ -222,7 +218,7 @@ impl CacheStatsSnapshot {
     /// The counter table — the `cache` object of `GET /stats` and the
     /// `lantern_cache_*` families of `GET /metrics`. Sizes and budgets
     /// are gauges; the rest only ever grow.
-    pub fn series(&self) -> [Series; 14] {
+    pub fn series(&self) -> [Series; 13] {
         [
             Series::gauge("entries", self.entries),
             Series::gauge("bytes", self.bytes),
@@ -235,7 +231,6 @@ impl CacheStatsSnapshot {
             Series::counter("evictions", self.evictions),
             Series::counter("doc_hits", self.doc_hits),
             Series::counter("coalesced", self.coalesced),
-            Series::counter("batch_dedup_hits", self.batch_dedup_hits),
             Series::counter("uncacheable", self.uncacheable),
             Series::counter("clears", self.clears),
         ]
@@ -249,12 +244,6 @@ impl CacheStatsSnapshot {
 pub trait CacheControl {
     /// Narrate without consulting or filling the cache.
     fn narrate_uncached(&self, req: &NarrationRequest) -> Result<NarrationResponse, LanternError>;
-
-    /// Batch-narrate without consulting or filling the cache.
-    fn narrate_batch_uncached(
-        &self,
-        reqs: &[NarrationRequest],
-    ) -> Vec<Result<NarrationResponse, LanternError>>;
 
     /// Counter snapshot.
     fn cache_stats(&self) -> CacheStatsSnapshot;
@@ -534,105 +523,11 @@ impl<T: Translator> Translator for CachedTranslator<T> {
         let rewritten = Self::miss_request(req, parsed);
         self.narrate_miss(key, rewritten.as_ref().unwrap_or(req))
     }
-
-    /// In-batch dedup: fingerprint everything, answer resident keys
-    /// from the cache, narrate only the *unique* misses through the
-    /// inner backend's batch path (keeping its snapshot-pinning /
-    /// fan-out advantages), then stitch results back in request order.
-    fn narrate_batch(
-        &self,
-        reqs: &[NarrationRequest],
-    ) -> Vec<Result<NarrationResponse, LanternError>> {
-        let mut keyed: Vec<(Option<Fingerprint>, Option<Box<lantern_plan::PlanTree>>)> = {
-            let _fp = lantern_obs::span(lantern_obs::Stage::Fingerprint);
-            reqs.iter().map(|r| self.request_key(r)).collect()
-        };
-        let keys: Vec<Option<Fingerprint>> = keyed.iter().map(|(k, _)| *k).collect();
-        let mut out: Vec<Option<Result<NarrationResponse, LanternError>>> =
-            (0..reqs.len()).map(|_| None).collect();
-        // Resident hits first.
-        let _lookup = lantern_obs::span(lantern_obs::Stage::CacheLookup);
-        for (i, key) in keys.iter().enumerate() {
-            if let Some(key) = key {
-                if let Some(entry) = self.cache.lru.get(*key) {
-                    out[i] = Some(Ok(self.response_of(&entry)));
-                }
-            }
-        }
-        drop(_lookup);
-        // Unique misses: first occurrence of each key narrates;
-        // uncacheable requests are each their own occurrence.
-        let mut first_of: HashMap<u128, usize> = HashMap::new();
-        let mut unique: Vec<usize> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            if out[i].is_some() {
-                continue;
-            }
-            match key {
-                Some(key) => {
-                    if let std::collections::hash_map::Entry::Vacant(slot) = first_of.entry(key.0) {
-                        slot.insert(i);
-                        unique.push(i);
-                    }
-                }
-                None => unique.push(i),
-            }
-        }
-        if !unique.is_empty() {
-            let unique_reqs: Vec<NarrationRequest> = unique
-                .iter()
-                .map(|&i| {
-                    Self::miss_request(&reqs[i], keyed[i].1.take())
-                        .unwrap_or_else(|| reqs[i].clone())
-                })
-                .collect();
-            let results = self.inner.narrate_batch(&unique_reqs);
-            for (slot, result) in unique.iter().zip(results) {
-                if let (Some(key), Ok(resp)) = (&keys[*slot], &result) {
-                    self.store(*key, resp);
-                }
-                out[*slot] = Some(result);
-            }
-        }
-        // Duplicates ride on their representative's result.
-        for i in 0..reqs.len() {
-            if out[i].is_some() {
-                continue;
-            }
-            let key = keys[i].expect("only keyed requests can be deferred");
-            let rep = first_of[&key.0];
-            self.cache.batch_dedup_hits.fetch_add(1, Ordering::Relaxed);
-            out[i] = Some(match &out[rep] {
-                Some(result) => result.clone(),
-                None => Err(LanternError::Backend {
-                    backend: self.inner.backend().to_string(),
-                    message: "backend returned fewer batch results than requests".to_string(),
-                }),
-            });
-        }
-        out.into_iter()
-            .map(|r| {
-                r.unwrap_or_else(|| {
-                    Err(LanternError::Backend {
-                        backend: self.inner.backend().to_string(),
-                        message: "backend returned fewer batch results than requests".to_string(),
-                    })
-                })
-            })
-            .collect()
-    }
 }
 
 impl<T: Translator> CacheControl for CachedTranslator<T> {
     fn narrate_uncached(&self, req: &NarrationRequest) -> Result<NarrationResponse, LanternError> {
         self.inner.narrate(req)
-    }
-
-    fn narrate_batch_uncached(
-        &self,
-        reqs: &[NarrationRequest],
-    ) -> Vec<Result<NarrationResponse, LanternError>> {
-        self.inner.narrate_batch(reqs)
     }
 
     fn cache_stats(&self) -> CacheStatsSnapshot {
@@ -810,7 +705,9 @@ mod tests {
     #[test]
     fn batch_dedup_narrates_unique_plans_once() {
         let (counting, cached) = cached_rule();
-        // 8 requests, 2 unique plans (75% duplicates).
+        // 8 requests, 2 unique plans (75% duplicates). Each item takes
+        // the single-request path: the first occurrence of a plan
+        // narrates, every later one is an ordinary hit.
         let reqs: Vec<NarrationRequest> = (0..8)
             .map(|i| {
                 if i % 4 == 0 {
@@ -825,7 +722,8 @@ mod tests {
         assert!(out.iter().all(Result::is_ok));
         assert_eq!(counting.calls(), 2, "only the unique plans narrate");
         let stats = cached.cache_stats();
-        assert_eq!(stats.batch_dedup_hits, 6);
+        assert_eq!(stats.hits, 6);
+        assert_eq!(stats.doc_hits, 6, "repeated documents skip parsing");
         // Stitching preserved positions.
         assert!(out[0].as_ref().unwrap().text.contains("photoobj"));
         assert!(out[1].as_ref().unwrap().text.contains("orders"));
@@ -833,6 +731,7 @@ mod tests {
         let out = cached.narrate_batch(&reqs);
         assert!(out.iter().all(Result::is_ok));
         assert_eq!(counting.calls(), 2);
+        assert_eq!(cached.cache_stats().hits, 14);
     }
 
     #[test]

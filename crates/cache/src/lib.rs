@@ -13,8 +13,8 @@
 //! * [`lru`] — a sharded, lock-striped LRU bounded by entry count *and*
 //!   approximate bytes, with atomic hit/miss/eviction/byte counters;
 //! * [`cached`] — the [`CachedTranslator`] decorator: single-flight
-//!   coalescing of concurrent identical misses, in-batch dedup in
-//!   `narrate_batch`, and the [`CacheControl`] admin surface
+//!   coalescing of concurrent identical misses (a batch takes the same
+//!   path item by item), and the [`CacheControl`] admin surface
 //!   (`?nocache=1` bypass, stats, clear) the serving layer exposes.
 //!
 //! ## Quick start

@@ -614,6 +614,38 @@ fn coordinator_answers_every_request_shape_as_a_replica_does() {
     }
 }
 
+/// Documents nested past the readers' depth limit are queries of death
+/// no more: the coordinator routes each one by its text and answers the
+/// replica's 400 `parse` error byte for byte, and both stay healthy.
+#[test]
+fn deep_documents_are_a_400_from_coordinator_and_replica_alike() {
+    let replicas: Vec<ServerHandle> = (0..2).map(|_| boot_replica()).collect();
+    let addrs: Vec<SocketAddr> = replicas.iter().map(|r| r.addr()).collect();
+    let coordinator = boot_coordinator(addrs.clone());
+    let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+    let chain = format!(
+        r#"{{"Plan": {}{{"Node Type": "Seq Scan", "Relation Name": "t"}}{}}}"#,
+        r#"{"Node Type": "Sort", "Plans": ["#.repeat(3_000),
+        "]}".repeat(3_000)
+    );
+    for doc in [nest(50_000), nest(200_000), chain] {
+        let routed = post_bytes(coordinator.addr(), "/narrate", doc.as_bytes());
+        assert_eq!(routed.0, 400, "{}", routed.1);
+        assert!(routed.1.contains(r#""kind":"parse""#), "{}", routed.1);
+        assert_eq!(routed, post_bytes(addrs[0], "/narrate", doc.as_bytes()));
+    }
+    for addr in [coordinator.addr(), addrs[0], addrs[1]] {
+        let mut client = HttpClient::connect(addr).expect("connect");
+        let health = get_json(&mut client, "/healthz");
+        assert_eq!(health.get("status").and_then(JsonValue::as_str), Some("ok"));
+    }
+
+    coordinator.shutdown().unwrap();
+    for replica in replicas {
+        replica.shutdown().unwrap();
+    }
+}
+
 #[test]
 fn catalog_mutation_broadcasts_rolls_cache_keys_and_changes_narration() {
     let replicas: Vec<ServerHandle> = (0..3).map(|_| boot_replica()).collect();

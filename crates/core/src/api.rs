@@ -10,14 +10,13 @@
 //! [`NarrationResponse`] and reporting failures through one structured
 //! [`LanternError`].
 //!
-//! Batch narration ([`Translator::narrate_batch`]) is first-class: the
-//! rule backend snapshots the POEM store once per batch and fans the
-//! requests out across worker threads (see [`narrate_batch_parallel`]).
+//! A batch ([`Translator::narrate_batch`]) is its requests narrated one
+//! by one, each exactly as [`Translator::narrate`] narrates it alone.
 
 use crate::lot::CoreError;
 use crate::narrate::{narrate_with_lookup, Narration, RenderStyle};
 use lantern_plan::{parse_pg_json_plan, parse_sqlserver_xml_plan, PlanTree};
-use lantern_pool::{PoemLookup, PoemSnapshot, PoemStore};
+use lantern_pool::PoemStore;
 use std::fmt;
 
 /// The plan serialization formats the pipeline understands.
@@ -378,9 +377,9 @@ pub trait Translator {
     fn narrate(&self, req: &NarrationRequest) -> Result<NarrationResponse, LanternError>;
 
     /// Narrate a batch of requests, returning one result per request in
-    /// order. The default implementation is sequential; backends with a
-    /// shareable read state (e.g. a POEM snapshot) override this to
-    /// snapshot once and fan out.
+    /// order: each request narrated as [`Translator::narrate`] narrates
+    /// it. Only a backend whose batch does real shared work (the neural
+    /// decoder batching acts across plans) overrides this loop.
     fn narrate_batch(
         &self,
         reqs: &[NarrationRequest],
@@ -397,13 +396,6 @@ impl<T: Translator + ?Sized> Translator for &T {
     fn narrate(&self, req: &NarrationRequest) -> Result<NarrationResponse, LanternError> {
         (**self).narrate(req)
     }
-
-    fn narrate_batch(
-        &self,
-        reqs: &[NarrationRequest],
-    ) -> Vec<Result<NarrationResponse, LanternError>> {
-        (**self).narrate_batch(reqs)
-    }
 }
 
 impl<T: Translator + ?Sized> Translator for std::sync::Arc<T> {
@@ -414,13 +406,6 @@ impl<T: Translator + ?Sized> Translator for std::sync::Arc<T> {
     fn narrate(&self, req: &NarrationRequest) -> Result<NarrationResponse, LanternError> {
         (**self).narrate(req)
     }
-
-    fn narrate_batch(
-        &self,
-        reqs: &[NarrationRequest],
-    ) -> Vec<Result<NarrationResponse, LanternError>> {
-        (**self).narrate_batch(reqs)
-    }
 }
 
 impl<T: Translator + ?Sized> Translator for Box<T> {
@@ -430,13 +415,6 @@ impl<T: Translator + ?Sized> Translator for Box<T> {
 
     fn narrate(&self, req: &NarrationRequest) -> Result<NarrationResponse, LanternError> {
         (**self).narrate(req)
-    }
-
-    fn narrate_batch(
-        &self,
-        reqs: &[NarrationRequest],
-    ) -> Vec<Result<NarrationResponse, LanternError>> {
-        (**self).narrate_batch(reqs)
     }
 }
 
@@ -544,27 +522,6 @@ pub trait DiffTranslator {
 
     /// Diff and narrate one base/alternative pair.
     fn narrate_diff(&self, req: &DiffRequest) -> Result<DiffResponse, LanternError>;
-
-    /// Diff one base against many alternatives, returning one result
-    /// per alternative in input order (callers rank by
-    /// [`DiffResponse::score`]). The default implementation reuses the
-    /// base source per pair sequentially.
-    fn narrate_diff_batch(
-        &self,
-        base: &PlanSource,
-        alts: &[PlanSource],
-        style: Option<RenderStyle>,
-    ) -> Vec<Result<DiffResponse, LanternError>> {
-        alts.iter()
-            .map(|alt| {
-                self.narrate_diff(&DiffRequest {
-                    base: base.clone(),
-                    alt: alt.clone(),
-                    style,
-                })
-            })
-            .collect()
-    }
 }
 
 impl<T: DiffTranslator + ?Sized> DiffTranslator for std::sync::Arc<T> {
@@ -575,15 +532,6 @@ impl<T: DiffTranslator + ?Sized> DiffTranslator for std::sync::Arc<T> {
     fn narrate_diff(&self, req: &DiffRequest) -> Result<DiffResponse, LanternError> {
         (**self).narrate_diff(req)
     }
-
-    fn narrate_diff_batch(
-        &self,
-        base: &PlanSource,
-        alts: &[PlanSource],
-        style: Option<RenderStyle>,
-    ) -> Vec<Result<DiffResponse, LanternError>> {
-        (**self).narrate_diff_batch(base, alts, style)
-    }
 }
 
 /// Map `items` across scoped worker threads behind an atomic
@@ -591,8 +539,8 @@ impl<T: DiffTranslator + ?Sized> DiffTranslator for std::sync::Arc<T> {
 /// pre-partitioned into fixed chunks, so skewed item costs (one deep
 /// join tree vs a dozen scans, one long act vs many short ones) don't
 /// straggle a single worker. Each worker builds private state once via
-/// `init` (a scratch arena, a pinned snapshot). Results come back in
-/// item order. Worker count adapts to the machine
+/// `init` (e.g. a decoder scratch arena). Results come back in item
+/// order. Worker count adapts to the machine
 /// (`available_parallelism`, capped by the item count); on a
 /// single-core host this degrades to an in-thread loop with no spawn
 /// overhead.
@@ -643,23 +591,24 @@ where
         .collect()
 }
 
-/// Fan a batch out across worker threads (scoped; no detached state):
-/// [`work_steal_map`] over the requests. Results come back in request
-/// order.
-pub fn narrate_batch_parallel<T: Translator + Sync>(
-    translator: &T,
-    reqs: &[NarrationRequest],
-) -> Vec<Result<NarrationResponse, LanternError>> {
-    work_steal_map(reqs, || (), |(), r| translator.narrate(r))
-}
-
 /// The rule-based backend (RULE-LANTERN) behind the unified API.
 ///
 /// Owns a handle to the POEM store. Every narration runs against an
 /// immutable catalog snapshot (version-cached inside the store, so an
-/// unchanged catalog is assembled once, not per call);
-/// [`Translator::narrate_batch`] pins one snapshot for the whole batch
-/// and fans out across threads.
+/// unchanged catalog is assembled once, not per call).
+///
+/// ```
+/// use lantern_core::{NarrationRequest, RuleTranslator, Translator};
+/// use lantern_pool::default_pg_store;
+///
+/// let rule = RuleTranslator::new(default_pg_store());
+/// let doc = r#"{"Plan": {"Node Type": "Seq Scan", "Relation Name": "orders"}}"#;
+/// let response = rule.narrate(&NarrationRequest::auto(doc).unwrap()).unwrap();
+/// assert_eq!(
+///     response.text,
+///     "1. perform sequential scan on orders to get the final results."
+/// );
+/// ```
 #[derive(Debug, Clone)]
 pub struct RuleTranslator {
     store: PoemStore,
@@ -686,25 +635,6 @@ impl RuleTranslator {
     pub fn store(&self) -> &PoemStore {
         &self.store
     }
-
-    fn narrate_against<L: PoemLookup>(
-        &self,
-        req: &NarrationRequest,
-        lookup: &L,
-    ) -> Result<NarrationResponse, LanternError> {
-        // Borrow already-parsed trees instead of deep-cloning them
-        // through `resolve` — on the batch hot path the parse/clone is
-        // the caller's, not ours.
-        let narration = match &req.source {
-            PlanSource::Tree(tree) => narrate_with_lookup(tree, lookup)?,
-            serialized => narrate_with_lookup(&serialized.resolve()?, lookup)?,
-        };
-        Ok(NarrationResponse::new(
-            self.backend(),
-            narration,
-            req.effective_style(self.style),
-        ))
-    }
 }
 
 impl Translator for RuleTranslator {
@@ -714,40 +644,17 @@ impl Translator for RuleTranslator {
 
     fn narrate(&self, req: &NarrationRequest) -> Result<NarrationResponse, LanternError> {
         let snapshot = self.store.snapshot();
-        self.narrate_against(req, &snapshot)
-    }
-
-    fn narrate_batch(
-        &self,
-        reqs: &[NarrationRequest],
-    ) -> Vec<Result<NarrationResponse, LanternError>> {
-        // One snapshot pinned for the whole batch: every request sees
-        // the same catalog generation (even if a POOL writer lands
-        // mid-batch), no per-request locking happens at all, and the
-        // snapshot is shared read-only by all worker threads.
-        let snapshot = self.store.snapshot();
-        let shared = SnapshotRule {
-            inner: self,
-            snapshot: snapshot.as_ref(),
+        // Borrow already-parsed trees instead of deep-cloning them
+        // through `resolve`: a cache miss hands over the tree it parsed.
+        let narration = match &req.source {
+            PlanSource::Tree(tree) => narrate_with_lookup(tree, &snapshot)?,
+            serialized => narrate_with_lookup(&serialized.resolve()?, &snapshot)?,
         };
-        narrate_batch_parallel(&shared, reqs)
-    }
-}
-
-/// Internal adapter binding a [`RuleTranslator`] to an already-taken
-/// snapshot, so the parallel batch helper narrates lock-free.
-struct SnapshotRule<'a> {
-    inner: &'a RuleTranslator,
-    snapshot: &'a PoemSnapshot,
-}
-
-impl Translator for SnapshotRule<'_> {
-    fn backend(&self) -> &str {
-        self.inner.backend()
-    }
-
-    fn narrate(&self, req: &NarrationRequest) -> Result<NarrationResponse, LanternError> {
-        self.inner.narrate_against(req, self.snapshot)
+        Ok(NarrationResponse::new(
+            self.backend(),
+            narration,
+            req.effective_style(self.style),
+        ))
     }
 }
 
@@ -882,6 +789,44 @@ mod tests {
         let tree = PlanTree::new("pg", PlanNode::new("Seq Scan").on_relation("orders"));
         let from_tree = rule.narrate(&NarrationRequest::from_tree(&tree)).unwrap();
         assert_eq!(from_tree.narration, from_json.narration);
+    }
+
+    #[test]
+    fn json_to_narration() {
+        let rule = RuleTranslator::new(default_pg_store());
+        let doc = r#"[{"Plan": {"Node Type": "Hash Join",
+            "Hash Cond": "((a.x) = (b.y))",
+            "Plans": [
+              {"Node Type": "Seq Scan", "Relation Name": "a"},
+              {"Node Type": "Hash",
+               "Plans": [{"Node Type": "Seq Scan", "Relation Name": "b"}]}
+            ]}}]"#;
+        let n = rule.narrate(&NarrationRequest::auto(doc).unwrap()).unwrap();
+        assert!(
+            n.text.contains("hash b and perform hash join on a and b"),
+            "{}",
+            n.text
+        );
+    }
+
+    #[test]
+    fn xml_to_narration_requires_mssql_store() {
+        let doc = r#"<ShowPlanXML><BatchSequence><Batch><Statements><StmtSimple><QueryPlan>
+            <RelOp PhysicalOp="Table Scan" EstimateRows="10" EstimatedTotalSubtreeCost="1">
+              <Object Table="photoobj"/>
+            </RelOp>
+        </QueryPlan></StmtSimple></Statements></Batch></BatchSequence></ShowPlanXML>"#;
+        let req = NarrationRequest::auto(doc).unwrap();
+        // pg-only store: fails (operator names differ across sources).
+        let pg_only = RuleTranslator::new(default_pg_store());
+        assert!(matches!(
+            pg_only.narrate(&req),
+            Err(LanternError::UnknownOperator { .. })
+        ));
+        // Store with the mssql catalog: succeeds.
+        let both = RuleTranslator::new(default_mssql_store());
+        let n = both.narrate(&req).unwrap();
+        assert!(n.text.contains("perform table scan on photoobj"));
     }
 
     #[test]

@@ -21,14 +21,10 @@
 //!   source-agnostic [`PlanSource`] inputs, structured
 //!   [`LanternError`]s, and batched narration.
 //! * [`wire`] — the stable JSON wire format for [`Narration`]s.
-//! * [`Lantern`] — the end-to-end facade gluing plan parsing, the POEM
-//!   store, and the translators together (now a thin layer over
-//!   [`api`]).
 
 pub mod acts;
 pub mod api;
 pub mod cluster;
-pub mod facade;
 pub mod lot;
 pub mod narrate;
 pub mod tags;
@@ -36,12 +32,10 @@ pub mod wire;
 
 pub use acts::{decompose_acts, Act};
 pub use api::{
-    narrate_batch_parallel, work_steal_map, DiffChange, DiffRequest, DiffResponse, DiffTranslator,
-    LanternError, NarrationRequest, NarrationResponse, PlanFormat, PlanSource, RuleTranslator,
-    Translator,
+    work_steal_map, DiffChange, DiffRequest, DiffResponse, DiffTranslator, LanternError,
+    NarrationRequest, NarrationResponse, PlanFormat, PlanSource, RuleTranslator, Translator,
 };
 pub use cluster::{cluster_pairs, Cluster};
-pub use facade::Lantern;
 pub use lot::{build_lot, CoreError, LotNode, LotTree};
 pub use narrate::{narrate_with_lookup, Narration, NarrationStep, RenderStyle, RuleLantern};
 pub use tags::{abstract_tags, substitute_tags, TagBinding};

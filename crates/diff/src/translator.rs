@@ -122,16 +122,16 @@ mod tests {
 
     #[test]
     fn batch_default_ranks_by_caller() {
-        use lantern_core::PlanSource;
+        // A diff batch is one `narrate_diff` per alternative; the
+        // caller ranks by score.
         let t = RuleDiffTranslator::new(default_mssql_store());
-        let base = PlanSource::auto(BASE).unwrap();
-        let alts = vec![
-            PlanSource::auto(BASE).unwrap(),
-            PlanSource::auto(ALT).unwrap(),
-        ];
-        let out = t.narrate_diff_batch(&base, &alts, None);
-        assert_eq!(out.len(), 2);
-        let scores: Vec<f64> = out.iter().map(|r| r.as_ref().unwrap().score).collect();
+        let scores: Vec<f64> = [BASE, ALT]
+            .iter()
+            .map(|alt| {
+                let req = DiffRequest::auto(BASE, *alt).unwrap();
+                t.narrate_diff(&req).unwrap().score
+            })
+            .collect();
         assert_eq!(scores[0], 0.0);
         assert!(scores[1] > 0.0);
     }

@@ -7,11 +7,11 @@
 //! Minibatches are gradient-accumulated: each item's
 //! [`Seq2Seq::forward_backward`] fills a [`Seq2SeqGrads`], and with
 //! [`TrainOptions::parallel`] the items fan out across scoped worker
-//! threads (the same pattern as `narrate_batch_parallel` in
-//! `lantern-core`). Each worker owns a private accumulator; partials
-//! merge in a fixed slice order, so a run is deterministic for a given
-//! machine, and a `batch_size` of 1 is bit-identical to the sequential
-//! path regardless of `parallel`.
+//! threads (the same pattern as `work_steal_map` in `lantern-core`,
+//! which the neural decoder uses). Each worker owns a private
+//! accumulator; partials merge in a fixed slice order, so a run is
+//! deterministic for a given machine, and a `batch_size` of 1 is
+//! bit-identical to the sequential path regardless of `parallel`.
 
 use crate::seq2seq::{Seq2Seq, Seq2SeqGrads};
 use rand::rngs::StdRng;

@@ -88,29 +88,6 @@ impl<T: Translator> Translator for ParaphrasedTranslator<T> {
             req.effective_style(self.style),
         ))
     }
-
-    fn narrate_batch(
-        &self,
-        reqs: &[NarrationRequest],
-    ) -> Vec<Result<NarrationResponse, LanternError>> {
-        // Let the inner backend batch (snapshot sharing, fan-out), then
-        // paraphrase each response.
-        self.inner
-            .narrate_batch(reqs)
-            .into_iter()
-            .enumerate()
-            .map(|(i, result)| {
-                result.map(|resp| {
-                    let narration = self.rewrite(resp.narration);
-                    NarrationResponse::new(
-                        self.backend(),
-                        narration,
-                        reqs[i].effective_style(self.style),
-                    )
-                })
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

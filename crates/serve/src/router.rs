@@ -194,12 +194,7 @@ impl<T: Translator> Router<T> {
             ("POST", "/narrate", true, Self::narrate),
             ("POST", "/narrate/batch", true, Self::narrate_batch),
             ("POST", "/narrate/diff", diff, Self::narrate_diff),
-            (
-                "POST",
-                "/narrate/diff/batch",
-                diff,
-                Self::narrate_diff_batch,
-            ),
+            ("POST", "/narrate/diff/batch", diff, Self::diff_batch),
             ("GET", "/healthz", true, |r, _| r.healthz()),
             ("GET", "/stats", true, |r, _| r.stats()),
             ("GET", "/metrics", true, |r, _| r.metrics()),
@@ -242,15 +237,7 @@ impl<T: Translator> Router<T> {
             let _parse = span(Stage::Parse);
             Self::build_request(read.body, read.style)
         };
-        let narrated = parsed.and_then(|r| {
-            let _narrate = span(Stage::Narrate);
-            match (&self.cache, Self::wants_nocache(req)) {
-                // `?nocache=1` routes around the cache (neither
-                // consulted nor filled) when one is configured.
-                (Some(cache), true) => cache.narrate_uncached(&r),
-                _ => self.translator.narrate(&r),
-            }
-        });
+        let narrated = parsed.and_then(|r| self.narrate_one(&r, Self::wants_nocache(req)));
         match narrated {
             Ok(resp) => {
                 self.stats.narrate_ok.fetch_add(1, Ordering::Relaxed);
@@ -264,10 +251,26 @@ impl<T: Translator> Router<T> {
         }
     }
 
+    /// Narrate one request exactly as `POST /narrate` does: through the
+    /// translator, or around the cache (neither consulted nor filled)
+    /// under `?nocache=1` when one is configured.
+    fn narrate_one(
+        &self,
+        r: &NarrationRequest,
+        nocache: bool,
+    ) -> Result<NarrationResponse, LanternError> {
+        let _narrate = span(Stage::Narrate);
+        match (&self.cache, nocache) {
+            (Some(cache), true) => cache.narrate_uncached(r),
+            _ => self.translator.narrate(r),
+        }
+    }
+
     /// `POST /narrate/batch` — the body is a JSON array of plan
     /// document strings. The envelope must parse (else 400); individual
     /// documents fail *per item* so one bad plan doesn't reject the
-    /// classmates batched with it.
+    /// classmates batched with it. Each entry is narrated as `/narrate`
+    /// narrates it, and written into the body before the next starts.
     fn narrate_batch(&self, req: &Request) -> Response {
         self.stats.batch_requests.fetch_add(1, Ordering::Relaxed);
         let parse_span = span(Stage::Parse);
@@ -275,49 +278,32 @@ impl<T: Translator> Router<T> {
             Ok(read) => read,
             Err(response) => return response,
         };
+        drop(parse_span);
         self.stats
             .batch_items
             .fetch_add(read.docs.len() as u64, Ordering::Relaxed);
+        let nocache = Self::wants_nocache(req);
+        // Per-item errors are short; answers reserve their own size.
+        let mut body = String::with_capacity(read.docs.len() * 128);
+        body.push('[');
         // Each request takes its entry's decoded document by move: an
         // entry without escapes is copied once, out of the body.
-        let style = read.style;
-        let requests = read
-            .docs
-            .into_iter()
-            .map(|entry| entry.doc.and_then(|doc| Self::build_request(doc, style)))
-            .collect();
-        drop(parse_span);
-        let results = fan_out(
-            requests,
-            |good| {
-                let _narrate = span(Stage::Narrate);
-                match (&self.cache, Self::wants_nocache(req)) {
-                    (Some(cache), true) => cache.narrate_batch_uncached(good),
-                    _ => self.translator.narrate_batch(good),
-                }
-            },
-            || LanternError::Backend {
-                backend: self.translator.backend().to_string(),
-                message: "backend returned fewer batch results than requests".into(),
-            },
-        );
-        let _render = span(Stage::Render);
-        // Size the body from the answers: per-item errors are short.
-        let hint = results.len() * 128
-            + results
-                .iter()
-                .flatten()
-                .map(NarrationResponse::json_len_hint)
-                .sum::<usize>();
-        let mut body = String::with_capacity(hint);
-        body.push('[');
-        for (i, result) in results.into_iter().enumerate() {
+        for (i, entry) in read.docs.into_iter().enumerate() {
+            let parsed = {
+                let _parse = span(Stage::Parse);
+                entry
+                    .doc
+                    .and_then(|doc| Self::build_request(doc, read.style))
+            };
+            let result = parsed.and_then(|r| self.narrate_one(&r, nocache));
+            let _render = span(Stage::Render);
             if i > 0 {
                 body.push(',');
             }
             match result {
                 Ok(resp) => {
                     self.stats.narrate_ok.fetch_add(1, Ordering::Relaxed);
+                    body.reserve(resp.json_len_hint());
                     resp.write_json(&mut body);
                 }
                 Err(err) => {
@@ -396,7 +382,7 @@ impl<T: Translator> Router<T> {
     /// failures follow in input order. Every item carries `alt_index`,
     /// its position in the request's `alts` array. A base that fails to
     /// parse rejects the whole request — nothing could be compared.
-    fn narrate_diff_batch(&self, req: &Request) -> Response {
+    fn diff_batch(&self, req: &Request) -> Response {
         let diff = self.diff.as_ref().expect("routed only with a diff backend");
         self.stats
             .diff_batch_requests
@@ -418,29 +404,25 @@ impl<T: Translator> Router<T> {
         self.stats
             .diff_batch_items
             .fetch_add(alts.len() as u64, Ordering::Relaxed);
-        let sources = alts
-            .into_iter()
-            .map(|entry| entry.doc.and_then(PlanSource::auto))
-            .collect();
         drop(parse_span);
-        let results = fan_out(
-            sources,
-            |good| {
-                let _diff = span(Stage::Diff);
-                diff.narrate_diff_batch(&base, good, style)
-            },
-            || LanternError::Backend {
-                backend: diff.diff_backend().to_string(),
-                message: "diff backend returned fewer batch results than requests".into(),
-            },
-        );
-        let _render = span(Stage::Render);
-
-        // Rank: successes by score descending (ties keep input order),
-        // failures after them in input order.
-        let mut oks: Vec<(usize, DiffResponse)> = Vec::with_capacity(results.len());
+        // One `narrate_diff` per alternative. Rank: successes by score
+        // descending (ties keep input order), failures after them in
+        // input order.
+        let mut oks: Vec<(usize, DiffResponse)> = Vec::with_capacity(alts.len());
         let mut errs: Vec<(usize, LanternError)> = Vec::new();
-        for (index, result) in results.into_iter().enumerate() {
+        for (index, entry) in alts.into_iter().enumerate() {
+            let request = {
+                let _parse = span(Stage::Parse);
+                entry.doc.and_then(PlanSource::auto).map(|alt| DiffRequest {
+                    base: base.clone(),
+                    alt,
+                    style,
+                })
+            };
+            let result = request.and_then(|r| {
+                let _diff = span(Stage::Diff);
+                diff.narrate_diff(&r)
+            });
             match result {
                 Ok(resp) => {
                     self.stats.diff_ok.fetch_add(1, Ordering::Relaxed);
@@ -452,6 +434,7 @@ impl<T: Translator> Router<T> {
                 }
             }
         }
+        let _render = span(Stage::Render);
         oks.sort_by(|(ai, a), (bi, b)| {
             b.score
                 .partial_cmp(&a.score)
@@ -542,27 +525,6 @@ impl<T: Translator> Router<T> {
         }
         Response::text(200, page.render())
     }
-}
-
-/// Run `batch` over the items that are requests and put each answer back
-/// at its item's position; an item that is an error stands for its own
-/// answer. A conforming backend answers once per request: a short answer
-/// gives the missing items `short()` rather than panicking the worker.
-fn fan_out<Q, A>(
-    items: Vec<Result<Q, LanternError>>,
-    batch: impl FnOnce(&[Q]) -> Vec<Result<A, LanternError>>,
-    short: impl Fn() -> LanternError,
-) -> Vec<Result<A, LanternError>> {
-    let mut good = Vec::with_capacity(items.len());
-    let placements: Vec<Result<(), LanternError>> = items
-        .into_iter()
-        .map(|item| item.map(|request| good.push(request)))
-        .collect();
-    let mut answers = batch(&good).into_iter();
-    placements
-        .into_iter()
-        .map(|placement| placement.and_then(|()| answers.next().unwrap_or_else(|| Err(short()))))
-        .collect()
 }
 
 /// `GET /debug/slow?threshold_ms=N` over `recorder`'s slow-request ring
@@ -1345,7 +1307,7 @@ mod tests {
         assert_eq!(check("lantern_server_", &stats, &server_gauges), 21);
         let cache_gauges = ["entries", "bytes", "max_entries", "max_bytes", "shards"];
         let cache = stats.get("cache").expect("cache object");
-        assert_eq!(check("lantern_cache_", cache, &cache_gauges), 14);
+        assert_eq!(check("lantern_cache_", cache, &cache_gauges), 13);
         // Nonzero values on both sides, so the equalities above bite.
         assert_eq!(
             stats.get("narrate_ok").and_then(JsonValue::as_f64),

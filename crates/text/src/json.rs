@@ -8,6 +8,7 @@
 //! pull reader ([`JsonReader`]) that `lantern-plan` reads plans with
 //! and [`JsonValue::parse`] builds trees with, and one writer.
 
+use crate::MAX_DEPTH;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -287,12 +288,19 @@ const ARRAY_SEPARATOR: &str = "expected ',' or ']' in array";
 pub struct JsonReader<'a> {
     src: &'a str,
     pos: usize,
+    /// Containers open around the reader; one more than [`MAX_DEPTH`]
+    /// is an error.
+    depth: usize,
 }
 
 impl<'a> JsonReader<'a> {
     /// A reader at the first value of `src` (leading whitespace skipped).
     pub fn new(src: &'a str) -> Self {
-        let mut reader = JsonReader { src, pos: 0 };
+        let mut reader = JsonReader {
+            src,
+            pos: 0,
+            depth: 0,
+        };
         reader.skip_ws();
         reader
     }
@@ -502,12 +510,15 @@ impl<'a> JsonReader<'a> {
     /// than the `close` bracket.
     fn open(&mut self, open: u8, close: u8) -> Result<bool, JsonError> {
         self.expect(open)?;
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
         self.skip_ws();
         if self.peek() == Some(close) {
             self.pos += 1;
             return Ok(false);
         }
-        self.skip_ws();
+        self.depth += 1;
         Ok(true)
     }
 
@@ -519,7 +530,10 @@ impl<'a> JsonReader<'a> {
                 self.skip_ws();
                 Ok(true)
             }
-            Some(b) if b == close => Ok(false),
+            Some(b) if b == close => {
+                self.depth = self.depth.saturating_sub(1);
+                Ok(false)
+            }
             _ => Err(self.err(separator)),
         }
     }
@@ -840,6 +854,20 @@ mod tests {
             JsonValue::parse("[1, 2").unwrap_err()
         );
         assert!(array_item_spans(r#"{"a": 1} x"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(JsonValue::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(JsonReader::new(&nest(MAX_DEPTH)).skip_value().is_ok());
+        let err = JsonValue::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH + 1);
+        assert_eq!(err.message, "nesting deeper than 256 levels");
+        assert_eq!(JsonReader::new(&nest(100_000)).skip_value(), Err(err));
+        // Siblings do not add up: only enclosing containers count.
+        let wide = format!("[{}]", vec![nest(MAX_DEPTH - 1); 3].join(","));
+        assert!(JsonValue::parse(&wide).is_ok());
     }
 
     #[test]

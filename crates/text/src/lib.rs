@@ -47,3 +47,11 @@ pub use ngram::NgramCounts;
 pub use tokenize::{detokenize, tokenize, word_tokenize};
 pub use vocab::Vocab;
 pub use xml::{XmlError, XmlEvent, XmlNode, XmlReader};
+
+/// The deepest nesting either document reader accepts: JSON objects
+/// and arrays for [`JsonReader`], open elements for [`XmlReader`]. A
+/// document nested deeper fails with the reader's ordinary error, so
+/// every consumer (plan parsers, request envelopes, shard keys) refuses
+/// it before any recursive walk can exhaust a thread's stack. Real
+/// plans nest a few dozen levels.
+pub const MAX_DEPTH: usize = 256;

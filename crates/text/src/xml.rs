@@ -8,6 +8,7 @@
 //! reader ([`XmlReader`]) tokenizes; `lantern-plan` reads showplans
 //! with it and [`XmlNode::parse`] builds trees with it.
 
+use crate::MAX_DEPTH;
 use std::borrow::Cow;
 use std::fmt;
 
@@ -520,6 +521,11 @@ impl<'a> XmlReader<'a> {
                     return Ok(XmlEvent::Start(XmlTag { name, attrs }));
                 }
                 Some(b'>') => {
+                    if self.open.len() == MAX_DEPTH {
+                        return Err(
+                            self.err(&format!("elements nested deeper than {MAX_DEPTH} levels"))
+                        );
+                    }
                     let attrs = &self.src[attrs_start..self.pos];
                     self.pos += 1;
                     self.open.push(name);
@@ -665,6 +671,18 @@ mod tests {
     #[test]
     fn rejects_mismatched_tags() {
         assert!(XmlNode::parse("<a><b></a></b>").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        let nest = |depth: usize| "<a>".repeat(depth) + &"</a>".repeat(depth);
+        assert!(XmlNode::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = XmlNode::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.message, "elements nested deeper than 256 levels");
+        assert_eq!(XmlNode::parse(&nest(100_000)).unwrap_err(), err);
+        // A self-closing element at the limit opens nothing.
+        let leaf = "<a>".repeat(MAX_DEPTH) + "<b/>" + &"</a>".repeat(MAX_DEPTH);
+        assert!(XmlNode::parse(&leaf).is_ok());
     }
 
     #[test]

@@ -66,24 +66,18 @@ fn main() {
     }
     println!("\n{}\n", resp.text);
 
-    // The batch path: rank all three alternatives by how much there is
-    // to learn from each. The jittered re-EXPLAIN lands last — by
-    // design, estimate drift never outranks a structural change.
-    let base = PlanSource::auto(BASE).unwrap();
+    // Rank all three alternatives by how much there is to learn from
+    // each, as `POST /narrate/diff/batch` does. The jittered re-EXPLAIN
+    // lands last — by design, estimate drift never outranks a
+    // structural change.
     let alts = [
         ("indexed", INDEXED),
         ("hash join", HASHED),
         ("re-ANALYZE jitter", JITTERED),
     ];
-    let sources: Vec<PlanSource> = alts
+    let mut ranked: Vec<(f64, &str)> = alts
         .iter()
-        .map(|(_, doc)| PlanSource::auto(*doc).unwrap())
-        .collect();
-    let mut ranked: Vec<(f64, &str)> = service
-        .narrate_diff_batch(&base, &sources, None)
-        .into_iter()
-        .zip(alts)
-        .map(|(result, (label, _))| (result.unwrap().score, label))
+        .map(|&(label, doc)| (service.diff_documents(BASE, doc).unwrap().score, label))
         .collect();
     ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
     println!("=== alternatives ranked by informativeness ===");

@@ -383,19 +383,6 @@ impl Translator for LanternService {
         self.restyle(req, &mut resp);
         Ok(resp)
     }
-
-    fn narrate_batch(
-        &self,
-        reqs: &[NarrationRequest],
-    ) -> Vec<Result<NarrationResponse, LanternError>> {
-        let mut out = self.translator.translator().narrate_batch(reqs);
-        for (result, req) in out.iter_mut().zip(reqs) {
-            if let Ok(resp) = result {
-                self.restyle(req, resp);
-            }
-        }
-        out
-    }
 }
 
 /// The cache admin surface, restyle-aware: `?nocache=1` responses must
@@ -411,22 +398,6 @@ impl CacheControl for LanternService {
         };
         self.restyle(req, &mut resp);
         Ok(resp)
-    }
-
-    fn narrate_batch_uncached(
-        &self,
-        reqs: &[NarrationRequest],
-    ) -> Vec<Result<NarrationResponse, LanternError>> {
-        let mut out = match &self.translator {
-            ServiceCore::Cached(c) => c.narrate_batch_uncached(reqs),
-            ServiceCore::Plain(t) => t.narrate_batch(reqs),
-        };
-        for (result, req) in out.iter_mut().zip(reqs) {
-            if let Ok(resp) = result {
-                self.restyle(req, resp);
-            }
-        }
-        out
     }
 
     fn cache_stats(&self) -> CacheStatsSnapshot {

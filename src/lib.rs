@@ -28,8 +28,8 @@
 //!
 //! The internal planner plugs straight in. Narration runs against a
 //! version-cached, indexed snapshot of the POEM store (assembled once
-//! per catalog generation, lock-free lookups); batches pin one snapshot
-//! for the whole batch and fan out across worker threads:
+//! per catalog generation, lock-free lookups); a batch narrates its
+//! requests one by one, each exactly as a single request:
 //!
 //! ```
 //! use lantern::prelude::*;
@@ -55,9 +55,9 @@
 //! | `neuron::Neuron::new().describe_text(&tree)` | `LanternBuilder::new().backend(Backend::Neuron).build()?.narrate(...)` |
 //! | vendor-specific error strings | structured [`LanternError`](lantern_core::LanternError) variants |
 //!
-//! The deprecated `Lantern` facade methods (`narrate_pg_json`,
-//! `narrate_sqlserver_xml`, and the tree-taking `narrate`, now
-//! `narrate_tree`) have been removed.
+//! The `lantern_core::Lantern` facade, a wrapper over
+//! [`RuleTranslator`](lantern_core::RuleTranslator), has been removed:
+//! use `RuleTranslator` (or `RuleLantern` for a parsed tree) directly.
 //!
 //! This crate re-exports every subsystem so downstream users can depend
 //! on a single crate.
@@ -91,9 +91,8 @@ pub mod prelude {
     pub use lantern_cache::{CacheConfig, CacheControl, CacheStatsSnapshot, CachedTranslator};
     pub use lantern_catalog::{dblp_catalog, imdb_catalog, sdss_catalog, tpch_catalog, Catalog};
     pub use lantern_core::{
-        DiffChange, DiffRequest, DiffResponse, DiffTranslator, Lantern, LanternError,
-        NarrationRequest, NarrationResponse, PlanSource, RenderStyle, RuleLantern, RuleTranslator,
-        Translator,
+        DiffChange, DiffRequest, DiffResponse, DiffTranslator, LanternError, NarrationRequest,
+        NarrationResponse, PlanSource, RenderStyle, RuleLantern, RuleTranslator, Translator,
     };
     pub use lantern_diff::{diff_plans, PlanDiff, RuleDiffTranslator};
     pub use lantern_engine::{explain_source, Database, ExplainFormat, Planner};

@@ -2,7 +2,7 @@
 //! plan parsers → RULE-LANTERN → NEURAL-LANTERN, on all four schemas.
 
 use lantern::catalog::{imdb_catalog, sdss_catalog, tpch_catalog};
-use lantern::core::{decompose_acts, Lantern, RuleLantern};
+use lantern::core::{decompose_acts, RuleLantern};
 use lantern::engine::{explain::explain, Database, ExplainFormat, Planner};
 use lantern::plan::{parse_pg_json_plan, parse_sqlserver_xml_plan};
 use lantern::pool::{default_mssql_store, default_pg_store};
@@ -41,8 +41,8 @@ fn sql_server_artifact_narrates_with_mssql_catalog() {
     let xml = explain(&plan, ExplainFormat::SqlServerXml);
     let tree = parse_sqlserver_xml_plan(&xml).unwrap();
     assert_eq!(tree.source, "mssql");
-    let lantern = Lantern::new(default_mssql_store());
-    let narration = lantern.narrate_tree(&tree).unwrap();
+    let store = default_mssql_store();
+    let narration = RuleLantern::new(&store).narrate(&tree).unwrap();
     assert!(narration.text().contains("table scan") || narration.text().contains("index seek"));
     assert!(narration.text().ends_with("to get the final results."));
 }

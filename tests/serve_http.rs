@@ -824,15 +824,20 @@ fn cached_service_over_sockets() {
     let stats = cache_of(&client.get("/stats").unwrap().body);
     assert_eq!(count(&stats, "entries"), 0);
 
-    // Batch with 75% duplicates against the now-cold cache: one
-    // narration, three in-batch dedup stitches, no extra LRU hits.
+    // Batch with 75% duplicates against the now-cold cache: each item
+    // takes the single-request path, so the first narrates (one
+    // insertion) and the other three are ordinary hits.
     let entry = JsonValue::String(PG_DOC.to_string()).to_string_compact();
     let batch = format!("[{entry}, {entry}, {entry}, {entry}]");
     let resp = client.post("/narrate/batch", &batch).unwrap();
     assert_eq!(resp.status, 200);
     let stats = cache_of(&client.get("/stats").unwrap().body);
-    assert_eq!(count(&stats, "hits"), 1, "no batch item hit the cold LRU");
-    assert_eq!(count(&stats, "batch_dedup_hits"), 3);
+    assert_eq!(
+        count(&stats, "hits"),
+        4,
+        "three repeats hit the first's entry"
+    );
+    assert_eq!(count(&stats, "insertions"), 2, "one narration per batch");
     assert_eq!(count(&stats, "entries"), 1, "the unique plan was cached");
 
     drop(client);
