@@ -1,14 +1,15 @@
 //! Plan-diff throughput on the synthetic workload: `lantern-gen`
 //! plans, each paired with one injected mutation of every kind, pushed
 //! through (a) the bare structural engine, (b) diff + narration, and
-//! (c) the full document path (`PlanSource` resolution + diff +
-//! narration — what one `/narrate/diff` request costs after HTTP).
+//! (c) the full document path (`PlanSource::parse_auto` of both
+//! documents + diff + narration — what one `/narrate/diff` request
+//! costs after HTTP).
 //!
 //! Run with: `cargo bench --bench diff_throughput`
 //! (`LANTERN_BENCH_SCALE` scales the iteration count.)
 
 use lantern_bench::{bench_scale, TableReport};
-use lantern_core::{DiffRequest, DiffTranslator};
+use lantern_core::{DiffTranslator, PlanSource};
 use lantern_diff::{diff_plans, RuleDiffTranslator};
 use lantern_gen::{ArtifactFormat, GenConfig, Mutation, PlanGenerator};
 use lantern_plan::PlanTree;
@@ -73,8 +74,9 @@ fn main() {
     let t0 = Instant::now();
     for _ in 0..iters {
         for (base, alt) in &docs {
-            let req = DiffRequest::auto(base.as_str(), alt.as_str()).expect("detects");
-            black_box(translator.narrate_diff(&req).expect("diffs"));
+            let base = PlanSource::parse_auto(base).expect("parses");
+            let alt = PlanSource::parse_auto(alt).expect("parses");
+            black_box(translator.narrate_trees(&base, &alt, None));
         }
     }
     let documents = t0.elapsed();

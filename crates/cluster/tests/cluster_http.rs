@@ -549,8 +549,22 @@ fn coordinator_answers_every_request_shape_as_a_replica_does() {
         (
             "alts",
             JsonValue::Array(vec![
-                JsonValue::String(alt),
+                JsonValue::String(alt.clone()),
                 JsonValue::Number(1.0),
+                JsonValue::String(docs[0].clone()),
+            ]),
+        ),
+    ]);
+    // A base that detects but does not parse is one whole-request error.
+    let broken_base_batch = envelope(vec![
+        (
+            "base",
+            JsonValue::String(docs[0][..docs[0].len() / 2].to_string()),
+        ),
+        (
+            "alts",
+            JsonValue::Array(vec![
+                JsonValue::String(alt.clone()),
                 JsonValue::String(docs[0].clone()),
             ]),
         ),
@@ -591,6 +605,7 @@ fn coordinator_answers_every_request_shape_as_a_replica_does() {
             "/narrate/diff",
             r#"{"base": "EXPLAIN", "alt": "x", "base": ""}"#,
         ),
+        ("/narrate/diff/batch", broken_base_batch.as_str()),
         ("/narrate/diff/batch", r#"{"base": "x", "alts": []}"#),
         ("/narrate/diff/batch", r#"{"base": "x", "alts": "x"}"#),
         ("/narrate/diff/batch", r#"{"alts": ["x"]}"#),
@@ -607,6 +622,12 @@ fn coordinator_answers_every_request_shape_as_a_replica_does() {
         let direct = post_bytes(addrs[0], path, body);
         assert_eq!(routed, direct, "{path} {:?}", String::from_utf8_lossy(body));
     }
+    let (status, _) = post_bytes(
+        coordinator.addr(),
+        "/narrate/diff/batch",
+        broken_base_batch.as_bytes(),
+    );
+    assert_eq!(status, 400);
 
     coordinator.shutdown().unwrap();
     for replica in replicas {

@@ -257,6 +257,15 @@ impl PlanSource {
         Self::detect(doc)?.parse(skip_prefix(doc))
     }
 
+    /// Detect and parse a diff's two documents in place, each once. An
+    /// error names the first failing step: detect `base`, detect `alt`,
+    /// parse `base`, parse `alt`.
+    pub fn parse_pair(base: &str, alt: &str) -> Result<(PlanTree, PlanTree), LanternError> {
+        let (base_format, alt_format) = (Self::detect(base)?, Self::detect(alt)?);
+        let base = base_format.parse(skip_prefix(base))?;
+        Ok((base, alt_format.parse(skip_prefix(alt))?))
+    }
+
     /// Parse (or clone) into a [`PlanTree`].
     pub fn resolve(&self) -> Result<PlanTree, LanternError> {
         match self {
@@ -418,49 +427,6 @@ impl<T: Translator + ?Sized> Translator for Box<T> {
     }
 }
 
-/// One plan-diff request: a base plan, an alternative plan, and
-/// per-request rendering options. Both sources resolve independently —
-/// the base can be PostgreSQL JSON while the alternative is a SQL
-/// Server showplan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiffRequest {
-    /// The reference plan the alternative is compared against.
-    pub base: PlanSource,
-    /// The alternative plan.
-    pub alt: PlanSource,
-    /// Per-request rendering override; `None` uses the diff backend's
-    /// configured default.
-    pub style: Option<RenderStyle>,
-}
-
-impl DiffRequest {
-    /// Compare two plan sources.
-    pub fn new(base: impl Into<PlanSource>, alt: impl Into<PlanSource>) -> Self {
-        DiffRequest {
-            base: base.into(),
-            alt: alt.into(),
-            style: None,
-        }
-    }
-
-    /// Compare two serialized documents, auto-detecting each vendor
-    /// format independently.
-    pub fn auto(base: impl Into<String>, alt: impl Into<String>) -> Result<Self, LanternError> {
-        Ok(Self::new(PlanSource::auto(base)?, PlanSource::auto(alt)?))
-    }
-
-    /// Override the rendering style for this request only.
-    pub fn with_style(mut self, style: RenderStyle) -> Self {
-        self.style = Some(style);
-        self
-    }
-
-    /// The style this request renders with, given a backend default.
-    pub fn effective_style(&self, default: RenderStyle) -> RenderStyle {
-        self.style.unwrap_or(default)
-    }
-}
-
 /// One classified edit between a base plan and an alternative, in wire
 /// form: a stable `kind` slug, the anchor node's path, and a rendered
 /// one-line `detail`. The structural edit model itself (typed variants,
@@ -513,15 +479,24 @@ impl DiffResponse {
     }
 }
 
-/// A plan-diff backend: compares two plans and narrates the
+/// A plan-diff backend: compares two parsed plans and narrates the
 /// differences. Object-safe so the serving layer can hold one behind
-/// `Arc<dyn DiffTranslator>` next to the narration `Translator`.
+/// `Arc<dyn DiffTranslator>` next to the narration `Translator`. The
+/// caller parses each document once ([`PlanSource::parse_auto`]), so a
+/// base compared against many alternatives is parsed once, not once per
+/// alternative.
 pub trait DiffTranslator {
     /// Stable backend identifier (`"rule-diff"`, …).
     fn diff_backend(&self) -> &str;
 
-    /// Diff and narrate one base/alternative pair.
-    fn narrate_diff(&self, req: &DiffRequest) -> Result<DiffResponse, LanternError>;
+    /// Diff and narrate one base/alternative pair; `style` overrides the
+    /// backend's configured default for this call only.
+    fn narrate_trees(
+        &self,
+        base: &PlanTree,
+        alt: &PlanTree,
+        style: Option<RenderStyle>,
+    ) -> DiffResponse;
 }
 
 impl<T: DiffTranslator + ?Sized> DiffTranslator for std::sync::Arc<T> {
@@ -529,8 +504,13 @@ impl<T: DiffTranslator + ?Sized> DiffTranslator for std::sync::Arc<T> {
         (**self).diff_backend()
     }
 
-    fn narrate_diff(&self, req: &DiffRequest) -> Result<DiffResponse, LanternError> {
-        (**self).narrate_diff(req)
+    fn narrate_trees(
+        &self,
+        base: &PlanTree,
+        alt: &PlanTree,
+        style: Option<RenderStyle>,
+    ) -> DiffResponse {
+        (**self).narrate_trees(base, alt, style)
     }
 }
 

@@ -32,8 +32,8 @@ pub mod wire;
 
 pub use acts::{decompose_acts, Act};
 pub use api::{
-    work_steal_map, DiffChange, DiffRequest, DiffResponse, DiffTranslator, LanternError,
-    NarrationRequest, NarrationResponse, PlanFormat, PlanSource, RuleTranslator, Translator,
+    work_steal_map, DiffChange, DiffResponse, DiffTranslator, LanternError, NarrationRequest,
+    NarrationResponse, PlanFormat, PlanSource, RuleTranslator, Translator,
 };
 pub use cluster::{cluster_pairs, Cluster};
 pub use lot::{build_lot, CoreError, LotNode, LotTree};

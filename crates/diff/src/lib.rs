@@ -46,9 +46,9 @@
 //! assert!(narration.text().contains("filter"));
 //! ```
 //!
-//! The root crate's `LanternService` implements the
+//! [`RuleDiffTranslator`] implements the
 //! [`DiffTranslator`](lantern_core::DiffTranslator) trait on top of
-//! this engine (with diff results cached by fingerprint pair), and
+//! this engine; the root crate's `LanternService` forwards to it, and
 //! `lantern-serve` exposes it as `POST /narrate/diff` and
 //! `POST /narrate/diff/batch` (alternatives ranked by
 //! informativeness).
@@ -64,22 +64,6 @@ pub use engine::{
 pub use narrate::{render_diff, render_diff_with, DiffTemplates};
 pub use score::{informativeness, log2_ratio, score_edit};
 pub use translator::RuleDiffTranslator;
-
-use lantern_core::{DiffChange, Narration};
-use lantern_plan::PlanTree;
-use lantern_pool::PoemLookup;
-
-/// One-call convenience: diff two plans and render the result with
-/// default options and templates.
-pub fn diff_and_narrate<L: PoemLookup>(
-    base: &PlanTree,
-    alt: &PlanTree,
-    lookup: &L,
-) -> (PlanDiff, Vec<DiffChange>, Narration) {
-    let diff = diff_plans(base, alt);
-    let (changes, narration) = render_diff(base, alt, &diff, lookup);
-    (diff, changes, narration)
-}
 
 #[cfg(test)]
 mod tests {

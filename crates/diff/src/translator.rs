@@ -1,10 +1,9 @@
 //! [`RuleDiffTranslator`]: the [`DiffTranslator`] backend over the
-//! structural engine — resolve both sources, diff, and narrate against
-//! a POEM store snapshot. The root crate's `LanternService` wraps this
-//! (adding the fingerprint-pair diff cache); `lantern-serve` routes to
-//! it behind `POST /narrate/diff`.
+//! structural engine — diff two parsed trees and narrate against a POEM
+//! store snapshot. The root crate's `LanternService` forwards to this;
+//! `lantern-serve` routes to it behind `POST /narrate/diff`.
 
-use lantern_core::{DiffRequest, DiffResponse, DiffTranslator, LanternError, RenderStyle};
+use lantern_core::{DiffResponse, DiffTranslator, RenderStyle};
 use lantern_plan::PlanTree;
 use lantern_pool::PoemStore;
 
@@ -37,21 +36,18 @@ impl RuleDiffTranslator {
         self
     }
 
-    /// Replace the diff sentence frames.
-    pub fn with_templates(mut self, templates: DiffTemplates) -> Self {
-        self.templates = templates;
-        self
-    }
-
     /// The underlying store handle.
     pub fn store(&self) -> &PoemStore {
         &self.store
     }
+}
 
-    /// Diff and narrate two already-parsed trees (what a caching layer
-    /// calls after it has resolved the trees to fingerprint them —
-    /// resolving twice would double the parse cost).
-    pub fn narrate_trees(
+impl DiffTranslator for RuleDiffTranslator {
+    fn diff_backend(&self) -> &str {
+        "rule-diff"
+    }
+
+    fn narrate_trees(
         &self,
         base: &PlanTree,
         alt: &PlanTree,
@@ -62,7 +58,7 @@ impl RuleDiffTranslator {
         let (changes, narration) = render_diff_with(base, alt, &diff, &snapshot, &self.templates);
         let text = narration.render(style.unwrap_or(self.style));
         DiffResponse {
-            backend: "rule-diff".to_string(),
+            backend: self.diff_backend().to_string(),
             score: diff.score,
             changes,
             narration,
@@ -71,21 +67,10 @@ impl RuleDiffTranslator {
     }
 }
 
-impl DiffTranslator for RuleDiffTranslator {
-    fn diff_backend(&self) -> &str {
-        "rule-diff"
-    }
-
-    fn narrate_diff(&self, req: &DiffRequest) -> Result<DiffResponse, LanternError> {
-        let base = req.base.resolve()?;
-        let alt = req.alt.resolve()?;
-        Ok(self.narrate_trees(&base, &alt, req.style))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lantern_core::PlanSource;
     use lantern_pool::default_mssql_store;
 
     const BASE: &str = r#"{"Plan": {"Node Type": "Nested Loop", "Total Cost": 500.0,
@@ -95,12 +80,14 @@ mod tests {
         "Plans": [{"Node Type": "Seq Scan", "Relation Name": "orders", "Plan Rows": 1000},
                   {"Node Type": "Seq Scan", "Relation Name": "customers", "Plan Rows": 200}]}}"#;
 
+    fn tree(doc: &str) -> PlanTree {
+        PlanSource::parse_auto(doc).unwrap()
+    }
+
     #[test]
     fn end_to_end_over_documents() {
         let t = RuleDiffTranslator::new(default_mssql_store());
-        let resp = t
-            .narrate_diff(&DiffRequest::auto(BASE, ALT).unwrap())
-            .unwrap();
+        let resp = t.narrate_trees(&tree(BASE), &tree(ALT), None);
         assert_eq!(resp.backend, "rule-diff");
         assert!(!resp.is_identical());
         assert!(resp.score > 0.0);
@@ -111,9 +98,8 @@ mod tests {
     #[test]
     fn self_diff_reports_identical() {
         let t = RuleDiffTranslator::new(default_mssql_store());
-        let resp = t
-            .narrate_diff(&DiffRequest::auto(BASE, BASE).unwrap())
-            .unwrap();
+        let base = tree(BASE);
+        let resp = t.narrate_trees(&base, &base, None);
         assert!(resp.is_identical());
         assert_eq!(resp.score, 0.0);
         assert!(resp.changes.is_empty());
@@ -122,15 +108,13 @@ mod tests {
 
     #[test]
     fn batch_default_ranks_by_caller() {
-        // A diff batch is one `narrate_diff` per alternative; the
-        // caller ranks by score.
+        // A diff batch is one `narrate_trees` per alternative against
+        // the one parsed base; the caller ranks by score.
         let t = RuleDiffTranslator::new(default_mssql_store());
+        let base = tree(BASE);
         let scores: Vec<f64> = [BASE, ALT]
             .iter()
-            .map(|alt| {
-                let req = DiffRequest::auto(BASE, *alt).unwrap();
-                t.narrate_diff(&req).unwrap().score
-            })
+            .map(|alt| t.narrate_trees(&base, &tree(alt), None).score)
             .collect();
         assert_eq!(scores[0], 0.0);
         assert!(scores[1] > 0.0);
@@ -139,10 +123,7 @@ mod tests {
     #[test]
     fn style_override_changes_rendering() {
         let t = RuleDiffTranslator::new(default_mssql_store());
-        let req = DiffRequest::auto(BASE, ALT)
-            .unwrap()
-            .with_style(RenderStyle::Bulleted);
-        let resp = t.narrate_diff(&req).unwrap();
+        let resp = t.narrate_trees(&tree(BASE), &tree(ALT), Some(RenderStyle::Bulleted));
         assert!(resp.text.starts_with("- "), "{}", resp.text);
     }
 }

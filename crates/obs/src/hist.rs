@@ -8,7 +8,6 @@
 //! hottest path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Number of buckets in every histogram.
 pub const BUCKETS: usize = 64;
@@ -81,11 +80,6 @@ impl AtomicHistogram {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(ns, Ordering::Relaxed);
         self.max.fetch_max(ns, Ordering::Relaxed);
-    }
-
-    /// Record a duration (saturated to u64 nanoseconds).
-    pub fn record_duration(&self, d: Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// Observations recorded so far.

@@ -106,11 +106,6 @@ impl ClientError {
         };
         ClientError::new(kind, source)
     }
-
-    /// The underlying I/O error.
-    pub fn source_io(&self) -> &io::Error {
-        &self.source
-    }
 }
 
 impl fmt::Display for ClientError {
@@ -169,19 +164,22 @@ pub struct HttpClient {
     writer: TcpStream,
 }
 
+/// Every call answers a [`ClientError`], classified for retry and
+/// failover decisions; `?` converts it into an `io::Error` where a
+/// caller wants one.
 impl HttpClient {
     /// Connect, with a generous request timeout so a wedged test fails
     /// instead of hanging.
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<HttpClient> {
-        let stream = TcpStream::connect(addr)?;
-        Self::from_stream(stream, &ClientConfig::default()).map_err(io::Error::from)
+    pub fn connect(addr: impl ToSocketAddrs) -> Result<HttpClient, ClientError> {
+        let stream =
+            TcpStream::connect(addr).map_err(|e| ClientError::new(ClientErrorKind::Connect, e))?;
+        Self::from_stream(stream, &ClientConfig::default())
     }
 
-    /// Connect to one concrete address under explicit timeouts,
-    /// classifying the failure. This is the entry point failover code
-    /// wants: a refused or blackholed replica comes back as
-    /// [`ClientErrorKind::Connect`] within `config.connect_timeout`
-    /// instead of hanging.
+    /// Connect to one concrete address under explicit timeouts. This is
+    /// the entry point failover code wants: a refused or blackholed
+    /// replica comes back as [`ClientErrorKind::Connect`] within
+    /// `config.connect_timeout` instead of hanging.
     pub fn connect_with(
         addr: SocketAddr,
         config: &ClientConfig,
@@ -207,12 +205,12 @@ impl HttpClient {
     }
 
     /// `GET path`.
-    pub fn get(&mut self, path: &str) -> io::Result<ClientResponse> {
+    pub fn get(&mut self, path: &str) -> Result<ClientResponse, ClientError> {
         self.request("GET", path, None)
     }
 
     /// `POST path` with a body.
-    pub fn post(&mut self, path: &str, body: &str) -> io::Result<ClientResponse> {
+    pub fn post(&mut self, path: &str, body: &str) -> Result<ClientResponse, ClientError> {
         self.request("POST", path, Some(body))
     }
 
@@ -222,23 +220,11 @@ impl HttpClient {
         method: &str,
         path: &str,
         body: Option<&str>,
-    ) -> io::Result<ClientResponse> {
-        self.try_request(method, path, body)
-            .map_err(io::Error::from)
-    }
-
-    /// [`HttpClient::request`], with the failure classified for
-    /// retry/failover decisions.
-    pub fn try_request(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
     ) -> Result<ClientResponse, ClientError> {
         self.try_request_with(method, path, &[], body)
     }
 
-    /// [`HttpClient::try_request`] with extra request headers — the
+    /// [`HttpClient::request`] with extra request headers — the
     /// coordinator's forwarding leg uses this to propagate
     /// `x-lantern-request-id` to the replica it routes to.
     pub fn try_request_with(
@@ -248,30 +234,24 @@ impl HttpClient {
         headers: &[(&str, &str)],
         body: Option<&str>,
     ) -> Result<ClientResponse, ClientError> {
-        self.try_send_with(method, path, headers, body)?;
-        self.try_read_response()
+        self.write_request(method, path, headers, body)?;
+        self.read_response()
     }
 
     /// Write one request without reading its response — the pipelining
     /// half of [`HttpClient::request`]. Send N requests back to back,
     /// then collect N responses with [`HttpClient::read_response`]; the
     /// server answers in request order.
-    pub fn send(&mut self, method: &str, path: &str, body: Option<&str>) -> io::Result<()> {
-        self.try_send(method, path, body).map_err(io::Error::from)
-    }
-
-    /// [`HttpClient::send`], with the failure classified.
-    pub fn try_send(
+    pub fn send(
         &mut self,
         method: &str,
         path: &str,
         body: Option<&str>,
     ) -> Result<(), ClientError> {
-        self.try_send_with(method, path, &[], body)
+        self.write_request(method, path, &[], body)
     }
 
-    /// [`HttpClient::try_send`] with extra request headers.
-    pub fn try_send_with(
+    fn write_request(
         &mut self,
         method: &str,
         path: &str,
@@ -300,12 +280,7 @@ impl HttpClient {
 
     /// Read the next response off the connection (pairs with
     /// [`HttpClient::send`] for pipelined exchanges).
-    pub fn read_response(&mut self) -> io::Result<ClientResponse> {
-        self.try_read_response().map_err(io::Error::from)
-    }
-
-    /// [`HttpClient::read_response`], with the failure classified.
-    pub fn try_read_response(&mut self) -> Result<ClientResponse, ClientError> {
+    pub fn read_response(&mut self) -> Result<ClientResponse, ClientError> {
         let mut line = String::new();
         match self.reader.read_line(&mut line) {
             Ok(0) => {
@@ -397,7 +372,7 @@ mod tests {
         };
         let mut client = HttpClient::connect_with(addr, &config).unwrap();
         let started = std::time::Instant::now();
-        let err = client.try_request("GET", "/healthz", None).unwrap_err();
+        let err = client.request("GET", "/healthz", None).unwrap_err();
         assert_eq!(err.kind, ClientErrorKind::Timeout, "{err}");
         assert!(err.kind.is_retriable());
         assert!(
@@ -451,7 +426,7 @@ mod tests {
                 // Closing the socket is the fault being injected.
             });
             let mut client = HttpClient::connect_with(addr, &ClientConfig::default()).unwrap();
-            let err = client.try_request("GET", "/", None).unwrap_err();
+            let err = client.request("GET", "/", None).unwrap_err();
             assert_eq!(err.kind, expected, "wire {wire:?}: {err}");
             server.join().unwrap();
         }

@@ -27,8 +27,8 @@ use crate::http::{Request, Response, REQUEST_ID_HEADER};
 use crate::server::{Handler, ServeStats};
 use lantern_cache::CacheControl;
 use lantern_core::{
-    DiffRequest, DiffResponse, DiffTranslator, LanternError, NarrationRequest, NarrationResponse,
-    PlanSource, RenderStyle, Translator,
+    DiffResponse, DiffTranslator, LanternError, NarrationRequest, NarrationResponse, PlanSource,
+    RenderStyle, Translator,
 };
 use lantern_obs::{span, MetricsPage, Recorder, RecorderConfig, Series, Stage};
 use lantern_text::json::JsonValue;
@@ -343,7 +343,8 @@ impl<T: Translator> Router<T> {
 
     /// `POST /narrate/diff` — the body is a JSON object
     /// `{"base": "<plan doc>", "alt": "<plan doc>"}`; each document's
-    /// vendor format is auto-detected independently. Only routed when a
+    /// vendor format is auto-detected independently, and each is parsed
+    /// in place, once ([`PlanSource::parse_pair`]). Only routed when a
     /// diff backend is configured.
     fn narrate_diff(&self, req: &Request) -> Response {
         let diff = self.diff.as_ref().expect("routed only with a diff backend");
@@ -353,14 +354,11 @@ impl<T: Translator> Router<T> {
             Ok(read) => (read.style, read.docs),
             Err(response) => return response,
         };
-        let request = DiffRequest::auto(base, alt).map(|r| match style {
-            Some(style) => r.with_style(style),
-            None => r,
-        });
+        let trees = PlanSource::parse_pair(&base, &alt);
         drop(parse_span);
-        let compared = request.and_then(|r| {
+        let compared = trees.map(|(base, alt)| {
             let _diff = span(Stage::Diff);
-            diff.narrate_diff(&r)
+            diff.narrate_trees(&base, &alt, style)
         });
         match compared {
             Ok(resp) => {
@@ -380,7 +378,8 @@ impl<T: Translator> Router<T> {
     /// against every alternative. Successful comparisons come back
     /// ranked by informativeness (highest score first); per-item
     /// failures follow in input order. Every item carries `alt_index`,
-    /// its position in the request's `alts` array. A base that fails to
+    /// its position in the request's `alts` array. The base is parsed
+    /// once, before any alternative; a base that fails to detect or
     /// parse rejects the whole request — nothing could be compared.
     fn diff_batch(&self, req: &Request) -> Response {
         let diff = self.diff.as_ref().expect("routed only with a diff backend");
@@ -394,7 +393,7 @@ impl<T: Translator> Router<T> {
         };
         // The base failing to detect/parse is a whole-request error:
         // with no base there is nothing to compare any alternative to.
-        let base = match PlanSource::auto(base) {
+        let base = match PlanSource::parse_auto(&base) {
             Ok(base) => base,
             Err(err) => {
                 self.stats.diff_errors.fetch_add(1, Ordering::Relaxed);
@@ -405,23 +404,19 @@ impl<T: Translator> Router<T> {
             .diff_batch_items
             .fetch_add(alts.len() as u64, Ordering::Relaxed);
         drop(parse_span);
-        // One `narrate_diff` per alternative. Rank: successes by score
-        // descending (ties keep input order), failures after them in
-        // input order.
+        // One `narrate_trees` per alternative against the one parsed
+        // base. Rank: successes by score descending (ties keep input
+        // order), failures after them in input order.
         let mut oks: Vec<(usize, DiffResponse)> = Vec::with_capacity(alts.len());
         let mut errs: Vec<(usize, LanternError)> = Vec::new();
         for (index, entry) in alts.into_iter().enumerate() {
-            let request = {
+            let alt = {
                 let _parse = span(Stage::Parse);
-                entry.doc.and_then(PlanSource::auto).map(|alt| DiffRequest {
-                    base: base.clone(),
-                    alt,
-                    style,
-                })
+                entry.doc.and_then(|doc| PlanSource::parse_auto(&doc))
             };
-            let result = request.and_then(|r| {
+            let result = alt.map(|alt| {
                 let _diff = span(Stage::Diff);
-                diff.narrate_diff(&r)
+                diff.narrate_trees(&base, &alt, style)
             });
             match result {
                 Ok(resp) => {

@@ -2,7 +2,8 @@
 //! alternatives a student might see for the same query — an index
 //! added, the join algorithm changed, and a re-`ANALYZE` that only
 //! jittered the estimates — each diffed, scored, and narrated, then
-//! the whole set ranked by informativeness through the batch API.
+//! the whole set ranked by informativeness against one parsed base, as
+//! the batch route ranks them.
 //!
 //! Run with: `cargo run --release --example diff_demo`
 
@@ -67,9 +68,11 @@ fn main() {
     println!("\n{}\n", resp.text);
 
     // Rank all three alternatives by how much there is to learn from
-    // each, as `POST /narrate/diff/batch` does. The jittered re-EXPLAIN
-    // lands last — by design, estimate drift never outranks a
+    // each, as `POST /narrate/diff/batch` does: the base is parsed once
+    // and every alternative is narrated against that tree. The jittered
+    // re-EXPLAIN lands last — by design, estimate drift never outranks a
     // structural change.
+    let base = PlanSource::parse_auto(BASE).unwrap();
     let alts = [
         ("indexed", INDEXED),
         ("hash join", HASHED),
@@ -77,7 +80,10 @@ fn main() {
     ];
     let mut ranked: Vec<(f64, &str)> = alts
         .iter()
-        .map(|&(label, doc)| (service.diff_documents(BASE, doc).unwrap().score, label))
+        .map(|&(label, doc)| {
+            let alt = PlanSource::parse_auto(doc).unwrap();
+            (service.narrate_trees(&base, &alt, None).score, label)
+        })
         .collect();
     ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
     println!("=== alternatives ranked by informativeness ===");
@@ -91,7 +97,7 @@ fn main() {
     );
 
     // Self-diff: the identical plan reports exactly that.
-    let same = service.diff_documents(BASE, BASE).unwrap();
+    let same = service.narrate_trees(&base, &base, None);
     assert!(same.is_identical());
     println!("\nself-diff: {}", same.text);
 }

@@ -17,12 +17,9 @@
 //! );
 //! ```
 
-use lantern_cache::{
-    fingerprint_tree, CacheConfig, CacheControl, CacheStatsSnapshot, CachedTranslator,
-    FingerprintOptions, Hasher128, LruStats, ShardedLru,
-};
+use lantern_cache::{CacheConfig, CacheControl, CacheStatsSnapshot, CachedTranslator};
 use lantern_core::{
-    DiffRequest, DiffResponse, DiffTranslator, LanternError, NarrationRequest, NarrationResponse,
+    DiffResponse, DiffTranslator, LanternError, NarrationRequest, NarrationResponse, PlanSource,
     RenderStyle, RuleTranslator, Translator,
 };
 use lantern_diff::RuleDiffTranslator;
@@ -112,11 +109,11 @@ impl LanternBuilder {
     /// pattern — are answered from a sharded LRU keyed by a canonical
     /// fingerprint (invariant to JSON key order, whitespace, and
     /// cost-estimate jitter), with single-flight coalescing of
-    /// concurrent identical misses and in-batch dedup. The cache is
-    /// keyed by the POEM catalog generation, so POOL mutations
-    /// invalidate it implicitly. Off by default; a cache-less service
-    /// behaves byte-identically to one built before this option
-    /// existed.
+    /// concurrent identical misses. The cache is keyed by the POEM
+    /// catalog generation, so POOL mutations invalidate it implicitly.
+    /// Only narrations are cached; plan diffs are computed afresh.
+    /// Off by default; a cache-less service answers byte-identically to
+    /// a cached one.
     pub fn cache(mut self, config: CacheConfig) -> Self {
         self.cache = Some(config);
         self
@@ -160,18 +157,10 @@ impl LanternBuilder {
         // The cache decorates the *complete* chain (backend [+
         // paraphrase]) so a hit skips every layer below it; keys fold
         // in the store's catalog generation so POOL mutations
-        // invalidate implicitly. When caching is on, diff comparisons
-        // get their own LRU keyed by the strict fingerprint pair (same
-        // bounds, same generation folding).
-        let mut diff_cache = None;
+        // invalidate implicitly.
         let translator = match self.cache {
             Some(config) => {
                 let generation_store = store.clone();
-                diff_cache = Some(ShardedLru::new(
-                    config.shards,
-                    config.max_entries,
-                    config.max_bytes,
-                ));
                 ServiceCore::Cached(Arc::new(
                     CachedTranslator::new(translator, config)
                         .with_generation(move || generation_store.version()),
@@ -182,7 +171,6 @@ impl LanternBuilder {
         Ok(LanternService {
             translator,
             diff: RuleDiffTranslator::new(store.clone()).with_style(self.style),
-            diff_cache,
             store,
             style: self.style,
             needs_restyle,
@@ -249,10 +237,6 @@ pub struct LanternService {
     /// The plan-diff backend, always present: compare-and-narrate is a
     /// capability of every service, whichever narration backend runs.
     diff: RuleDiffTranslator,
-    /// Diff results keyed by (generation, base strict fingerprint, alt
-    /// strict fingerprint, style); `Some` exactly when the narration
-    /// cache is on.
-    diff_cache: Option<ShardedLru<DiffResponse>>,
     store: PoemStore,
     style: RenderStyle,
     /// True when the inner backend cannot be configured with a style
@@ -304,15 +288,12 @@ impl LanternService {
         }
     }
 
-    /// Diff-cache counter snapshot; `None` without a cache.
-    pub fn diff_cache_stats(&self) -> Option<LruStats> {
-        self.diff_cache.as_ref().map(ShardedLru::stats)
-    }
-
     /// Convenience: diff two serialized plan documents (formats
-    /// auto-detected independently) and narrate the comparison.
+    /// auto-detected independently, errors as [`PlanSource::parse_pair`]
+    /// reports them) and narrate the comparison in the configured style.
     pub fn diff_documents(&self, base: &str, alt: &str) -> Result<DiffResponse, LanternError> {
-        self.narrate_diff(&DiffRequest::auto(base, alt)?)
+        let (base, alt) = PlanSource::parse_pair(base, alt)?;
+        Ok(self.narrate_trees(&base, &alt, None))
     }
 
     /// Convenience: narrate a serialized plan document, auto-detecting
@@ -405,39 +386,27 @@ impl CacheControl for LanternService {
     }
 
     fn clear_cache(&self) -> u64 {
-        let narrations = match &self.translator {
+        match &self.translator {
             ServiceCore::Cached(c) => c.clear_cache(),
             ServiceCore::Plain(_) => 0,
-        };
-        let diffs = self.diff_cache.as_ref().map_or(0, ShardedLru::clear);
-        narrations + diffs
+        }
     }
 }
 
 /// The diff surface: compare a base plan against an alternative and
-/// narrate the difference, with results cached by the strict
-/// fingerprint pair when the service carries a cache. The key folds in
-/// the POEM catalog generation, so POOL mutations invalidate diff
-/// narrations the same way they invalidate step narrations.
+/// narrate the difference through the service's rule diff backend.
 impl DiffTranslator for LanternService {
     fn diff_backend(&self) -> &str {
         self.diff.diff_backend()
     }
 
-    fn narrate_diff(&self, req: &DiffRequest) -> Result<DiffResponse, LanternError> {
-        let base = req.base.resolve()?;
-        let alt = req.alt.resolve()?;
-        let style = req.effective_style(self.style);
-        let Some(cache) = &self.diff_cache else {
-            return Ok(self.diff.narrate_trees(&base, &alt, Some(style)));
-        };
-        let key = self.diff_key(&base, &alt, style);
-        if let Some(resp) = cache.get(key) {
-            return Ok(resp);
-        }
-        let resp = self.diff.narrate_trees(&base, &alt, Some(style));
-        cache.insert(key, resp.clone(), diff_bytes(&resp));
-        Ok(resp)
+    fn narrate_trees(
+        &self,
+        base: &PlanTree,
+        alt: &PlanTree,
+        style: Option<RenderStyle>,
+    ) -> DiffResponse {
+        self.diff.narrate_trees(base, alt, style)
     }
 }
 
@@ -447,9 +416,8 @@ impl DiffTranslator for LanternService {
 /// statement log from the same base store lands on the same
 /// [`PoemStore::version`] — including replicas that restarted and
 /// caught up through a replay. Version bumps implicitly roll the
-/// narration- and diff-cache keys over (both fold the generation in),
-/// so a broadcast mutation cold-misses exactly once per plan per
-/// replica.
+/// narration-cache keys over (they fold the generation in), so a
+/// broadcast mutation cold-misses exactly once per plan per replica.
 impl CatalogControl for LanternService {
     fn catalog_version(&self) -> u64 {
         self.store.version()
@@ -502,42 +470,6 @@ impl CatalogControl for LanternService {
             errors,
         })
     }
-}
-
-impl LanternService {
-    /// The diff-cache key: catalog generation + strict fingerprints of
-    /// both trees (strict, so estimate changes — a reportable diff —
-    /// never collide with their unjittered originals) + render style.
-    fn diff_key(
-        &self,
-        base: &PlanTree,
-        alt: &PlanTree,
-        style: RenderStyle,
-    ) -> lantern_cache::Fingerprint {
-        let strict = FingerprintOptions::strict();
-        let mut h = Hasher128::new("lantern/diff-key/v1");
-        h.write_u64(self.store.version());
-        h.write(&fingerprint_tree(base, strict).0.to_le_bytes());
-        h.write(&fingerprint_tree(alt, strict).0.to_le_bytes());
-        h.write_u8(match style {
-            RenderStyle::Numbered => 0,
-            RenderStyle::Paragraph => 1,
-            RenderStyle::Bulleted => 2,
-        });
-        h.finish()
-    }
-}
-
-/// Approximate resident size of a cached diff response.
-fn diff_bytes(resp: &DiffResponse) -> u64 {
-    let changes: usize = resp
-        .changes
-        .iter()
-        .map(|c| c.kind.len() + c.path.len() + c.op.len() + c.detail.len() + 48)
-        .sum();
-    // The narration's steps carry the same sentences again (text +
-    // tagged), so count the change text roughly three times over.
-    (resp.text.len() + 3 * changes + 128) as u64
 }
 
 #[cfg(test)]
@@ -772,74 +704,29 @@ mod tests {
             .unwrap();
         let resp = service.diff_documents(PG_DOC, PG_ALT).unwrap();
         assert!(resp.text.starts_with("- "), "{}", resp.text);
-        let numbered = service
-            .narrate_diff(
-                &DiffRequest::auto(PG_DOC, PG_ALT)
-                    .unwrap()
-                    .with_style(RenderStyle::Numbered),
-            )
-            .unwrap();
+        let base = PlanSource::parse_auto(PG_DOC).unwrap();
+        let alt = PlanSource::parse_auto(PG_ALT).unwrap();
+        let numbered = service.narrate_trees(&base, &alt, Some(RenderStyle::Numbered));
         assert!(numbered.text.starts_with("1. "), "{}", numbered.text);
     }
 
     #[test]
-    fn cached_diffs_are_byte_identical_and_hit_the_cache() {
+    fn cached_service_diffs_equal_plain_and_leave_the_cache_alone() {
         let plain = LanternBuilder::new().build().unwrap();
         let cached = LanternBuilder::new()
             .cache(lantern_cache::CacheConfig::default())
             .build()
             .unwrap();
-        assert!(plain.diff_cache_stats().is_none());
         let expected = plain.diff_documents(PG_DOC, PG_ALT).unwrap();
-        let cold = cached.diff_documents(PG_DOC, PG_ALT).unwrap();
-        let warm = cached.diff_documents(PG_DOC, PG_ALT).unwrap();
-        assert_eq!(cold, expected);
-        assert_eq!(warm, expected);
-        let stats = cached.diff_cache_stats().unwrap();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.entries, 1);
-        // Style is part of the key: a restyled diff is a fresh entry,
-        // not a stale hit rendered in the wrong style.
-        let bulleted = cached
-            .narrate_diff(
-                &DiffRequest::auto(PG_DOC, PG_ALT)
-                    .unwrap()
-                    .with_style(RenderStyle::Bulleted),
-            )
-            .unwrap();
-        assert!(bulleted.text.starts_with("- "));
-        assert_eq!(cached.diff_cache_stats().unwrap().entries, 2);
-        // `/cache/clear` semantics drop diffs along with narrations.
+        for _ in 0..2 {
+            assert_eq!(cached.diff_documents(PG_DOC, PG_ALT).unwrap(), expected);
+        }
+        // Diffs are computed afresh: they neither read nor fill the
+        // narration cache, and `/cache/clear` counts narrations only.
+        let stats = cached.cache_stats().unwrap();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
         cached.narrate_document(PG_DOC).unwrap();
-        assert_eq!(CacheControl::clear_cache(&cached), 3);
-        assert_eq!(cached.diff_cache_stats().unwrap().entries, 0);
-    }
-
-    #[test]
-    fn pool_mutation_invalidates_cached_diffs() {
-        use lantern_pool::OperatorArity;
-        let service = LanternBuilder::new()
-            .cache(lantern_cache::CacheConfig::default())
-            .build()
-            .unwrap();
-        service.diff_documents(PG_DOC, PG_ALT).unwrap();
-        service.diff_documents(PG_DOC, PG_ALT).unwrap();
-        assert_eq!(service.diff_cache_stats().unwrap().hits, 1);
-        // A POOL mutation bumps the generation: the next diff misses.
-        service.store().create(
-            "pg",
-            "Index Scan",
-            None,
-            OperatorArity::Unary,
-            Some("look up {rel} rows through an index"),
-            &["look up {rel} rows through an index"],
-            false,
-            None,
-        );
-        service.diff_documents(PG_DOC, PG_ALT).unwrap();
-        let stats = service.diff_cache_stats().unwrap();
-        assert_eq!(stats.hits, 1, "generation change must miss");
-        assert_eq!(stats.entries, 2, "old and new generations coexist");
+        assert_eq!(CacheControl::clear_cache(&cached), 1);
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub mod prelude {
     pub use lantern_cache::{CacheConfig, CacheControl, CacheStatsSnapshot, CachedTranslator};
     pub use lantern_catalog::{dblp_catalog, imdb_catalog, sdss_catalog, tpch_catalog, Catalog};
     pub use lantern_core::{
-        DiffChange, DiffRequest, DiffResponse, DiffTranslator, LanternError, NarrationRequest,
+        DiffChange, DiffResponse, DiffTranslator, LanternError, NarrationRequest,
         NarrationResponse, PlanSource, RenderStyle, RuleLantern, RuleTranslator, Translator,
     };
     pub use lantern_diff::{diff_plans, PlanDiff, RuleDiffTranslator};

@@ -141,12 +141,11 @@ fn deep_documents_are_400_parse_and_the_router_survives() {
             json_string(doc),
             json_string(&plans_chain(2, "ok"))
         );
-        // A diff batch only detects the base's format up front, so the
-        // parse error comes back on the alternative's item.
+        // A diff batch parses its base before any alternative, so the
+        // deep base is one whole-request error.
         let resp = post(&router, "/narrate/diff/batch", &diff_batch);
-        assert_eq!(resp.status, 200, "{name}");
-        let items = json_of(&resp);
-        assert_eq!(error_kind(&items.as_array().unwrap()[0]), Some("parse"));
+        assert_eq!(resp.status, 400, "{name}");
+        assert_eq!(error_kind(&json_of(&resp)), Some("parse"), "{name}");
     }
     // The nest as a request envelope is refused by the envelope reader.
     let resp = post(&router, "/narrate/batch", &reproductions[0].1);

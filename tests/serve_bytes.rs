@@ -7,7 +7,11 @@
 //! * a cached answer equals the `?nocache=1` answer, byte for byte;
 //! * a `/narrate/diff/batch` body is the single `/narrate/diff` bodies,
 //!   each led by its `alt_index`, ranked by score (ties in input order)
-//!   with failures after them in input order.
+//!   with failures after them in input order;
+//! * a failing `/narrate/diff` answers the error of its first failing
+//!   step (detect base, detect alt, parse base, parse alt), and a diff
+//!   batch whose base cannot be detected or parsed is one whole-request
+//!   error.
 
 use lantern::cache::CacheControl;
 use lantern::core::{DiffTranslator, RuleTranslator};
@@ -49,6 +53,22 @@ fn post(router: &CachedRouter, path: &str, body: &str, nocache: bool) -> Respons
         body: body.as_bytes().to_vec(),
         keep_alive: true,
     })
+}
+
+fn stats(router: &CachedRouter) -> JsonValue {
+    let resp = router.handle(&Request {
+        method: "GET".to_string(),
+        path: "/stats".to_string(),
+        query: Vec::new(),
+        headers: Vec::new(),
+        body: Vec::new(),
+        keep_alive: true,
+    });
+    JsonValue::parse(text(&resp)).expect("stats JSON")
+}
+
+fn counter(stats: &JsonValue, name: &str) -> f64 {
+    stats.get(name).and_then(JsonValue::as_f64).expect(name)
 }
 
 fn text(resp: &Response) -> &str {
@@ -124,15 +144,7 @@ fn cached_answers_equal_uncached_answers_byte_for_byte() {
         assert_eq!(text(&miss), text(&uncached), "{doc}");
         assert_eq!(text(&hit), text(&uncached), "{doc}");
     }
-    let stats = JsonValue::parse(text(&router.handle(&Request {
-        method: "GET".to_string(),
-        path: "/stats".to_string(),
-        query: Vec::new(),
-        headers: Vec::new(),
-        body: Vec::new(),
-        keep_alive: true,
-    })))
-    .unwrap();
+    let stats = stats(&router);
     let hits = stats.get("cache").and_then(|c| c.get("hits"));
     assert!(
         hits.and_then(JsonValue::as_f64).unwrap() >= 16.0,
@@ -201,4 +213,121 @@ fn diff_batch_ranks_single_diff_bodies_under_their_alt_index() {
         assert_eq!(batch.status, 200);
         assert_eq!(text(&batch), format!("[{expected}]"), "seed {seed}");
     }
+}
+
+/// A `"Plans"` chain of `nodes` operators; past `MAX_DEPTH` the reader
+/// refuses it.
+fn plans_chain(nodes: usize) -> String {
+    format!(
+        r#"{{"Plan": {}{{"Node Type": "Seq Scan", "Relation Name": "t"}}{}}}"#,
+        r#"{"Node Type": "Sort", "Plans": ["#.repeat(nodes - 1),
+        "]}".repeat(nodes - 1)
+    )
+}
+
+/// One document of each kind a diff can be handed: valid, empty, of
+/// unknown format, truncated, and nested past the readers' depth limit.
+fn diff_documents() -> Vec<(&'static str, String)> {
+    let valid = PlanGenerator::render(
+        &PlanGenerator::new(GenConfig::default().with_seed(9)).next_tree(),
+        ArtifactFormat::PgJson,
+    );
+    let truncated = valid[..valid.len() / 2].to_string();
+    let nested = plans_chain(lantern::text::MAX_DEPTH);
+    assert!(PlanSource::parse_auto(&plans_chain(8)).is_ok());
+    vec![
+        ("valid", valid),
+        ("empty", String::new()),
+        ("unknown", "EXPLAIN SELECT 1".to_string()),
+        ("truncated", truncated),
+        ("nested", nested),
+    ]
+}
+
+#[test]
+fn single_diff_answers_the_error_of_the_first_failing_step() {
+    let router = router();
+    let docs = diff_documents();
+    // A failing document's error body, as `/narrate` answers it.
+    let alone = |doc: &str| {
+        let resp = post(&router, "/narrate", doc, true);
+        (resp.status, text(&resp).to_string())
+    };
+    let detects = |doc: &str| PlanSource::detect(doc).is_ok();
+    let parses = |doc: &str| PlanSource::parse_auto(doc).is_ok();
+    for (base_name, base) in &docs {
+        for (alt_name, alt) in &docs {
+            let first_failure = [
+                (!detects(base)).then_some(base),
+                (!detects(alt)).then_some(alt),
+                (!parses(base)).then_some(base),
+                (!parses(alt)).then_some(alt),
+            ]
+            .into_iter()
+            .flatten()
+            .next();
+            let envelope = format!(
+                "{{\"base\":{},\"alt\":{}}}",
+                json_string(base),
+                json_string(alt)
+            );
+            let resp = post(&router, "/narrate/diff", &envelope, false);
+            let pair = format!("base {base_name}, alt {alt_name}");
+            match first_failure {
+                Some(doc) => {
+                    let (status, body) = alone(doc);
+                    assert_eq!(status, 400, "{pair}");
+                    assert_eq!(
+                        (resp.status, text(&resp)),
+                        (status, body.as_str()),
+                        "{pair}"
+                    );
+                }
+                None => {
+                    assert_eq!(resp.status, 200, "{pair}");
+                    assert!(text(&resp).starts_with("{\"backend\":"), "{pair}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn diff_batch_with_a_failing_base_is_one_whole_request_error() {
+    let router = router();
+    let docs = diff_documents();
+    let alts = format!(
+        "[{}]",
+        docs.iter()
+            .map(|(_, d)| json_string(d))
+            .collect::<Vec<_>>()
+            .join(",")
+    );
+    for (name, base) in &docs[1..] {
+        let before = stats(&router);
+        let envelope = format!("{{\"base\":{},\"alts\":{alts}}}", json_string(base));
+        let resp = post(&router, "/narrate/diff/batch", &envelope, false);
+        let single = post(&router, "/narrate", base, true);
+        assert_eq!(resp.status, 400, "{name}");
+        assert_eq!(text(&resp), text(&single), "{name}");
+        let after = stats(&router);
+        for (counter_name, delta) in [
+            ("diff_batch_requests", 1.0),
+            ("diff_batch_items", 0.0),
+            ("diff_errors", 1.0),
+            ("diff_ok", 0.0),
+        ] {
+            assert_eq!(
+                counter(&after, counter_name) - counter(&before, counter_name),
+                delta,
+                "{name}: {counter_name}"
+            );
+        }
+    }
+    // With a valid base every alternative is an item again.
+    let envelope = format!("{{\"base\":{},\"alts\":{alts}}}", json_string(&docs[0].1));
+    let resp = post(&router, "/narrate/diff/batch", &envelope, false);
+    assert_eq!(resp.status, 200);
+    let items = JsonValue::parse(text(&resp)).unwrap();
+    assert_eq!(items.as_array().map(<[JsonValue]>::len), Some(docs.len()));
 }
