@@ -739,8 +739,8 @@ impl Coordinator {
     /// counters summed under `"cache"`), the per-replica breakdown
     /// under `"replicas"`, and the coordinator's own counters under
     /// `"coordinator"`. The top-level shape matches a single replica's
-    /// `/stats`, so soak tooling pointed at the coordinator keeps
-    /// working; a replica that is down appears as `"healthy": false` in
+    /// `/stats`, so a client reads the coordinator's page like a
+    /// replica's; a replica that is down appears as `"healthy": false` in
     /// the breakdown rather than failing the request. Both the sums and
     /// the breakdown are read off the same fleet scrape `/metrics`
     /// serves (a replica renders both its pages from one counter

@@ -202,9 +202,9 @@ fn stats_aggregate_sums_replicas_and_reports_a_dead_one_without_erroring() {
     let stats = get_json(&mut client, "/stats");
     // Replica counters sum at the top level: 32 narrations total.
     assert_eq!(num(&stats, "narrate_requests"), 32.0);
-    // Queue/shed gauges aggregate too (zero here, but present — the
-    // soak tooling reads them off the coordinator exactly like off a
-    // single node).
+    // Queue/shed gauges aggregate too (zero here, but present — a
+    // client reads them off the coordinator exactly like off a single
+    // node).
     assert_eq!(num(&stats, "shed_requests"), 0.0);
     assert!(stats.get("queue_depth").is_some(), "queue_depth missing");
     assert!(

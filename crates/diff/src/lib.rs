@@ -18,7 +18,7 @@
 //! * [`score`] — informativeness: structural-change magnitude
 //!   amplified by the estimated-cost delta, weighted so a
 //!   join-algorithm change always outranks cardinality jitter.
-//! * [`narrate`] — the diff rendered as a [`Narration`] through POEM
+//! * [`narrate`] — the diff rendered as a [`Narration`](lantern_core::Narration) through POEM
 //!   display names and a diff-specific template set.
 //!
 //! ## Quick start

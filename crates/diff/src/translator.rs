@@ -35,11 +35,6 @@ impl RuleDiffTranslator {
         self.style = style;
         self
     }
-
-    /// The underlying store handle.
-    pub fn store(&self) -> &PoemStore {
-        &self.store
-    }
 }
 
 impl DiffTranslator for RuleDiffTranslator {

@@ -4,7 +4,7 @@
 
 use lantern_catalog::Catalog;
 use lantern_sql::resolve::ResolvedQuery;
-use lantern_sql::{resolve, BinaryOp, Expr, Query, SelectItem, SqlError};
+use lantern_sql::{resolve, BinaryOp, Expr, Query, SqlError};
 
 /// A base relation participating in the query.
 #[derive(Debug, Clone)]
@@ -106,20 +106,6 @@ impl LogicalPlan {
             joins,
             residual,
         })
-    }
-
-    /// The select-list expressions (wildcards expanded to nothing here;
-    /// the executor handles `*`).
-    pub fn select_exprs(&self) -> Vec<&Expr> {
-        self.resolved
-            .query
-            .select
-            .iter()
-            .filter_map(|s| match s {
-                SelectItem::Expr { expr, .. } => Some(expr),
-                SelectItem::Wildcard => None,
-            })
-            .collect()
     }
 }
 

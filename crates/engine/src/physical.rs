@@ -176,22 +176,6 @@ impl PhysicalPlan {
         c
     }
 
-    /// Estimated final row count.
-    pub fn output_rows(&self) -> f64 {
-        let mut rows = self
-            .agg
-            .as_ref()
-            .map(|a| a.rows)
-            .unwrap_or(self.join_root.rows());
-        if self.distinct.is_some() {
-            rows *= 0.9;
-        }
-        if let Some(l) = self.limit {
-            rows = rows.min(l as f64);
-        }
-        rows.max(1.0)
-    }
-
     /// Render the PostgreSQL-vocabulary operator tree.
     pub fn tree(&self) -> PlanTree {
         let mut node = rel_tree(&self.join_root);

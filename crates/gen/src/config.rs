@@ -36,7 +36,7 @@ pub enum FormatMix {
 /// Every distribution is driven by the single `seed`, so the same
 /// config always produces the byte-identical artifact stream — that
 /// determinism is what makes generated workloads reproducible across
-/// the bench harness, the soak driver, and CI.
+/// the bench harnesses and the tests.
 #[derive(Debug, Clone)]
 pub struct GenConfig {
     /// RNG seed; same seed + same config ⇒ same stream.

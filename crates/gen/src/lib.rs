@@ -1,8 +1,8 @@
 //! # lantern-gen
 //!
 //! Seeded, deterministic generator of random-but-valid `EXPLAIN`
-//! artifacts: the workload source for load testing, soak testing, and
-//! parser fuzzing.
+//! artifacts: the workload source for load testing (servebench, the
+//! binary's tier-1 test) and parser fuzzing.
 //!
 //! The bundled fixtures are a few dozen artifacts; a classroom is
 //! thousands of students pasting plans all day. This crate closes that

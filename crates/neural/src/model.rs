@@ -140,15 +140,6 @@ impl Qep2Seq {
         Trainer::new(self.config.train.clone()).train(&mut self.model, &train, &val)
     }
 
-    /// Train with explicit pair lists (ablations).
-    pub fn train_pairs(
-        &mut self,
-        train: &[(Vec<usize>, Vec<usize>)],
-        val: &[(Vec<usize>, Vec<usize>)],
-    ) -> TrainReport {
-        Trainer::new(self.config.train.clone()).train(&mut self.model, train, val)
-    }
-
     /// Translate one act: beam-search decode (paper: beam 4) the tagged
     /// sentence, then substitute the act's concrete values back.
     ///
@@ -223,11 +214,6 @@ impl Qep2Seq {
             .map(|a| (self.translate_act_tagged(a, beam), a.output_tokens()))
             .collect();
         corpus_bleu(&pairs, BleuConfig::default()) * 100.0
-    }
-
-    /// Mean validation loss/accuracy on explicit pairs.
-    pub fn evaluate_pairs(&self, pairs: &[(Vec<usize>, Vec<usize>)]) -> (f32, f64) {
-        lantern_nn::trainer::evaluate_set(&self.model, pairs)
     }
 
     /// Total parameters.

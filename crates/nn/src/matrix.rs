@@ -149,14 +149,6 @@ pub fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
-/// `a += b` elementwise.
-pub fn vec_add_assign(a: &mut [f32], b: &[f32]) {
-    debug_assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter_mut().zip(b) {
-        *x += y;
-    }
-}
-
 /// Numerically stable softmax.
 pub fn softmax(x: &[f32]) -> Vec<f32> {
     let max = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);

@@ -173,19 +173,6 @@ impl HistogramSnapshot {
         self.max = self.max.max(other.max);
     }
 
-    /// Per-bucket difference `self - other` (both cumulative views of
-    /// the same histogram, `other` sampled earlier). Saturating, so a
-    /// restarted peer degrades to "everything is new".
-    pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut out = *self;
-        for (mine, theirs) in out.buckets.iter_mut().zip(&earlier.buckets) {
-            *mine = mine.saturating_sub(*theirs);
-        }
-        out.count = self.count.saturating_sub(earlier.count);
-        out.sum = self.sum.saturating_sub(earlier.sum);
-        out
-    }
-
     /// The `q`-th percentile (`0.0 ..= 1.0`), nanoseconds: the upper
     /// bound of the bucket holding the `ceil(q·count)`-th smallest
     /// observation, so the answer is exact to bucket resolution
@@ -306,22 +293,6 @@ mod tests {
         s.merge(&b.snapshot());
         assert_eq!(s.count, 5);
         assert_eq!(s.buckets.iter().sum::<u64>(), 5);
-    }
-
-    #[test]
-    fn delta_since_subtracts_and_saturates() {
-        let h = AtomicHistogram::new();
-        h.record(1_000);
-        let before = h.snapshot();
-        h.record(2_000_000);
-        h.record(2_000_000);
-        let delta = h.snapshot().delta_since(&before);
-        assert_eq!(delta.count, 2);
-        assert_eq!(delta.buckets[bucket_index(1_000)], 0);
-        assert_eq!(delta.buckets[bucket_index(2_000_000)], 2);
-        // Restarted peer: earlier snapshot is "ahead" — saturate.
-        let fresh = AtomicHistogram::new().snapshot().delta_since(&before);
-        assert_eq!(fresh.count, 0);
     }
 
     #[test]

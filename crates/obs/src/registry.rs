@@ -7,8 +7,8 @@
 //! into it, and [`MetricsPage::render`] writes the text. Label blocks,
 //! escaping, `le` splicing and `# TYPE` lines are produced here and
 //! nowhere else. [`parse_exposition`] is the inverse, so the
-//! coordinator and the soak harness can merge fleets bucket-wise
-//! without a side-channel wire format.
+//! coordinator and any scraper (servebench, the tests) can merge
+//! fleets bucket-wise without a side-channel wire format.
 //!
 //! The exposition subset is the stable core of the text format:
 //! `# TYPE` lines, `name{label="value"} value` samples, histogram

@@ -100,21 +100,6 @@ proptest! {
         let everything: Vec<u64> = a.iter().chain(&b).chain(&c).copied().collect();
         prop_assert_eq!(left_total.snapshot(), build(&everything).snapshot());
     }
-
-    /// `delta_since` inverts `merge`: (base ⊕ extra) − base == extra.
-    #[test]
-    fn delta_inverts_merge(base in arb_latencies(60), extra in arb_latencies(60)) {
-        let hb = build(&base);
-        let before = hb.snapshot();
-        for v in &extra {
-            hb.record(*v);
-        }
-        let delta = hb.snapshot().delta_since(&before);
-        let expected = build(&extra).snapshot();
-        prop_assert_eq!(delta.buckets, expected.buckets);
-        prop_assert_eq!(delta.count, expected.count);
-        prop_assert_eq!(delta.sum, expected.sum);
-    }
 }
 
 /// N threads × M records ⇒ exactly N·M observations land, with the

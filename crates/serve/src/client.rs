@@ -238,19 +238,6 @@ impl HttpClient {
         self.read_response()
     }
 
-    /// Write one request without reading its response — the pipelining
-    /// half of [`HttpClient::request`]. Send N requests back to back,
-    /// then collect N responses with [`HttpClient::read_response`]; the
-    /// server answers in request order.
-    pub fn send(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> Result<(), ClientError> {
-        self.write_request(method, path, &[], body)
-    }
-
     fn write_request(
         &mut self,
         method: &str,
@@ -278,9 +265,8 @@ impl HttpClient {
             .map_err(ClientError::from_io)
     }
 
-    /// Read the next response off the connection (pairs with
-    /// [`HttpClient::send`] for pipelined exchanges).
-    pub fn read_response(&mut self) -> Result<ClientResponse, ClientError> {
+    /// Read the next response off the connection.
+    fn read_response(&mut self) -> Result<ClientResponse, ClientError> {
         let mut line = String::new();
         match self.reader.read_line(&mut line) {
             Ok(0) => {

@@ -83,7 +83,6 @@ pub(crate) mod event;
 pub mod http;
 pub mod router;
 pub mod server;
-pub mod soak;
 
 pub use catalog::{CatalogApplied, CatalogApplyError, CatalogControl};
 pub use client::{ClientConfig, ClientError, ClientErrorKind, ClientResponse, HttpClient};
@@ -93,4 +92,3 @@ pub use router::Router;
 pub use server::{reusable_listener, Handler, ServeConfig, ServeStats};
 #[cfg(unix)]
 pub use server::{serve, ServerHandle};
-pub use soak::{run_soak, CacheDelta, LatencySummary, ServerDelta, SoakConfig, SoakReport};

@@ -16,10 +16,7 @@ use lantern::builder::{Backend, LanternBuilder};
 use lantern::cache::CacheConfig;
 use lantern::cluster::{serve_cluster, ClusterConfig};
 use lantern::core::RenderStyle;
-use lantern::gen::{FormatMix, GenConfig, PlanGenerator};
-use lantern::serve::soak::{run_soak, SoakConfig};
 use lantern::serve::ServeConfig;
-use lantern::text::json::JsonValue;
 use std::net::ToSocketAddrs;
 use std::time::Duration;
 
@@ -28,7 +25,6 @@ lantern-serve — HTTP narration service over the LANTERN translators
 
 USAGE:
     lantern-serve [OPTIONS]
-    lantern-serve soak [SOAK OPTIONS]
     lantern-serve cluster [CLUSTER OPTIONS]
 
 OPTIONS:
@@ -55,22 +51,6 @@ OPTIONS:
                           /debug/slow ring (0 = capture every request)
                           [default: 0]
     --help                Print this help
-
-SOAK OPTIONS (load a running server with generated plans):
-    --addr <HOST:PORT>    Server to load [default: 127.0.0.1:8080]
-    --requests <N>        Total requests to send [default: 1000]
-    --clients <N>         Concurrent client connections [default: 4]
-    --pipeline <N>        Requests each client keeps in flight on its
-                          connection (HTTP/1.1 pipelining) [default: 1]
-    --dup-rate <0..1>     Fraction of requests replaying an earlier
-                          artifact verbatim (cache-hit pressure)
-                          [default: 0.75]
-    --mutate-rate <0..1>  Fraction of the remainder sending a
-                          near-duplicate mutant [default: 0]
-    --format <NAME>       pg-json | mssql-xml | mixed [default: mixed]
-    --seed <N>            Generator seed [default: 2647]
-    --report <PATH>       Write the JSON report here (also printed to
-                          stdout when omitted)
 
 CLUSTER OPTIONS (coordinator fronting N running replicas):
     --addr <HOST:PORT>    Coordinator listen address
@@ -202,84 +182,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Everything `lantern-serve soak` needs: a workload spec and a target.
-struct SoakArgs {
-    addr: String,
-    requests: usize,
-    clients: usize,
-    pipeline: usize,
-    dup_rate: f64,
-    mutate_rate: f64,
-    format: FormatMix,
-    seed: u64,
-    report: Option<String>,
-}
-
-fn parse_soak_args(argv: impl Iterator<Item = String>) -> Result<SoakArgs, String> {
-    let mut args = SoakArgs {
-        addr: "127.0.0.1:8080".to_string(),
-        requests: 1000,
-        clients: 4,
-        pipeline: 1,
-        dup_rate: 0.75,
-        mutate_rate: 0.0,
-        format: FormatMix::Mixed,
-        seed: 2647,
-        report: None,
-    };
-    let mut argv = argv.peekable();
-    while let Some(flag) = argv.next() {
-        let mut value = |name: &str| {
-            argv.next()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match flag.as_str() {
-            "--addr" => args.addr = value("--addr")?,
-            "--requests" => {
-                args.requests = value("--requests")?
-                    .parse()
-                    .map_err(|e| format!("--requests: {e}"))?
-            }
-            "--clients" => {
-                args.clients = value("--clients")?
-                    .parse()
-                    .map_err(|e| format!("--clients: {e}"))?
-            }
-            "--pipeline" => {
-                args.pipeline = value("--pipeline")?
-                    .parse()
-                    .map_err(|e| format!("--pipeline: {e}"))?
-            }
-            "--dup-rate" => {
-                args.dup_rate = parse_rate("--dup-rate", &value("--dup-rate")?)?;
-            }
-            "--mutate-rate" => {
-                args.mutate_rate = parse_rate("--mutate-rate", &value("--mutate-rate")?)?;
-            }
-            "--format" => {
-                args.format = match value("--format")?.as_str() {
-                    "pg-json" => FormatMix::PgJson,
-                    "mssql-xml" => FormatMix::SqlServerXml,
-                    "mixed" => FormatMix::Mixed,
-                    other => return Err(format!("unknown format {other:?}")),
-                }
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--report" => args.report = Some(value("--report")?),
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown soak flag {other:?}")),
-        }
-    }
-    Ok(args)
-}
-
 /// Everything `lantern-serve cluster` needs: a listen address and the
 /// replica fleet, plus the forwarding/probing knobs.
 struct ClusterArgs {
@@ -395,7 +297,7 @@ fn cluster_main(args: &ClusterArgs) -> Result<(), String> {
     };
     let handle = serve_cluster(config, args.addr.as_str())
         .map_err(|e| format!("failed to bind {}: {e}", args.addr))?;
-    // The smoke-test lane greps for this exact line before curling.
+    // `tests/binary.rs` reads the bound address off this exact line.
     println!(
         "lantern-serve cluster listening on http://{}",
         handle.addr()
@@ -414,104 +316,6 @@ fn cluster_main(args: &ClusterArgs) -> Result<(), String> {
     }
 }
 
-fn parse_rate(name: &str, raw: &str) -> Result<f64, String> {
-    let rate: f64 = raw.parse().map_err(|e| format!("{name}: {e}"))?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(format!("{name} must be within 0..=1, got {rate}"));
-    }
-    Ok(rate)
-}
-
-/// Generate the schedule, run the soak, merge the workload description
-/// into the report, and write it out.
-fn soak_main(args: &SoakArgs) -> Result<(), String> {
-    let addr = args
-        .addr
-        .to_socket_addrs()
-        .map_err(|e| format!("cannot resolve {}: {e}", args.addr))?
-        .next()
-        .ok_or_else(|| format!("{} resolves to no address", args.addr))?;
-
-    let config = GenConfig::default()
-        .with_seed(args.seed)
-        .with_duplicate_rate(args.dup_rate)
-        .with_mutate_rate(args.mutate_rate)
-        .with_format(args.format);
-    let docs: Vec<String> = PlanGenerator::new(config)
-        .generate(args.requests)
-        .into_iter()
-        .map(|item| item.doc)
-        .collect();
-    eprintln!(
-        "soaking {} with {} requests ({} clients, pipeline {}, dup rate {})",
-        addr, args.requests, args.clients, args.pipeline, args.dup_rate
-    );
-
-    let report = run_soak(
-        addr,
-        &docs,
-        &SoakConfig {
-            clients: args.clients,
-            pipeline: args.pipeline,
-        },
-    )
-    .map_err(|e| format!("soak against {addr} failed: {e}"))?;
-
-    let mut json = report.to_json_value();
-    if let JsonValue::Object(obj) = &mut json {
-        let mut workload = std::collections::BTreeMap::new();
-        workload.insert(
-            "generator".to_string(),
-            JsonValue::String("lantern-gen".into()),
-        );
-        workload.insert("seed".to_string(), JsonValue::Number(args.seed as f64));
-        workload.insert("dup_rate".to_string(), JsonValue::Number(args.dup_rate));
-        workload.insert(
-            "mutate_rate".to_string(),
-            JsonValue::Number(args.mutate_rate),
-        );
-        workload.insert(
-            "format".to_string(),
-            JsonValue::String(
-                match args.format {
-                    FormatMix::PgJson => "pg-json",
-                    FormatMix::SqlServerXml => "mssql-xml",
-                    FormatMix::Mixed => "mixed",
-                }
-                .to_string(),
-            ),
-        );
-        obj.insert("workload".to_string(), JsonValue::Object(workload));
-    }
-    let rendered = json.to_string_pretty();
-
-    eprintln!(
-        "done: {}/{} ok in {:.0} ms (p50 {} us, p99 {} us, shed {}{})",
-        report.ok,
-        report.requests,
-        report.duration_ms,
-        report.latency.p50_us,
-        report.latency.p99_us,
-        report.shed,
-        match &report.cache {
-            Some(cache) => format!(", cache hit ratio {:.3}", cache.hit_ratio),
-            None => ", no cache".to_string(),
-        }
-    );
-    match &args.report {
-        Some(path) => {
-            std::fs::write(path, rendered.as_bytes())
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("report written to {path}");
-        }
-        None => println!("{rendered}"),
-    }
-    if report.ok == 0 {
-        return Err("no request succeeded".to_string());
-    }
-    Ok(())
-}
-
 #[cfg(not(unix))]
 fn main() {
     eprintln!("error: lantern-serve needs a Unix target (its serving core polls with epoll/poll)");
@@ -521,15 +325,6 @@ fn main() {
 #[cfg(unix)]
 fn main() {
     let mut argv = std::env::args().skip(1).peekable();
-    if argv.peek().map(String::as_str) == Some("soak") {
-        argv.next();
-        let outcome = parse_soak_args(argv).and_then(|args| soak_main(&args));
-        if let Err(message) = outcome {
-            eprintln!("error: {message}");
-            std::process::exit(1);
-        }
-        return;
-    }
     if argv.peek().map(String::as_str) == Some("cluster") {
         argv.next();
         let outcome = parse_cluster_args(argv).and_then(|args| cluster_main(&args));
@@ -570,7 +365,7 @@ fn main() {
             eprintln!("error: failed to bind {}: {e}", args.addr);
             std::process::exit(1);
         });
-    // The smoke-test lane greps for this exact line before curling.
+    // `tests/binary.rs` reads the bound address off this exact line.
     println!("lantern-serve listening on http://{}", handle.addr());
     println!(
         "endpoints: POST /narrate, POST /narrate/batch, POST /narrate/diff, POST /narrate/diff/batch, GET /healthz, GET /stats, GET /metrics, GET /debug/slow, POST /cache/clear (see docs/SERVING.md)"

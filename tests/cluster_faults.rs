@@ -84,7 +84,8 @@ fn boot_coordinator(replicas: Vec<SocketAddr>) -> ClusterHandle {
 }
 
 /// The seeded burst: mixed-format generator artifacts with heavy
-/// duplication, the same workload shape the soak subcommand drives.
+/// duplication, the workload shape `tests/binary.rs` drives through
+/// the binary.
 fn burst_docs(count: usize) -> Vec<String> {
     let config = GenConfig::default()
         .with_seed(SEED)

@@ -612,7 +612,8 @@ mod event_core {
     }
 
     /// A burst of pipelined requests written in one send comes back as
-    /// one response per request, in request order, on one connection.
+    /// one response per request, in request order, on one connection,
+    /// and the server counts the requests that arrived pipelined.
     #[test]
     fn pipelined_burst_answers_in_request_order() {
         let server = LanternBuilder::new().serve("127.0.0.1:0").unwrap();
@@ -633,6 +634,14 @@ mod event_core {
         };
         assert!(pos("pipelined_0") < pos("pipelined_1"), "{text}");
         assert!(pos("pipelined_1") < pos("pipelined_2"), "{text}");
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        let stats = json_of(&client.get("/stats").unwrap().body);
+        let pipelined = stats.get("pipelined_requests").and_then(JsonValue::as_f64);
+        assert!(
+            pipelined.unwrap_or(0.0) >= 1.0,
+            "{}",
+            stats.to_string_compact()
+        );
         server.shutdown().unwrap();
     }
 
