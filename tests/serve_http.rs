@@ -612,8 +612,7 @@ mod event_core {
     }
 
     /// A burst of pipelined requests written in one send comes back as
-    /// one response per request, in request order, on one connection,
-    /// and the server counts the requests that arrived pipelined.
+    /// one response per request, in request order, on one connection.
     #[test]
     fn pipelined_burst_answers_in_request_order() {
         let server = LanternBuilder::new().serve("127.0.0.1:0").unwrap();
@@ -634,11 +633,63 @@ mod event_core {
         };
         assert!(pos("pipelined_0") < pos("pipelined_1"), "{text}");
         assert!(pos("pipelined_1") < pos("pipelined_2"), "{text}");
+        server.shutdown().unwrap();
+    }
+
+    /// Two bursts of four pipelined requests against one slow worker
+    /// all answer 200 without shedding, and `/stats` counts the
+    /// requests that arrived while an earlier one on the same
+    /// connection was still unanswered.
+    #[test]
+    fn slow_pipelined_bursts_count_pipelined_requests() {
+        // Slow enough that a burst's trailing requests are guaranteed
+        // to arrive while the first is still being handled.
+        struct Slow(RuleTranslator);
+        impl Translator for Slow {
+            fn backend(&self) -> &str {
+                "slow"
+            }
+            fn narrate(&self, req: &NarrationRequest) -> Result<NarrationResponse, LanternError> {
+                std::thread::sleep(Duration::from_millis(10));
+                self.0.narrate(req)
+            }
+        }
+
+        let router = Router::with_catalog(
+            Slow(RuleTranslator::new(lantern::pool::default_mssql_store())),
+            Arc::new(ServeStats::new()),
+            None,
+            None,
+            None,
+        );
+        let server = serve(
+            Arc::new(router),
+            TcpListener::bind("127.0.0.1:0").unwrap(),
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+
+        for burst_no in 0..2 {
+            let mut burst = String::new();
+            for i in 0..4 {
+                burst.push_str(&post_narrate(
+                    &pg_doc(&format!("burst{burst_no}_{i}")),
+                    i == 3,
+                ));
+            }
+            let (_, text) = raw_exchange(server.addr(), &burst);
+            assert_eq!(text.matches("HTTP/1.1 200").count(), 4, "{text}");
+            assert_eq!(text.matches("HTTP/1.1 503").count(), 0, "{text}");
+        }
+
         let mut client = HttpClient::connect(server.addr()).unwrap();
         let stats = json_of(&client.get("/stats").unwrap().body);
         let pipelined = stats.get("pipelined_requests").and_then(JsonValue::as_f64);
         assert!(
-            pipelined.unwrap_or(0.0) >= 1.0,
+            pipelined.unwrap_or(0.0) >= 3.0,
             "{}",
             stats.to_string_compact()
         );
