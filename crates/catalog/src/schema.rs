@@ -188,21 +188,6 @@ impl Catalog {
             .filter(|fk| fk.table == table || fk.parent_table == table)
             .collect()
     }
-
-    /// Find the unique table that owns an unqualified column name, if
-    /// exactly one table has it (used by name resolution).
-    pub fn table_of_column(&self, column: &str) -> Option<&Table> {
-        let mut found = None;
-        for t in &self.tables {
-            if t.column(column).is_some() {
-                if found.is_some() {
-                    return None;
-                }
-                found = Some(t);
-            }
-        }
-        found
-    }
 }
 
 #[cfg(test)]
@@ -265,12 +250,5 @@ mod tests {
     fn fk_requires_existing_columns() {
         let mut c = tiny();
         c.add_foreign_key("b", "nope", "a", "a_id");
-    }
-
-    #[test]
-    fn unique_column_owner() {
-        let c = tiny();
-        assert_eq!(c.table_of_column("a_val").unwrap().name, "a");
-        assert!(c.table_of_column("missing").is_none());
     }
 }

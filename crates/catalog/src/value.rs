@@ -62,15 +62,6 @@ impl Value {
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
-
-    /// Render as a SQL literal (strings quoted).
-    pub fn to_sql_literal(&self) -> String {
-        match self {
-            Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
-            Value::Date(_) => format!("'{}'", self),
-            other => other.to_string(),
-        }
-    }
 }
 
 fn type_rank(v: &Value) -> u8 {
@@ -270,13 +261,6 @@ mod tests {
     fn display_date_is_iso() {
         assert_eq!(Value::Date(0).to_string(), "1992-01-01");
         assert_eq!(Value::Date(366).to_string(), "1993-01-01");
-    }
-
-    #[test]
-    fn sql_literal_quotes_strings() {
-        assert_eq!(Value::Str("BUILDING".into()).to_sql_literal(), "'BUILDING'");
-        assert_eq!(Value::Str("O'Brien".into()).to_sql_literal(), "'O''Brien'");
-        assert_eq!(Value::Int(5).to_sql_literal(), "5");
     }
 
     #[test]

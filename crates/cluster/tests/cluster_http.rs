@@ -11,8 +11,8 @@ use lantern_diff::RuleDiffTranslator;
 use lantern_gen::{FormatMix, GenConfig, PlanGenerator};
 use lantern_pool::{default_pg_store, PoemStore};
 use lantern_serve::{
-    reusable_listener, serve, CatalogApplied, CatalogApplyError, CatalogControl, HttpClient,
-    Router, ServeConfig, ServeStats, ServerHandle,
+    serve, CatalogApplied, CatalogApplyError, CatalogControl, HttpClient, Router, ServeConfig,
+    ServeStats, ServerHandle,
 };
 use lantern_text::json::JsonValue;
 use std::net::SocketAddr;
@@ -907,7 +907,7 @@ fn lagging_replica_catches_up_from_the_log_after_restart() {
     // Restart the victim on the same address with a *fresh* store —
     // an empty log position. The probe loop must notice it is behind
     // and replay both missed statements.
-    let listener = reusable_listener(victim_addr).expect("rebind victim address");
+    let listener = std::net::TcpListener::bind(victim_addr).expect("rebind victim address");
     let revived = boot_replica_on(listener);
     wait_for("replayed catalog on the revived replica", || {
         let catalog = get_json(&mut client, "/catalog");

@@ -4,8 +4,7 @@
 //! rather than the whole tree, which both multiplies training data and
 //! improves generalization.
 
-use crate::lot::CoreError;
-use crate::narrate::RuleLantern;
+use crate::narrate::{CoreError, RuleLantern};
 use crate::tags::TagBinding;
 use lantern_plan::PlanTree;
 use lantern_pool::PoemStore;

@@ -13,8 +13,7 @@
 //! A batch ([`Translator::narrate_batch`]) is its requests narrated one
 //! by one, each exactly as [`Translator::narrate`] narrates it alone.
 
-use crate::lot::CoreError;
-use crate::narrate::{narrate_with_lookup, Narration, RenderStyle};
+use crate::narrate::{narrate_with_lookup, CoreError, Narration, RenderStyle};
 use lantern_plan::{parse_pg_json_plan, parse_sqlserver_xml_plan, PlanTree};
 use lantern_pool::PoemStore;
 use std::fmt;
@@ -53,7 +52,7 @@ impl fmt::Display for PlanFormat {
 }
 
 /// Structured error type of the unified pipeline. Every backend and
-/// every pipeline stage (format detection, parsing, LOT construction,
+/// every pipeline stage (format detection, parsing, POEM lookup,
 /// model inference) reports through this one type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LanternError {

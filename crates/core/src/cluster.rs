@@ -1,147 +1,120 @@
-//! Auxiliary/critical node clustering (paper §5.4): pair each critical
-//! node with an auxiliary child whose POEM `target` points at it, so
-//! the pair is narrated as one step via the composition operator `∘`.
-
-use crate::lot::LotNode;
-
-/// One auxiliary/critical pair, addressed by the critical node's path
-/// from the root and the index of the auxiliary child within it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cluster {
-    /// Child-index path of the critical node from the root.
-    pub critical_path: Vec<usize>,
-    /// Index of the auxiliary child inside the critical node.
-    pub aux_child: usize,
-}
-
-/// Compute the cluster set of a LOT (paper's `Cluster(T_L, P)`).
-///
-/// For each node, at most **one** auxiliary child is clustered (the
-/// first, in child order); additional auxiliary children — e.g. the
-/// second `Sort` under a `Merge Join` — are narrated as standalone
-/// steps, which keeps the composition operator binary as the paper
-/// defines it.
-pub fn cluster_pairs(root: &LotNode) -> Vec<Cluster> {
-    let mut out = Vec::new();
-    walk(root, &mut Vec::new(), &mut out);
-    out
-}
-
-fn walk(node: &LotNode, path: &mut Vec<usize>, out: &mut Vec<Cluster>) {
-    for (i, child) in node.children.iter().enumerate() {
-        if child.poem.is_auxiliary() && child.poem.targets_op(&node.plan.op) {
-            out.push(Cluster {
-                critical_path: path.clone(),
-                aux_child: i,
-            });
-            break; // one aux per critical
-        }
-    }
-    for (i, child) in node.children.iter().enumerate() {
-        path.push(i);
-        walk(child, path, out);
-        path.pop();
-    }
-}
-
-/// Look up whether `path`'s node has a clustered auxiliary child, and
-/// which one.
-pub fn clustered_aux(clusters: &[Cluster], path: &[usize]) -> Option<usize> {
-    clusters
-        .iter()
-        .find(|c| c.critical_path == path)
-        .map(|c| c.aux_child)
-}
+//! Tests of auxiliary/critical clustering (paper §5.4), read off the
+//! narration: a clustered pair is one step whose `ops` list the
+//! auxiliary operator first.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::lot::build_lot;
+    use crate::narrate::RuleLantern;
     use lantern_plan::{PlanNode, PlanTree};
     use lantern_pool::default_pg_store;
 
-    fn lot(root: PlanNode) -> crate::lot::LotTree {
-        build_lot(&PlanTree::new("pg", root), &default_pg_store()).unwrap()
+    /// Each step's `ops`, in narration order.
+    fn step_ops(root: PlanNode) -> Vec<Vec<String>> {
+        RuleLantern::new(&default_pg_store())
+            .narrate(&PlanTree::new("pg", root))
+            .unwrap()
+            .steps()
+            .iter()
+            .map(|s| s.ops.clone())
+            .collect()
     }
 
     #[test]
     fn hash_under_hash_join_clusters() {
-        let t = lot(PlanNode::new("Hash Join")
-            .with_child(PlanNode::new("Seq Scan").on_relation("a"))
-            .with_child(
-                PlanNode::new("Hash").with_child(PlanNode::new("Seq Scan").on_relation("b")),
-            ));
-        let c = cluster_pairs(&t.root);
-        assert_eq!(
-            c,
-            vec![Cluster {
-                critical_path: vec![],
-                aux_child: 1
-            }]
+        let ops = step_ops(
+            PlanNode::new("Hash Join")
+                .with_child(PlanNode::new("Seq Scan").on_relation("a"))
+                .with_child(
+                    PlanNode::new("Hash").with_child(PlanNode::new("Seq Scan").on_relation("b")),
+                ),
         );
-        assert_eq!(clustered_aux(&c, &[]), Some(1));
-        assert_eq!(clustered_aux(&c, &[0]), None);
+        assert_eq!(
+            ops,
+            vec![
+                vec!["Seq Scan"],
+                vec!["Seq Scan"],
+                vec!["Hash", "Hash Join"]
+            ]
+        );
     }
 
     #[test]
     fn sort_under_aggregate_clusters() {
-        let t = lot(PlanNode::new("Aggregate").with_child(
+        let ops = step_ops(PlanNode::new("Aggregate").with_child(
             PlanNode::new("Sort").with_child(PlanNode::new("Seq Scan").on_relation("a")),
         ));
-        let c = cluster_pairs(&t.root);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c[0].aux_child, 0);
+        assert_eq!(ops, vec![vec!["Seq Scan"], vec!["Sort", "Aggregate"]]);
     }
 
     #[test]
     fn sort_under_hash_join_does_not_cluster() {
         // Sort targets mergejoin/aggregate/unique, not hash join.
-        let t = lot(PlanNode::new("Hash Join")
-            .with_child(
-                PlanNode::new("Sort").with_child(PlanNode::new("Seq Scan").on_relation("a")),
-            )
-            .with_child(PlanNode::new("Seq Scan").on_relation("b")));
-        assert!(cluster_pairs(&t.root).is_empty());
+        let ops = step_ops(
+            PlanNode::new("Hash Join")
+                .with_child(
+                    PlanNode::new("Sort").with_child(PlanNode::new("Seq Scan").on_relation("a")),
+                )
+                .with_child(PlanNode::new("Seq Scan").on_relation("b")),
+        );
+        assert_eq!(
+            ops,
+            vec![
+                vec!["Seq Scan"],
+                vec!["Sort"],
+                vec!["Seq Scan"],
+                vec!["Hash Join"]
+            ]
+        );
     }
 
     #[test]
     fn merge_join_clusters_only_first_sort() {
-        let t = lot(PlanNode::new("Merge Join")
-            .with_child(
-                PlanNode::new("Sort").with_child(PlanNode::new("Seq Scan").on_relation("a")),
-            )
-            .with_child(
-                PlanNode::new("Sort").with_child(PlanNode::new("Seq Scan").on_relation("b")),
-            ));
-        let c = cluster_pairs(&t.root);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c[0].aux_child, 0);
+        let ops = step_ops(
+            PlanNode::new("Merge Join")
+                .with_child(
+                    PlanNode::new("Sort").with_child(PlanNode::new("Seq Scan").on_relation("a")),
+                )
+                .with_child(
+                    PlanNode::new("Sort").with_child(PlanNode::new("Seq Scan").on_relation("b")),
+                ),
+        );
+        assert_eq!(
+            ops,
+            vec![
+                vec!["Seq Scan"],
+                vec!["Seq Scan"],
+                vec!["Sort"],
+                vec!["Sort", "Merge Join"]
+            ]
+        );
     }
 
     #[test]
     fn nested_clusters_found_at_depth() {
-        let t = lot(PlanNode::new("Unique").with_child(
-            PlanNode::new("Aggregate").with_child(
-                PlanNode::new("Sort").with_child(
-                    PlanNode::new("Hash Join")
-                        .with_child(PlanNode::new("Seq Scan").on_relation("a"))
-                        .with_child(
-                            PlanNode::new("Hash")
-                                .with_child(PlanNode::new("Seq Scan").on_relation("b")),
-                        ),
+        let ops = step_ops(
+            PlanNode::new("Unique").with_child(
+                PlanNode::new("Aggregate").with_child(
+                    PlanNode::new("Sort").with_child(
+                        PlanNode::new("Hash Join")
+                            .with_child(PlanNode::new("Seq Scan").on_relation("a"))
+                            .with_child(
+                                PlanNode::new("Hash")
+                                    .with_child(PlanNode::new("Seq Scan").on_relation("b")),
+                            ),
+                    ),
                 ),
             ),
-        ));
-        let c = cluster_pairs(&t.root);
-        // Aggregate+Sort at path [0]; Hash Join+Hash at path [0,0,0].
-        assert_eq!(c.len(), 2);
-        assert!(c.contains(&Cluster {
-            critical_path: vec![0],
-            aux_child: 0
-        }));
-        assert!(c.contains(&Cluster {
-            critical_path: vec![0, 0, 0],
-            aux_child: 1
-        }));
+        );
+        // Aggregate+Sort one level down; Hash Join+Hash three levels down.
+        assert_eq!(
+            ops,
+            vec![
+                vec!["Seq Scan"],
+                vec!["Seq Scan"],
+                vec!["Hash", "Hash Join"],
+                vec!["Sort", "Aggregate"],
+                vec!["Unique"]
+            ]
+        );
     }
 }

@@ -4,13 +4,14 @@
 //! execution plan to a step-by-step natural-language narration, plus
 //! the shared machinery NEURAL-LANTERN builds on.
 //!
-//! * [`lot`] — the *language-annotated operator tree* (§5.3): plan
-//!   nodes annotated with POOL-derived description templates.
-//! * [`cluster`] — auxiliary/critical node clustering and the
-//!   composition operator `∘` (§5.4).
 //! * [`narrate`] — Algorithm 1: post-order narration with intermediate
 //!   result identifiers (T1, T2, …) and the four-layer narration model
-//!   (§5.1).
+//!   (§5.1). The *language-annotated operator tree* (LOT, §5.3) is the
+//!   pairing of each plan node with its POEM entry (the object whose
+//!   alias names the node, and its POOL-derived description template),
+//!   borrowed from a [`lantern_pool::PoemSnapshot`] by pre-order
+//!   position; each node clusters with its first auxiliary child that
+//!   targets it, composed through `∘` (§5.4).
 //! * [`acts`] — decomposition of a plan into *acts* (§6.2), the
 //!   operator-level training units of NEURAL-LANTERN.
 //! * [`tags`] — the special-tag abstraction of Table 1 (`<T>`, `<F>`,
@@ -24,8 +25,6 @@
 
 pub mod acts;
 pub mod api;
-pub mod cluster;
-pub mod lot;
 pub mod narrate;
 pub mod tags;
 pub mod wire;
@@ -35,7 +34,12 @@ pub use api::{
     work_steal_map, DiffChange, DiffResponse, DiffTranslator, LanternError, NarrationRequest,
     NarrationResponse, PlanFormat, PlanSource, RuleTranslator, Translator,
 };
-pub use cluster::{cluster_pairs, Cluster};
-pub use lot::{build_lot, CoreError, LotNode, LotTree};
-pub use narrate::{narrate_with_lookup, Narration, NarrationStep, RenderStyle, RuleLantern};
+pub use narrate::{
+    narrate_with_lookup, CoreError, Narration, NarrationStep, RenderStyle, RuleLantern,
+};
 pub use tags::{abstract_tags, substitute_tags, TagBinding};
+
+#[cfg(test)]
+mod cluster;
+#[cfg(test)]
+mod lot;

@@ -1,112 +1,11 @@
-//! The language-annotated operator tree (LOT, paper §5.3): the operator
-//! tree extended so each node carries a `name` (the POEM alias, falling
-//! back to the operator name) and a `label` (the natural-language
-//! template produced by the POOL `COMPOSE` statement for the node).
-
-use lantern_plan::{PlanNode, PlanTree};
-use lantern_pool::{PoemLookup, PoemObject};
-use std::fmt;
-
-/// Error raised while building or narrating a LOT.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CoreError {
-    /// The plan references an operator the POEM store has no entry for
-    /// (the failure NEURON hits on SQL Server plans, paper US 5).
-    UnknownOperator {
-        /// Source system of the plan.
-        source: String,
-        /// Vendor operator name.
-        op: String,
-    },
-    /// Malformed plan (e.g. an auxiliary node without a child).
-    PlanError(String),
-}
-
-impl fmt::Display for CoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CoreError::UnknownOperator { source, op } => {
-                write!(f, "operator '{op}' has no POEM entry for source '{source}'")
-            }
-            CoreError::PlanError(m) => write!(f, "plan error: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for CoreError {}
-
-/// One LOT node: the plan node plus its language annotations.
-#[derive(Debug, Clone)]
-pub struct LotNode {
-    /// The underlying plan node (children stripped — structure lives in
-    /// [`LotNode::children`]).
-    pub plan: PlanNode,
-    /// Learner-visible operator name (`n.name`): the POEM alias, or
-    /// the POEM name when no alias is specified.
-    pub name: String,
-    /// Natural-language description template (`n.label`), from
-    /// `COMPOSE <op> FROM <source>`.
-    pub label: String,
-    /// The POEM object backing this node.
-    pub poem: PoemObject,
-    /// Child LOT nodes.
-    pub children: Vec<LotNode>,
-}
-
-impl LotNode {
-    /// Number of nodes in this subtree.
-    pub fn size(&self) -> usize {
-        1 + self.children.iter().map(LotNode::size).sum::<usize>()
-    }
-}
-
-/// A LOT with its source tag.
-#[derive(Debug, Clone)]
-pub struct LotTree {
-    /// Source system (`pg`, `mssql`).
-    pub source: String,
-    /// Root LOT node.
-    pub root: LotNode,
-}
-
-/// Build the LOT for `tree` using the operator annotations in `store`
-/// (paper Algorithm 1, line 1).
-///
-/// Generic over [`PoemLookup`] so the hot path can thread a single
-/// [`lantern_pool::PoemSnapshot`] through the whole construction (one
-/// lock acquisition per narration) while ad-hoc callers keep passing
-/// the live [`lantern_pool::PoemStore`].
-pub fn build_lot<L: PoemLookup>(tree: &PlanTree, store: &L) -> Result<LotTree, CoreError> {
-    Ok(LotTree {
-        source: tree.source.clone(),
-        root: annotate(&tree.root, &tree.source, store)?,
-    })
-}
-
-fn annotate<L: PoemLookup>(node: &PlanNode, source: &str, store: &L) -> Result<LotNode, CoreError> {
-    let (poem, label) =
-        store
-            .find_labeled(source, &node.op)
-            .ok_or_else(|| CoreError::UnknownOperator {
-                source: source.to_string(),
-                op: node.op.clone(),
-            })?;
-    let mut lot = LotNode {
-        plan: node.clone_shallow(),
-        name: poem.display_name().to_string(),
-        label,
-        poem,
-        children: Vec::with_capacity(node.children.len()),
-    };
-    for c in &node.children {
-        lot.children.push(annotate(c, source, store)?);
-    }
-    Ok(lot)
-}
+//! Tests of the LOT (paper §5.3): each plan node paired with its POEM
+//! entry, read through [`lantern_pool::PoemSnapshot::entry`] and the
+//! narration built from it.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::narrate::{CoreError, Narration, RuleLantern};
+    use lantern_plan::{PlanNode, PlanTree};
     use lantern_pool::default_pg_store;
 
     fn figure_4_tree() -> PlanTree {
@@ -131,32 +30,49 @@ mod tests {
         )
     }
 
+    fn narrate(tree: &PlanTree) -> Result<Narration, CoreError> {
+        RuleLantern::new(&default_pg_store()).narrate(tree)
+    }
+
     #[test]
     fn annotates_every_node() {
-        let store = default_pg_store();
-        let lot = build_lot(&figure_4_tree(), &store).unwrap();
-        assert_eq!(lot.root.size(), 7);
-        assert_eq!(lot.root.name, "duplicate removal"); // Unique alias
-        assert_eq!(lot.root.label, "perform duplicate removal on $R1$");
+        let narration = narrate(&figure_4_tree()).unwrap();
+        let covered: usize = narration.steps().iter().map(|s| s.ops.len()).sum();
+        assert_eq!(covered, 7);
+        let snap = default_pg_store().snapshot();
+        let (unique, label) = snap.entry("pg", "Unique").unwrap();
+        assert_eq!(unique.display_name(), "duplicate removal"); // Unique alias
+        assert_eq!(label, "perform duplicate removal on $R1$");
+        let last = narration.steps().last().unwrap();
+        assert_eq!(last.ops, vec!["Unique"]);
+        assert_eq!(
+            last.tagged,
+            "perform duplicate removal on <T> to get the final results."
+        );
     }
 
     #[test]
     fn hash_join_label_matches_paper_template() {
-        let store = default_pg_store();
-        let lot = build_lot(&figure_4_tree(), &store).unwrap();
-        let hj = &lot.root.children[0].children[0].children[0];
-        assert_eq!(hj.plan.op, "Hash Join");
+        let snap = default_pg_store().snapshot();
+        let (_, label) = snap.entry("pg", "Hash Join").unwrap();
         assert_eq!(
-            hj.label,
+            label,
             "perform hash join on $R2$ and $R1$ on condition $cond$"
+        );
+        let narration = narrate(&figure_4_tree()).unwrap();
+        let step = &narration.steps()[2];
+        assert_eq!(step.ops, vec!["Hash", "Hash Join"]);
+        assert_eq!(
+            step.tagged,
+            "hash <T> and perform hash join on <T> and <T> on condition <C> \
+             to get the intermediate relation <TN>."
         );
     }
 
     #[test]
     fn unknown_operator_is_an_error() {
-        let store = default_pg_store();
         let tree = PlanTree::new("pg", PlanNode::new("Quantum Scan"));
-        match build_lot(&tree, &store) {
+        match narrate(&tree) {
             Err(CoreError::UnknownOperator { op, .. }) => assert_eq!(op, "Quantum Scan"),
             other => panic!("{other:?}"),
         }
@@ -164,21 +80,28 @@ mod tests {
 
     #[test]
     fn wrong_source_is_an_error() {
-        let store = default_pg_store();
         // A SQL Server plan against a pg-only store must fail — the
         // cross-RDBMS scenario of US 5.
         let tree = PlanTree::new("mssql", PlanNode::new("Table Scan"));
-        assert!(build_lot(&tree, &store).is_err());
+        assert!(narrate(&tree).is_err());
     }
 
     #[test]
     fn name_falls_back_to_poem_name_without_alias() {
-        let store = default_pg_store();
+        let snap = default_pg_store().snapshot();
+        let (hash, _) = snap.entry("pg", "Hash").unwrap();
+        assert_eq!(hash.display_name(), "hash"); // hash has no alias
+                                                 // A leaf without a relation is referred to by that name.
         let tree = PlanTree::new(
             "pg",
-            PlanNode::new("Hash").with_child(PlanNode::new("Seq Scan")),
+            PlanNode::new("Nested Loop")
+                .with_child(PlanNode::new("Seq Scan").on_relation("a"))
+                .with_child(PlanNode::new("Hash")),
         );
-        let lot = build_lot(&tree, &store).unwrap();
-        assert_eq!(lot.root.name, "hash"); // hash has no alias
+        let narration = narrate(&tree).unwrap();
+        assert_eq!(
+            narration.steps()[2].text,
+            "perform nested loop join on a and hash to get the final results."
+        );
     }
 }

@@ -1,21 +1,54 @@
 //! RULE-LANTERN's narration procedure (paper §5.5, Algorithm 1).
 //!
-//! The plan's LOT is traversed post-order; clustered auxiliary/critical
-//! pairs are narrated as a single step through the composition operator
-//! `∘`; every non-leaf (or filtered) step is given an intermediate
-//! result identifier `T1, T2, …` that later steps refer to; the root
-//! step ends with "to get the final results."
+//! The LOT of §5.3 is the pairing of each plan node with its POEM
+//! entry (the object, whose alias is the node's `name`, and its
+//! `COMPOSE` template, the node's `label`). The entries are resolved
+//! once, in pre-order, as references into the [`PoemSnapshot`]; the
+//! plan tree is then traversed post-order, reading each node's entry by
+//! its pre-order position. A node clusters with its first auxiliary
+//! child that targets it (§5.4), and the pair is narrated as a single
+//! step through the composition operator `∘`; every non-leaf (or
+//! filtered) step is given an intermediate result identifier `T1, T2,
+//! …` that later steps refer to; the root step ends with "to get the
+//! final results."
 //!
 //! Each step is generated in *two* synchronized renderings: the
 //! concrete text shown to learners, and the tag-abstracted text of
 //! Table 1 used as neural training labels — plus the ordered tag
 //! bindings linking them.
 
-use crate::cluster::{cluster_pairs, clustered_aux, Cluster};
-use crate::lot::{build_lot, CoreError, LotNode};
 use crate::tags::TagBinding;
-use lantern_plan::PlanTree;
-use lantern_pool::{PoemLookup, PoemStore};
+use lantern_plan::{PlanNode, PlanTree};
+use lantern_pool::{PoemObject, PoemSnapshot, PoemStore};
+use std::fmt;
+
+/// Error raised while narrating a plan.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CoreError {
+    /// The plan references an operator the POEM store has no entry for
+    /// (the failure NEURON hits on SQL Server plans, paper US 5).
+    UnknownOperator {
+        /// Source system of the plan.
+        source: String,
+        /// Vendor operator name.
+        op: String,
+    },
+    /// Malformed plan (e.g. an auxiliary node without a child).
+    PlanError(String),
+}
+
+impl fmt::Display for CoreError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CoreError::UnknownOperator { source, op } => {
+                write!(f, "operator '{op}' has no POEM entry for source '{source}'")
+            }
+            CoreError::PlanError(m) => write!(f, "plan error: {m}"),
+        }
+    }
+}
+
+impl std::error::Error for CoreError {}
 
 /// One narration step (= one *act*, in §6.2 terminology).
 #[derive(Debug, Clone, PartialEq)]
@@ -139,41 +172,75 @@ impl<'a> RuleLantern<'a> {
         RuleLantern { store }
     }
 
-    /// Narrate a plan (paper Algorithm 1).
-    ///
-    /// Takes **one** read snapshot of the POEM store and threads it
-    /// through the whole LOT construction, instead of re-acquiring the
-    /// store's `RwLock` for every plan node.
+    /// Narrate a plan (paper Algorithm 1) against one read snapshot
+    /// of the POEM store.
     pub fn narrate(&self, tree: &PlanTree) -> Result<Narration, CoreError> {
-        let snapshot = self.store.snapshot();
-        narrate_with_lookup(tree, &snapshot)
+        narrate_with_lookup(tree, &self.store.snapshot())
     }
 }
 
-/// Narrate a plan against any [`PoemLookup`] (paper Algorithm 1).
+/// Narrate a plan against a POEM snapshot (paper Algorithm 1).
 ///
 /// This is the hot-path entry point: batch pipelines snapshot the store
 /// once and call this for every plan, so no per-narration locking or
 /// catalog assembly happens at all.
-pub fn narrate_with_lookup<L: PoemLookup>(
+pub fn narrate_with_lookup(
     tree: &PlanTree,
-    lookup: &L,
+    snapshot: &PoemSnapshot,
 ) -> Result<Narration, CoreError> {
-    let lot = build_lot(tree, lookup)?;
-    let clusters = cluster_pairs(&lot.root);
+    let mut entries = Vec::new();
+    resolve(&tree.root, &tree.source, snapshot, &mut entries)?;
     let mut ctx = Ctx {
         steps: Vec::new(),
         t_counter: 0,
-        clusters,
     };
-    visit(&lot.root, &mut Vec::new(), true, &mut ctx)?;
+    visit(&tree.root, 0, true, &entries, &mut ctx)?;
     Ok(Narration { steps: ctx.steps })
+}
+
+/// A node's POEM entry (its LOT annotation), borrowed from the
+/// snapshot, at the node's pre-order position.
+struct Entry<'s> {
+    /// The POEM object; `n.name` is its display name.
+    poem: &'s PoemObject,
+    /// `n.label`: the default `COMPOSE` template.
+    label: &'s str,
+    /// Pre-order position one past the node's subtree, which is where
+    /// its next sibling's entry sits.
+    end: usize,
+}
+
+/// Resolve every node's entry in pre-order, so the first unknown
+/// operator in pre-order is the one reported.
+fn resolve<'s>(
+    node: &PlanNode,
+    source: &str,
+    snapshot: &'s PoemSnapshot,
+    out: &mut Vec<Entry<'s>>,
+) -> Result<(), CoreError> {
+    let (poem, label) =
+        snapshot
+            .entry(source, &node.op)
+            .ok_or_else(|| CoreError::UnknownOperator {
+                source: source.to_string(),
+                op: node.op.clone(),
+            })?;
+    let at = out.len();
+    out.push(Entry {
+        poem,
+        label,
+        end: 0,
+    });
+    for c in &node.children {
+        resolve(c, source, snapshot, out)?;
+    }
+    out[at].end = out.len();
+    Ok(())
 }
 
 struct Ctx {
     steps: Vec<NarrationStep>,
     t_counter: usize,
-    clusters: Vec<Cluster>,
 }
 
 /// Builder that renders the concrete and tagged texts in lockstep.
@@ -197,83 +264,91 @@ impl Emit {
     }
 }
 
-/// Returns the name by which the parent refers to this node's output:
-/// an intermediate identifier `Tk`, or the base relation name for an
-/// unfiltered leaf scan.
+/// Narrate the subtree of `node`, whose entry sits at pre-order
+/// position `at`. Returns the name by which the parent refers to this
+/// node's output: an intermediate identifier `Tk`, or the base relation
+/// name for an unfiltered leaf scan.
 fn visit(
-    node: &LotNode,
-    path: &mut Vec<usize>,
+    node: &PlanNode,
+    at: usize,
     is_root: bool,
+    entries: &[Entry<'_>],
     ctx: &mut Ctx,
 ) -> Result<String, CoreError> {
-    // Resolve the clustered auxiliary child (if any), then recurse into
-    // the effective children (the clustered auxiliary is skipped; its
-    // child stands in for it) in post-order. The path buffer is shared
-    // down the recursion instead of re-allocated per child.
-    let aux_idx = clustered_aux(&ctx.clusters, path);
-    let mut aux_node: Option<&LotNode> = None;
+    let entry = &entries[at];
+    // Recurse into the children in post-order. The clustered auxiliary
+    // is the first child whose entry is auxiliary and targets this
+    // node's operator; it is skipped and its first child stands in for
+    // it. At most one per node keeps the composition operator binary
+    // (a Merge Join's second Sort is narrated as its own step).
+    let mut aux: Option<(usize, &PlanNode, &Entry<'_>)> = None;
     let mut child_names = Vec::with_capacity(node.children.len());
+    let mut child_at = at + 1;
     for (i, child) in node.children.iter().enumerate() {
-        if Some(i) == aux_idx {
-            aux_node = Some(child);
+        let child_entry = &entries[child_at];
+        let clusters = aux.is_none()
+            && child_entry.poem.is_auxiliary()
+            && child_entry.poem.targets_op(&node.op);
+        let name = if clusters {
+            aux = Some((i, child, child_entry));
             let inner = child.children.first().ok_or_else(|| {
-                CoreError::PlanError(format!("auxiliary operator {} has no child", child.plan.op))
+                CoreError::PlanError(format!("auxiliary operator {} has no child", child.op))
             })?;
-            path.push(i);
-            path.push(0);
-            child_names.push(visit(inner, path, false, ctx)?);
-            path.pop();
-            path.pop();
+            visit(inner, child_at + 1, false, entries, ctx)?
         } else {
-            path.push(i);
-            child_names.push(visit(child, path, false, ctx)?);
-            path.pop();
-        }
+            visit(child, child_at, false, entries, ctx)?
+        };
+        child_names.push(name);
+        child_at = child_entry.end;
     }
 
     // Template for this step: composed when an auxiliary was clustered.
-    // The composition equals `aux.poem.compose_with(&node.poem, None)`
-    // but reuses the labels already derived during LOT annotation.
-    let template = match aux_node {
-        Some(aux) => format!("{} and {}", aux.label, node.label),
-        None => node.label.clone(),
+    // The composition equals `aux.compose_with(node, None)` but reuses
+    // the snapshot's precomputed labels.
+    let composed;
+    let template = match aux {
+        Some((_, _, aux_entry)) => {
+            composed = format!("{} and {}", aux_entry.label, entry.label);
+            composed.as_str()
+        }
+        None => entry.label,
     };
 
     let mut e = Emit::default();
-    render_template(&template, node, &child_names, aux_idx, &mut e);
+    let aux_idx = aux.map(|(i, _, _)| i);
+    render_template(template, node, &child_names, aux_idx, &mut e);
 
     // Index scans mention the index used (tag <I>).
-    if let Some(index_name) = &node.plan.index_name {
+    if let Some(index_name) = &node.index_name {
         e.lit(" using index ");
         e.val("<I>", index_name);
     }
     // Grouping keys (tag <G>), for aggregates.
-    if !node.plan.group_keys.is_empty() {
+    if !node.group_keys.is_empty() {
         e.lit(" with grouping on attribute ");
-        e.val("<G>", &node.plan.group_keys.join(", "));
+        e.val("<G>", &node.group_keys.join(", "));
     }
     // Standalone sorts mention their keys (tag <A>).
-    if aux_node.is_none() && !node.plan.sort_keys.is_empty() && node.poem.name == "sort" {
+    if aux.is_none() && !node.sort_keys.is_empty() && entry.poem.name == "sort" {
         e.lit(" by ");
-        e.val("<A>", &node.plan.sort_keys.join(", "));
+        e.val("<A>", &node.sort_keys.join(", "));
     }
     // Filters / HAVING (tag <F>).
-    if let Some(filter) = &node.plan.filter {
+    if let Some(filter) = &node.filter {
         e.lit(" and filtering on ");
         e.val("<F>", &humanize_predicate(filter));
     }
 
     // Intermediate identifier / final ending (Algorithm 1 lines 10-14).
-    let leaf_passthrough = node.children.is_empty() && node.plan.filter.is_none();
+    let leaf_passthrough = node.children.is_empty() && node.filter.is_none();
     let name = if is_root {
         e.lit(" to get the final results.");
         String::new()
     } else if leaf_passthrough {
         e.lit(".");
-        node.plan
-            .relation
+        node.relation
             .clone()
-            .unwrap_or_else(|| node.name.clone())
+            .unwrap_or_else(|| entry.poem.display_name().to_string())
     } else {
         ctx.t_counter += 1;
         let t = format!("T{}", ctx.t_counter);
@@ -284,10 +359,10 @@ fn visit(
     };
 
     let mut ops = Vec::new();
-    if let Some(aux) = aux_node {
-        ops.push(aux.plan.op.clone());
+    if let Some((_, aux_node, _)) = aux {
+        ops.push(aux_node.op.clone());
     }
-    ops.push(node.plan.op.clone());
+    ops.push(node.op.clone());
     ctx.steps.push(NarrationStep {
         index: ctx.steps.len() + 1,
         ops,
@@ -308,7 +383,7 @@ fn visit(
 /// child and `$R1$` the second. Inputs are emitted with tag `<T>`.
 fn render_template(
     template: &str,
-    node: &LotNode,
+    node: &PlanNode,
     child_names: &[String],
     aux_idx: Option<usize>,
     e: &mut Emit,
@@ -318,7 +393,7 @@ fn render_template(
         _ => (1, 0),
     };
     let r1: &str = match child_names.len() {
-        0 => node.plan.relation.as_deref().unwrap_or("its input"),
+        0 => node.relation.as_deref().unwrap_or("its input"),
         1 => &child_names[0],
         _ => &child_names[r1_pos],
     };
@@ -343,7 +418,7 @@ fn render_template(
                 match placeholder {
                     "$R1$" => e.val("<T>", r1),
                     "$R2$" => e.val("<T>", r2),
-                    _ => match &node.plan.join_cond {
+                    _ => match &node.join_cond {
                         Some(c) => e.val("<C>", c),
                         // A condition-bearing template on a plan node
                         // without a condition (cross join): drop the

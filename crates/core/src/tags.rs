@@ -38,11 +38,6 @@ pub fn abstract_tags(text: &str, bindings: &TagBinding) -> String {
     out
 }
 
-/// True if `token` is one of the Table-1 tags.
-pub fn is_tag(token: &str) -> bool {
-    TAGS.contains(&token)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,13 +81,5 @@ mod tests {
     fn unbound_tags_left_alone() {
         let s = substitute_tags("scan <T> end", &vec![]);
         assert_eq!(s, "scan <T> end");
-    }
-
-    #[test]
-    fn tag_predicate() {
-        assert!(is_tag("<T>"));
-        assert!(is_tag("<TN>"));
-        assert!(!is_tag("<X>"));
-        assert!(!is_tag("T"));
     }
 }

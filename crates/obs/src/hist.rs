@@ -206,17 +206,6 @@ impl HistogramSnapshot {
         self.max
     }
 
-    /// p50 / p90 / p99 / p99.9 / max, nanoseconds.
-    pub fn quantiles(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.percentile(0.50),
-            self.percentile(0.90),
-            self.percentile(0.99),
-            self.percentile(0.999),
-            self.max,
-        )
-    }
-
     /// Mean observation, nanoseconds (0 when empty).
     pub fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
@@ -269,9 +258,10 @@ mod tests {
         // True p50 is 500µs; the bucketed answer over-reports by ≤ √2.
         assert!(p50 >= 500_000, "{p50}");
         assert!(p50 as f64 <= 500_000.0 * 1.4143, "{p50}");
-        let (q50, q90, q99, q999, max) = snap.quantiles();
-        assert!(q50 <= q90 && q90 <= q99 && q99 <= q999 && q999 <= max);
-        assert_eq!(max, 1_000_000);
+        let qs = [0.50, 0.90, 0.99, 0.999].map(|q| snap.percentile(q));
+        assert!(qs.windows(2).all(|w| w[0] <= w[1]), "{qs:?}");
+        assert!(qs[3] <= snap.max, "{qs:?}");
+        assert_eq!(snap.max, 1_000_000);
         assert_eq!(snap.mean(), (1..=1000u64).sum::<u64>() * 1_000 / 1000);
     }
 

@@ -54,29 +54,6 @@ impl PlanNode {
         self
     }
 
-    /// Clone this node's own attributes without cloning the subtree
-    /// below it (`children` comes back empty). Consumers that keep
-    /// structure separately — like LOT construction, which would
-    /// otherwise deep-clone every subtree once per node, O(n²) — use
-    /// this on their hot path.
-    pub fn clone_shallow(&self) -> PlanNode {
-        PlanNode {
-            op: self.op.clone(),
-            relation: self.relation.clone(),
-            alias: self.alias.clone(),
-            index_name: self.index_name.clone(),
-            filter: self.filter.clone(),
-            join_cond: self.join_cond.clone(),
-            sort_keys: self.sort_keys.clone(),
-            group_keys: self.group_keys.clone(),
-            strategy: self.strategy.clone(),
-            estimated_rows: self.estimated_rows,
-            estimated_cost: self.estimated_cost,
-            children: Vec::new(),
-            extra: self.extra.clone(),
-        }
-    }
-
     /// Builder: set the scanned relation.
     pub fn on_relation(mut self, rel: impl Into<String>) -> Self {
         self.relation = Some(rel.into());

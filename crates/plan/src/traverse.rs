@@ -1,5 +1,5 @@
 //! Tree traversal utilities: post-order walks (the order Algorithm 1
-//! narrates in) with parent context, and subtree addressing by path.
+//! narrates in) with parent context.
 
 use crate::node::PlanNode;
 
@@ -39,16 +39,6 @@ fn walk<'a>(
         depth,
         child_index,
     });
-}
-
-/// Fetch a node by its child-index path from the root (empty path =
-/// root).
-pub fn node_at_path<'a>(root: &'a PlanNode, path: &[usize]) -> Option<&'a PlanNode> {
-    let mut cur = root;
-    for &i in path {
-        cur = cur.children.get(i)?;
-    }
-    Some(cur)
 }
 
 #[cfg(test)]
@@ -94,16 +84,5 @@ mod tests {
         let hash = walk.iter().find(|i| i.node.op == "Hash").unwrap();
         assert_eq!(hash.depth, 2);
         assert_eq!(hash.child_index, 1);
-    }
-
-    #[test]
-    fn path_addressing() {
-        let t = tree();
-        assert_eq!(node_at_path(&t, &[]).unwrap().op, "Unique");
-        assert_eq!(
-            node_at_path(&t, &[0, 1, 0]).unwrap().relation.as_deref(),
-            Some("b")
-        );
-        assert!(node_at_path(&t, &[3]).is_none());
     }
 }

@@ -14,8 +14,8 @@
 //! the state it saw; later store mutations are invisible to it).
 //!
 //! [`PoemLookup`] abstracts over "something operators can be resolved
-//! from" so LOT construction can run against either a live store or a
-//! snapshot.
+//! from" so callers such as diff rendering can run against either a
+//! live store or a snapshot.
 
 use crate::object::{normalize_op_name, PoemObject};
 use crate::store::PoemStore;
@@ -27,19 +27,6 @@ pub trait PoemLookup {
     /// Fetch one operator by source and (vendor) name. `name` is
     /// normalized before the lookup.
     fn find(&self, source: &str, name: &str) -> Option<PoemObject>;
-
-    /// Fetch an operator together with its default description
-    /// template (`COMPOSE <op> FROM <source>` with no `USING` pick).
-    /// The default derives the template on the fly; [`PoemSnapshot`]
-    /// overrides it with templates precomputed at snapshot time, so
-    /// repeated LOT construction over a shared snapshot does no
-    /// template work at all.
-    fn find_labeled(&self, source: &str, name: &str) -> Option<(PoemObject, String)> {
-        self.find(source, name).map(|o| {
-            let label = o.template(None);
-            (o, label)
-        })
-    }
 }
 
 impl PoemLookup for PoemStore {
@@ -51,10 +38,6 @@ impl PoemLookup for PoemStore {
 impl<L: PoemLookup + ?Sized> PoemLookup for std::sync::Arc<L> {
     fn find(&self, source: &str, name: &str) -> Option<PoemObject> {
         (**self).find(source, name)
-    }
-
-    fn find_labeled(&self, source: &str, name: &str) -> Option<(PoemObject, String)> {
-        (**self).find_labeled(source, name)
     }
 }
 
@@ -74,8 +57,8 @@ pub struct PoemSnapshot {
     /// source → normalized name → (assembled object, default
     /// description template). Nested so lookups probe with borrowed
     /// `&str` keys (no per-find key allocation beyond the normalization
-    /// the store pays too). Templates are precomputed so LOT
-    /// construction over a snapshot is pure lookup.
+    /// the store pays too). Templates are precomputed so narration
+    /// over a snapshot is pure lookup.
     by_source: HashMap<String, HashMap<String, (PoemObject, String)>>,
     /// Sorted, deduplicated source names present at snapshot time.
     sources: Vec<String>,
@@ -98,6 +81,17 @@ impl PoemSnapshot {
                 .or_insert((o, label));
         }
         PoemSnapshot { by_source, sources }
+    }
+
+    /// Borrow one operator and its default description template
+    /// (`COMPOSE <op> FROM <source>` with no `USING` pick), as
+    /// precomputed at snapshot time. `name` is normalized before the
+    /// lookup, as in [`PoemLookup::find`].
+    pub fn entry(&self, source: &str, name: &str) -> Option<(&PoemObject, &str)> {
+        self.by_source
+            .get(source)
+            .and_then(|m| m.get(&normalize_op_name(name)))
+            .map(|(o, label)| (o, label.as_str()))
     }
 
     /// All operators of a source, in arbitrary order.
@@ -126,17 +120,7 @@ impl PoemSnapshot {
 
 impl PoemLookup for PoemSnapshot {
     fn find(&self, source: &str, name: &str) -> Option<PoemObject> {
-        self.by_source
-            .get(source)
-            .and_then(|m| m.get(&normalize_op_name(name)))
-            .map(|(o, _)| o.clone())
-    }
-
-    fn find_labeled(&self, source: &str, name: &str) -> Option<(PoemObject, String)> {
-        self.by_source
-            .get(source)
-            .and_then(|m| m.get(&normalize_op_name(name)))
-            .cloned()
+        self.entry(source, name).map(|(o, _)| o.clone())
     }
 }
 
@@ -164,6 +148,19 @@ mod tests {
         }
         assert!(snap.find("pg", "Quantum Scan").is_none());
         assert!(snap.find("db2", "Hash Join").is_none());
+    }
+
+    #[test]
+    fn entry_borrows_the_object_and_its_template() {
+        let store = default_pg_store();
+        let snap = store.snapshot();
+        for name in ["Hash Join", "Seq Scan", "Sort", "Unique"] {
+            let (object, label) = snap.entry("pg", name).unwrap();
+            assert_eq!(Some(object.clone()), store.find("pg", name), "{name}");
+            assert_eq!(label, object.template(None), "{name}");
+        }
+        assert!(snap.entry("pg", "Quantum Scan").is_none());
+        assert!(snap.entry("mssql", "Table Scan").is_none());
     }
 
     #[test]

@@ -89,6 +89,6 @@ pub use client::{ClientConfig, ClientError, ClientErrorKind, ClientResponse, Htt
 pub use http::{Request, Response};
 pub use lantern_cache::{CacheControl, CacheStatsSnapshot};
 pub use router::Router;
-pub use server::{reusable_listener, Handler, ServeConfig, ServeStats};
 #[cfg(unix)]
 pub use server::{serve, ServerHandle};
+pub use server::{Handler, ServeConfig, ServeStats};

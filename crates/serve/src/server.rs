@@ -296,8 +296,10 @@ impl Drop for ServerHandle {
 ///
 /// Returns once the event thread and the worker pool are up. Bind
 /// `"127.0.0.1:0"` to get an ephemeral port (read it back with
-/// [`ServerHandle::addr`]); a server that must come back on the *same*
-/// address binds through [`reusable_listener`].
+/// [`ServerHandle::addr`]). A server can come back on the *same*
+/// address at once through [`TcpListener::bind`]: std sets
+/// `SO_REUSEADDR` on Unix listeners, so connections the previous
+/// occupant left in `TIME_WAIT` do not block the bind.
 #[cfg(unix)]
 pub fn serve(
     handler: Arc<dyn Handler>,
@@ -319,91 +321,6 @@ pub fn serve(
         waker,
         threads,
     })
-}
-
-/// Bind a listener with `SO_REUSEADDR`, so an address whose previous
-/// occupant just shut down (leaving accepted connections in
-/// `TIME_WAIT`) can be re-bound immediately. Restarting a replica on
-/// its original port — the cluster fault harness does this constantly —
-/// fails sporadically with `EADDRINUSE` through a plain
-/// [`TcpListener::bind`].
-///
-/// On Linux this goes through a raw socket so the option can be set
-/// before `bind(2)`; elsewhere (std exposes no `setsockopt`) it falls
-/// back to a plain bind, which is only a liability on the restart path.
-/// IPv4 only on the raw path; IPv6 addresses take the fallback.
-pub fn reusable_listener(addr: SocketAddr) -> io::Result<TcpListener> {
-    #[cfg(target_os = "linux")]
-    if let SocketAddr::V4(v4) = addr {
-        use std::os::fd::FromRawFd;
-        use std::os::raw::{c_int, c_void};
-
-        const AF_INET: c_int = 2;
-        const SOCK_STREAM: c_int = 1;
-        const SOCK_CLOEXEC: c_int = 0o2000000;
-        const SOL_SOCKET: c_int = 1;
-        const SO_REUSEADDR: c_int = 2;
-
-        #[repr(C)]
-        struct SockAddrIn {
-            sin_family: u16,
-            sin_port: u16,
-            sin_addr: u32,
-            sin_zero: [u8; 8],
-        }
-
-        extern "C" {
-            fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
-            fn setsockopt(
-                fd: c_int,
-                level: c_int,
-                name: c_int,
-                value: *const c_void,
-                len: u32,
-            ) -> c_int;
-            fn bind(fd: c_int, addr: *const SockAddrIn, len: u32) -> c_int;
-            fn listen(fd: c_int, backlog: c_int) -> c_int;
-            fn close(fd: c_int) -> c_int;
-        }
-
-        let fd = unsafe { socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0) };
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        let fail = |fd: c_int| -> io::Error {
-            let err = io::Error::last_os_error();
-            unsafe { close(fd) };
-            err
-        };
-        let one: c_int = 1;
-        let rc = unsafe {
-            setsockopt(
-                fd,
-                SOL_SOCKET,
-                SO_REUSEADDR,
-                &one as *const c_int as *const c_void,
-                std::mem::size_of::<c_int>() as u32,
-            )
-        };
-        if rc != 0 {
-            return Err(fail(fd));
-        }
-        let sockaddr = SockAddrIn {
-            sin_family: AF_INET as u16,
-            sin_port: v4.port().to_be(),
-            // Network byte order: the octets laid out as written.
-            sin_addr: u32::from_ne_bytes(v4.ip().octets()),
-            sin_zero: [0; 8],
-        };
-        if unsafe { bind(fd, &sockaddr, std::mem::size_of::<SockAddrIn>() as u32) } != 0 {
-            return Err(fail(fd));
-        }
-        if unsafe { listen(fd, 1024) } != 0 {
-            return Err(fail(fd));
-        }
-        return Ok(unsafe { TcpListener::from_raw_fd(fd) });
-    }
-    TcpListener::bind(addr)
 }
 
 #[cfg(all(test, unix))]
@@ -577,12 +494,12 @@ mod tests {
     }
 
     #[test]
-    fn restart_rebinds_the_same_port_through_reusable_listener() {
+    fn restart_rebinds_the_same_port() {
         // Boot, serve one request, shut down, and come back on the
         // *same* port — the replica-restart sequence the cluster fault
-        // harness leans on. The first bind goes through
-        // `reusable_listener` too so the port is reusable from birth.
-        let listener = reusable_listener("127.0.0.1:0".parse().unwrap()).unwrap();
+        // harness leans on. std's bind sets `SO_REUSEADDR`, so the
+        // connection just served does not hold the port.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let handle = serve_router(
             RuleTranslator::new(default_pg_store()),
@@ -594,7 +511,7 @@ mod tests {
         drop(client);
         handle.shutdown().unwrap();
 
-        let listener = reusable_listener(addr).expect("rebind the vacated port");
+        let listener = TcpListener::bind(addr).expect("rebind the vacated port");
         let handle = serve_router(
             RuleTranslator::new(default_pg_store()),
             listener,

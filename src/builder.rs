@@ -319,9 +319,9 @@ impl LanternService {
     }
 
     /// [`LanternService::serve`] over a listener the caller already
-    /// bound (typically through [`lantern_serve::reusable_listener`],
-    /// so a restarted replica can reclaim its old port while prior
-    /// connections sit in `TIME_WAIT`).
+    /// bound. A restarted replica can bind its old port again with
+    /// [`std::net::TcpListener::bind`] while prior connections sit in
+    /// `TIME_WAIT`: std sets `SO_REUSEADDR` on Unix.
     #[cfg(unix)]
     pub fn serve_on_listener(
         self,

@@ -723,10 +723,12 @@ fn cluster_smoke_survives_a_killed_replica() {
         "{:?}",
         started.elapsed()
     );
+    // Every request is answered 2xx, none shed: with 3 replicas and the
+    // default `max_attempts` of 3, each request's candidate list holds
+    // both survivors, so a live successor always answers.
     assert_eq!(load.statuses.len(), 1000);
-    assert_eq!(load.errors(), 0);
-    assert_eq!(load.ok() + load.count(503), 1000);
-    assert!(load.ok() >= 950, "{} ok", load.ok());
+    assert_eq!(load.ok(), 1000);
+    assert_eq!(load.count(503), 0);
     // Shard affinity keeps the fleet's hit ratio near the duplicate rate
     // despite the kill.
     let ratio = hit_ratio(before, cache_counts(coord));

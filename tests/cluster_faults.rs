@@ -7,7 +7,8 @@
 //! coordinator, and injects faults mid-flight:
 //!
 //! * **kill / restart**: a replica dies mid-burst and later rejoins on
-//!   its old port ([`reusable_listener`]); every request in the burst
+//!   its old port (std's `TcpListener::bind` sets `SO_REUSEADDR`, so
+//!   the port is free at once); every request in the burst
 //!   must end in a definite status (2xx/4xx/503) — none may hang, none
 //!   may be lost;
 //! * **stall**: a replica accepts connections and answers health
@@ -27,7 +28,7 @@ use lantern::builder::LanternBuilder;
 use lantern::cache::CacheConfig;
 use lantern::cluster::{serve_cluster, shard_key, ClusterConfig, ClusterHandle, HashRing};
 use lantern::gen::{FormatMix, GenConfig, PlanGenerator};
-use lantern::serve::{reusable_listener, HttpClient, ServeConfig, ServerHandle};
+use lantern::serve::{HttpClient, ServeConfig, ServerHandle};
 use lantern::text::json::JsonValue;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -245,7 +246,7 @@ fn kill_and_restart_mid_burst_loses_no_requests() {
     wait_for("second third of the burst", || {
         completed.load(Ordering::SeqCst) >= 2 * total / 3
     });
-    let listener = reusable_listener(victim_addr).expect("rebind victim port");
+    let listener = TcpListener::bind(victim_addr).expect("rebind victim port");
     let revived = boot_replica_on(listener);
 
     for client in clients {
@@ -507,7 +508,7 @@ fn partitioned_replica_converges_on_the_catalog_after_rejoin() {
     // Rejoin on the old port with a *fresh* service — empty log
     // position, pristine store. The probe loop notices applied_seq 0
     // against a log of 2 and replays the suffix.
-    let listener = reusable_listener(victim_addr).expect("rebind victim port");
+    let listener = TcpListener::bind(victim_addr).expect("rebind victim port");
     let revived = boot_replica_on(listener);
     wait_for("catalog convergence across the fleet", || {
         let catalog = get_json(&mut client, "/catalog");
